@@ -303,7 +303,7 @@ def monte_carlo_error_bars(
                 acc_p[key] = acc_p.get(key, 0.0) + dp * dp
             if sim_samples is not None:
                 sim_samples[t].append(
-                    equidistribution_similarity(tables, t, setup.support)
+                    equidistribution_similarity([tables[t]], 0, setup.support)
                 )
 
     sigma_mode = [

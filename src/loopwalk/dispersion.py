@@ -11,10 +11,24 @@ eigenvector overlap, unwrapped so each branch is continuous; the exposed
 values are the unwrapped phases (congruent mod 2pi to values in [-pi, pi)
 at the anchor sample).
 
+Band derivatives are analytic.  S(k) = S(0) e^{ikD} with
+D = diag(-1, +1, +1, -1), so for orthonormal eigenvectors v_n of U(k) and
+w_n = C v_n, eigenphase perturbation theory gives
+
+    omega'_n  = <w_n|D|w_n>
+    omega''_n = sum_m |<w_m|D|w_n>|^2 cot((omega_n - omega_m) / 2)
+
+and |omega'| <= 1 since ||D|| = 1.  eig returns non-orthogonal vectors
+inside a degenerate eigenspace, so each sample's eigenvectors are
+orthonormalised first, and partners whose phase lies within 1e-7 on the
+circle are left out of the cot sum (a band that stays degenerate has the
+same derivatives in every basis of its eigenspace).  A spectrum built from
+a callable Bloch operator has no coin C and therefore no derivatives.
+
 Wavefront speeds are the group velocities at inflection points of a band
-(zeros of the second derivative).  Bands with numerically constant slope
-(flat or strictly linear) have no isolated inflections and contribute
-their constant velocity as a single wavefront.
+(zeros of omega'').  Bands with numerically constant slope (flat or
+strictly linear) have no isolated inflections and contribute their
+constant velocity as a single wavefront.
 """
 
 from __future__ import annotations
@@ -27,16 +41,26 @@ import numpy as np
 from .linalg_core import assert_unitary, wrap_phase
 from .walk_engine import CH, CV, CCH, CCV
 
-_PAD = 3  # grid samples kept on each side for derivative stencils
-_STENCIL_DELTA = 1e-2
+_PAD = 3  # grid samples kept beyond each end, so searches see across the seam
 _BISECT_WIDTH = 1e-8
 _LINEAR_BRANCH_TOL = 1e-9
+_DEGENERATE_PHASE = 1e-7  # partners this close on the circle share an eigenspace
+# A bisection narrowed to _BISECT_WIDTH around an inflection leaves |omega''|
+# of order |omega'''| * 1e-8; one that closed on a pole of the cot sum (a
+# branch passing a near crossing) leaves it of order one or larger.
+_INFLECTION_TOL = 1e-3
 # Eigenphase noise floor.  eig returns the eigenvalues of a unitary to a few
 # eps of absolute error, so every phase in [-pi, pi] carries ripple of order
 # eps * pi (a constant 2.3 gap on a 4x4 coin ripples by 2.2e-15 = 3.2 eps pi).
 # Gap differences below this floor are treated as equal; the factor 64 leaves
 # room for the difference of two noisy phases and for larger dimensions.
 _PHASE_NOISE_FLOOR = 64.0 * np.finfo(float).eps * np.pi
+_TERNARY_WIDTH = 1e-12
+
+# S(k) = S(0) . exp(ikD)
+_D = np.empty(4)
+_D[[CH, CCV]] = -1.0
+_D[[CV, CCH]] = 1.0
 
 
 def shift_bloch(k) -> np.ndarray:
@@ -58,22 +82,23 @@ def bloch_operator(coin: np.ndarray, k) -> np.ndarray:
     return shift_bloch(k) @ coin
 
 
-def _as_batched_bloch(coin_or_fn) -> Callable[[np.ndarray], np.ndarray]:
-    """Normalize the input to a callable mapping a k array to (n, d, d)."""
+def _as_batched_bloch(coin_or_fn) -> tuple[Callable[[np.ndarray], np.ndarray], Optional[np.ndarray]]:
+    """A callable mapping a 1-D k array to (n, d, d), and the coin (None for
+    a callable, which must map a 1-D k array to (n, d, d) itself)."""
     if callable(coin_or_fn):
         fn = coin_or_fn
 
         def batched(ks: np.ndarray) -> np.ndarray:
             ks = np.atleast_1d(np.asarray(ks, dtype=float))
-            try:
-                out = np.asarray(fn(ks), dtype=complex)
-                if out.ndim == 3 and out.shape[0] == ks.shape[0]:
-                    return out
-            except Exception:
-                pass
-            return np.stack([np.asarray(fn(float(k)), dtype=complex) for k in ks])
+            out = np.asarray(fn(ks), dtype=complex)
+            if out.ndim != 3 or out.shape[0] != len(ks) or out.shape[1] != out.shape[2]:
+                raise ValueError(
+                    f"a Bloch callable must map {len(ks)} momenta to shape "
+                    f"({len(ks)}, d, d), got shape {out.shape}"
+                )
+            return out
 
-        return batched
+        return batched, None
     coin = assert_unitary(np.asarray(coin_or_fn, dtype=complex), name="band coin")
     if coin.shape != (4, 4):
         raise ValueError(f"expected a 4x4 coin or a callable, got {coin.shape}")
@@ -81,25 +106,24 @@ def _as_batched_bloch(coin_or_fn) -> Callable[[np.ndarray], np.ndarray]:
     def batched_coin(ks: np.ndarray) -> np.ndarray:
         return shift_bloch(np.atleast_1d(ks)) @ coin
 
-    return batched_coin
+    return batched_coin, coin
 
 
-def _greedy_assign(weights: np.ndarray) -> np.ndarray:
-    """perm[i] = column of the next sample continuing ordered branch i.
+def _derivatives(coin: np.ndarray, vecs: np.ndarray, phases: np.ndarray):
+    """omega' and omega'' of every eigenpair, batched over samples.
 
-    Greedy maximum matching on the overlap magnitudes; adequate because
-    off-branch overlaps are small away from exact degeneracies, and inside
-    a degenerate cluster any assignment is equally valid.
+    vecs: (n, d, d) eigenvectors of U(k) as columns; phases: (n, d) their
+    eigenphases.  Returns two (n, d) arrays (see the module docstring).
     """
-    d = weights.shape[0]
-    w = weights.copy()
-    perm = np.full(d, -1, dtype=int)
-    for _ in range(d):
-        i, j = np.unravel_index(np.argmax(w), w.shape)
-        perm[i] = j
-        w[i, :] = -1.0
-        w[:, j] = -1.0
-    return perm
+    q, _ = np.linalg.qr(vecs)              # orthonormal, column order kept
+    w = coin @ q
+    dm = np.einsum("sin,i,sim->snm", w.conj(), _D, w)
+    diff = phases[:, :, None] - phases[:, None, :]
+    partner = np.abs(wrap_phase(diff)) > _DEGENERATE_PHASE
+    cot = np.divide(1.0, np.tan(0.5 * diff), out=np.zeros_like(diff), where=partner)
+    first = np.einsum("snn->sn", dm).real
+    second = np.sum(np.abs(dm) ** 2 * cot, axis=2)
+    return first, second
 
 
 class DispersionSpectrum:
@@ -112,12 +136,14 @@ class DispersionSpectrum:
     vectors : (n_branches, n_k, dim) matching eigenvectors
     """
 
-    def __init__(self, k_pad, omega_pad, vec_pad, bloch_fn, n_k):
+    def __init__(self, k_pad, omega_pad, vec_pad, bloch_fn, n_k, coin):
         self._k_pad = k_pad
         self._omega_pad = omega_pad
         self._vec_pad = vec_pad
         self._bloch = bloch_fn
         self._n_k = n_k
+        self._coin = coin
+        self._slopes = None
 
     @property
     def k_grid(self) -> np.ndarray:
@@ -139,23 +165,22 @@ class DispersionSpectrum:
     def spacing(self) -> float:
         return float(self._k_pad[1] - self._k_pad[0])
 
-    def local_omegas(self, ks: np.ndarray, ref_vecs: np.ndarray, ref_omegas: np.ndarray):
-        """Branch-followed eigenphases at off-grid momenta.
+    def _grid_derivatives(self):
+        """(omega', omega'') of every branch on the padded grid, computed once."""
+        if self._coin is None:
+            raise ValueError("a spectrum built from a Bloch callable has no coin, hence no band derivatives")
+        if self._slopes is None:
+            first, second = _derivatives(self._coin, self._vec_pad.transpose(1, 2, 0), self._omega_pad.T)
+            self._slopes = (first.T, second.T)
+        return self._slopes
 
-        For each k, the eigenpair with maximal overlap against the given
-        reference eigenvector is selected and its phase unwrapped to the
-        2pi window of the reference omega.
-        """
-        ks = np.asarray(ks, dtype=float)
-        u = self._bloch(ks)
-        w, v = np.linalg.eig(u)
-        ov = np.abs(np.einsum("ni,nid->nd", ref_vecs.conj(), v))
-        j = np.argmax(ov, axis=1)
-        rows = np.arange(len(ks))
-        vec = v[rows, :, j]
-        ph = np.angle(w[rows, j])
-        om = ph + 2.0 * np.pi * np.round((np.asarray(ref_omegas) - ph) / (2.0 * np.pi))
-        return om, vec
+    def _follow(self, ks: np.ndarray, *refs: np.ndarray):
+        """Eigenpairs of U(k) at off-grid momenta from one eig call and, for
+        each (n, d) set of reference eigenvectors, the column per k that
+        continues its branch (maximal overlap)."""
+        w, v = np.linalg.eig(self._bloch(ks))
+        cols = [np.argmax(np.abs(np.einsum("ni,nid->nd", ref.conj(), v)), axis=1) for ref in refs]
+        return w, v, cols
 
 
 def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
@@ -163,58 +188,51 @@ def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
 
     Branches are connected sample-to-sample by maximal eigenvector overlap
     and unwrapped to be continuous.  Extra samples beyond both ends of the
-    window are computed with the same connection so that derivative
-    stencils never hit a seam.
+    window are computed with the same connection so that inflection and
+    gap-minimum searches never hit a seam.
     """
     if n_k < 64:
         raise ValueError(f"n_k must be at least 64, got {n_k}")
-    bloch_fn = _as_batched_bloch(coin)
+    bloch_fn, coin = _as_batched_bloch(coin)
     h = 2.0 * np.pi / n_k
     idx = np.arange(-_PAD, n_k + _PAD)
     k_pad = -np.pi + h * idx
-    m = len(k_pad)
 
-    u = bloch_fn(k_pad)
-    d = u.shape[-1]
-    w, v = np.linalg.eig(u)
+    w, v = np.linalg.eig(bloch_fn(k_pad))
+    m, d = w.shape
 
-    # pairwise overlaps between consecutive samples, computed in one shot
+    # greedy maximum matching of each sample's columns to the next sample's
+    # on the overlap magnitudes, all samples at once; adequate because
+    # off-branch overlaps are small away from exact degeneracies, and inside
+    # a degenerate cluster any assignment is equally valid
     ov = np.abs(np.einsum("mij,mik->mjk", v[:-1].conj(), v[1:]))
+    rows = np.arange(m - 1)
+    nxt = np.empty((m - 1, d), dtype=int)
+    for _ in range(d):
+        i, j = np.divmod(np.argmax(ov.reshape(m - 1, d * d), axis=1), d)
+        nxt[rows, i] = j
+        ov[rows, i, :] = -1.0
+        ov[rows, :, j] = -1.0
 
-    omega_pad = np.empty((d, m), dtype=float)
-    vec_pad = np.empty((d, m, d), dtype=complex)
-
-    ph0 = wrap_phase(np.angle(w[0]))
-    order = np.argsort(ph0, kind="stable")
-    omega_pad[:, 0] = ph0[order]
-    for b in range(d):
-        vec_pad[b, 0, :] = v[0][:, order[b]]
-    cols = order.copy()
-
+    # cols[s, b]: column of branch b at sample s, branches ordered by phase
+    # at the first sample
+    cols = np.empty((m, d), dtype=int)
+    cols[0] = np.argsort(wrap_phase(np.angle(w[0])), kind="stable")
     for s in range(1, m):
-        weights = ov[s - 1][cols, :]
-        perm = _greedy_assign(weights)
-        new_cols = perm
-        ph = np.angle(w[s][new_cols])
-        prev = omega_pad[:, s - 1]
-        omega_pad[:, s] = ph + 2.0 * np.pi * np.round((prev - ph) / (2.0 * np.pi))
-        for b in range(d):
-            vec_pad[b, s, :] = v[s][:, new_cols[b]]
-        cols = new_cols
+        cols[s] = nxt[s - 1, cols[s - 1]]
 
-    return DispersionSpectrum(k_pad, omega_pad, vec_pad, bloch_fn, n_k)
+    ph = np.angle(np.take_along_axis(w, cols, axis=1))
+    ph[0] = wrap_phase(ph[0])
+    turns = np.zeros((m, d))
+    turns[1:] = np.cumsum(np.round((ph[:-1] - ph[1:]) / (2.0 * np.pi)), axis=0)
+    omega_pad = (ph + 2.0 * np.pi * turns).T
+    vec_pad = np.take_along_axis(v, cols[:, None, :], axis=2).transpose(2, 0, 1)
+    return DispersionSpectrum(k_pad, omega_pad, vec_pad, bloch_fn, n_k, coin)
 
 
 def group_velocities(spec: DispersionSpectrum) -> np.ndarray:
-    """d omega / d k on the main grid, central differences plus one
-    Richardson refinement (fourth-order accurate)."""
-    om = spec._omega_pad
-    h = spec.spacing
-    d1 = (om[:, 2:] - om[:, :-2]) / (2.0 * h)    # centered at pad index 1..m-2
-    d2 = (om[:, 4:] - om[:, :-4]) / (4.0 * h)    # centered at pad index 2..m-3
-    rich = (4.0 * d1[:, 1:-1] - d2) / 3.0        # centered at pad index 2..m-3
-    start = _PAD - 2
-    return rich[:, start:start + spec._n_k]
+    """d omega / d k on the main grid, analytic (see the module docstring)."""
+    return spec._grid_derivatives()[0][:, _PAD:_PAD + spec._n_k]
 
 
 @dataclass(frozen=True)
@@ -240,86 +258,57 @@ class WavefrontSet:
         return len(self.speeds)
 
 
-def _stencil_second(spec, ks, ref_vecs, ref_oms, delta=_STENCIL_DELTA):
-    offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * delta
-    n = len(ks)
-    pts = (ks[:, None] + offs[None, :]).ravel()
-    rv = np.repeat(ref_vecs, 5, axis=0)
-    ro = np.repeat(ref_oms, 5)
-    om, _ = spec.local_omegas(pts, rv, ro)
-    f = om.reshape(n, 5)
-    return (-f[:, 0] + 16.0 * f[:, 1] - 30.0 * f[:, 2] + 16.0 * f[:, 3] - f[:, 4]) / (
-        12.0 * delta * delta
-    )
-
-
-def _stencil_first(spec, ks, ref_vecs, ref_oms, delta=_STENCIL_DELTA):
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * delta
-    n = len(ks)
-    pts = (ks[:, None] + offs[None, :]).ravel()
-    rv = np.repeat(ref_vecs, 4, axis=0)
-    ro = np.repeat(ref_oms, 4)
-    om, _ = spec.local_omegas(pts, rv, ro)
-    f = om.reshape(n, 4)
-    return (f[:, 0] - 8.0 * f[:, 1] + 8.0 * f[:, 2] - f[:, 3]) / (12.0 * delta)
-
-
 def wavefront_speeds(spec: DispersionSpectrum, merge_tol: float = 1e-4) -> WavefrontSet:
     """Propagation-front speeds from band inflection points.
 
-    Sign changes of the second derivative on the grid are bracketed and
-    refined by bisection (on a five-point second-derivative stencil of the
-    branch-followed band) until the bracket is narrower than 1e-8; the
-    speed is the fourth-order first derivative at the refined point.
-    Speeds from all branches are then clustered within merge_tol.
+    Sign changes of the analytic omega'' on the grid are bracketed, and all
+    brackets are bisected in lockstep, one eig call per round, until each
+    is narrower than 1e-8; the speed is the analytic omega' at the
+    midpoint.  A root where |omega''| has not fallen to noise level is a
+    pole of the cot sum (a branch passing a near crossing), not an
+    inflection, and is dropped.  Speeds from all branches are then
+    clustered within merge_tol.
     """
-    om = spec._omega_pad
-    h = spec.spacing
-    vg = group_velocities(spec)
+    first, second = spec._grid_derivatives()
     fronts: list[Wavefront] = []
 
-    # second difference on the padded window
-    om_pp = (om[:, 2:] - 2.0 * om[:, 1:-1] + om[:, :-2]) / (h * h)
-    # pad-index alignment: om_pp[:, j] sits at grid point j+1
-
-    brackets = []  # (branch, k_lo, k_hi, ref pad index)
+    brackets = []  # (branch, pad index of the low end, of the high end)
     for b in range(spec.n_branches):
-        v_row = vg[b]
+        v_row = first[b, _PAD:_PAD + spec._n_k]
         if np.max(np.abs(v_row - np.mean(v_row))) <= _LINEAR_BRANCH_TOL:
             fronts.append(Wavefront(branch=b, k=None, speed=float(np.mean(v_row))))
             continue
-        row = om_pp[b]
-        # main window plus one sample margin so seam-adjacent roots are kept
-        lo_idx = _PAD - 1
-        hi_idx = _PAD + spec._n_k
-        for j in range(lo_idx, hi_idx):
-            a, c = row[j - 1], row[j]
-            if a == 0.0:
-                # exact grid zero: treat as a degenerate tiny bracket
-                brackets.append((b, spec._k_pad[j], spec._k_pad[j], j))
-            elif a * c < 0.0:
-                brackets.append((b, spec._k_pad[j], spec._k_pad[j + 1], j))
+        # main window plus one sample margin so seam-adjacent roots are kept;
+        # an exact grid zero is a bracket of zero width
+        row = second[b, _PAD - 1:_PAD + spec._n_k + 1]
+        a, c = row[:-1], row[1:]
+        for j in np.flatnonzero((a == 0.0) | (a * c < 0.0)) + _PAD - 1:
+            brackets.append((b, j, j if second[b, j] == 0.0 else j + 1))
 
     if brackets:
-        bs = np.array([br[0] for br in brackets])
-        lo = np.array([br[1] for br in brackets])
-        hi = np.array([br[2] for br in brackets])
-        refs = np.array([br[3] for br in brackets])
-        ref_vecs = np.stack([spec._vec_pad[b, j] for b, j in zip(bs, refs)])
-        ref_oms = np.array([spec._omega_pad[b, j] for b, j in zip(bs, refs)])
+        bs, js, hs = (np.array(col) for col in zip(*brackets))
+        ref_vecs = spec._vec_pad[bs, js]
+        rows = np.arange(len(bs))
 
-        g_lo = _stencil_second(spec, lo, ref_vecs, ref_oms)
+        def followed(ks):
+            w, v, (col,) = spec._follow(ks, ref_vecs)
+            d1, d2 = _derivatives(spec._coin, v, np.angle(w))
+            return d1[rows, col], d2[rows, col]
+
+        lo, hi = spec._k_pad[js], spec._k_pad[hs]
+        g_lo = second[bs, js]
         while np.max(hi - lo) > _BISECT_WIDTH:
             mid = 0.5 * (lo + hi)
-            g_mid = _stencil_second(spec, mid, ref_vecs, ref_oms)
+            _, g_mid = followed(mid)
             take_left = g_lo * g_mid <= 0.0
             hi = np.where(take_left, mid, hi)
             lo = np.where(take_left, lo, mid)
             g_lo = np.where(take_left, g_lo, g_mid)
         roots = 0.5 * (lo + hi)
-        speeds = _stencil_first(spec, roots, ref_vecs, ref_oms)
-        for b, k, s in zip(bs, roots, speeds):
-            fronts.append(Wavefront(branch=int(b), k=float(k), speed=float(s)))
+        speeds, curvature = followed(roots)
+        for b, k, s, g in zip(bs, roots, speeds, curvature):
+            if abs(g) <= _INFLECTION_TOL:
+                fronts.append(Wavefront(branch=int(b), k=float(k), speed=float(s)))
 
     if fronts:
         vals = np.sort(np.array([f.speed for f in fronts]))
@@ -352,17 +341,19 @@ def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
     """Locate and classify interbranch gap minima.
 
     Local minima of the eigenphase distance (on the phase circle) of each
-    branch pair are refined by ternary search; minima with refined gap at
-    most gap_tol are crossings, the rest avoided.  A grid minimum must sit
-    below both neighbours by more than the eigenphase noise floor
-    (a small multiple of eps * pi); a run of samples equal within that
-    floor, such as a minimum midway between two samples, counts as one
-    minimum and is refined over the whole run.  Each minimum is reported
-    once per 2pi period, so a pair with a constant non-zero gap yields no
-    entry at all, while pairs degenerate over the whole grid yield a single
-    entry flagged continuum=True.
+    branch pair are refined together by one lockstep ternary search, one
+    eig call per round, until each bracket is narrower than 1e-12; minima
+    with refined gap at most gap_tol are crossings, the rest avoided.  A
+    grid minimum must sit below both neighbours by more than the eigenphase
+    noise floor (a small multiple of eps * pi); a run of samples equal
+    within that floor, such as a minimum midway between two samples, counts
+    as one minimum and is refined over the whole run.  Each minimum is
+    reported once per 2pi period, so a pair with a constant non-zero gap
+    yields no entry at all, while pairs degenerate over the whole grid
+    yield a single entry flagged continuum=True.
     """
     out: list[Crossing] = []
+    minima = []  # (branch i, branch j, first sample of the minimum, bracket ends)
     nb = spec.n_branches
     lo_idx = _PAD - 1
     hi_idx = _PAD + spec._n_k + 1
@@ -392,37 +383,41 @@ def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
                 m = p + 1
                 if sign[p] > 0 or sign[q] < 0 or not _PAD <= m < _PAD + spec._n_k:
                     continue
-                k_lo, k_hi = spec._k_pad[p], spec._k_pad[q + 1]
-                ref_i = (spec._vec_pad[i, m], spec._omega_pad[i, m])
-                ref_j = (spec._vec_pad[j, m], spec._omega_pad[j, m])
-                k_star, gap = _refine_min_gap(spec, k_lo, k_hi, ref_i, ref_j)
-                kind = "crossing" if gap <= gap_tol else "avoided"
-                out.append(Crossing(k=float(k_star), branches=(i, j), gap=float(gap), kind=kind))
+                minima.append((i, j, m, p, q + 1))
+
+    if minima:
+        bi, bj, ms, ps, qs = (np.array(col) for col in zip(*minima))
+        vec_i, om_i = spec._vec_pad[bi, ms], spec._omega_pad[bi, ms]
+        vec_j, om_j = spec._vec_pad[bj, ms], spec._omega_pad[bj, ms]
+
+        def gap_at(ks, sel):
+            # both branches of each selected minimum, unwrapped to the 2pi
+            # window of their reference omegas
+            w, _, (ci, cj) = spec._follow(ks, vec_i[sel], vec_j[sel])
+            rows = np.arange(len(ks))
+            ph_i, ph_j = np.angle(w[rows, ci]), np.angle(w[rows, cj])
+            oi = ph_i + 2.0 * np.pi * np.round((om_i[sel] - ph_i) / (2.0 * np.pi))
+            oj = ph_j + 2.0 * np.pi * np.round((om_j[sel] - ph_j) / (2.0 * np.pi))
+            return _circle_gap(oi, oj)
+
+        lo, hi = spec._k_pad[ps], spec._k_pad[qs]
+        live = np.flatnonzero(hi - lo > _TERNARY_WIDTH)
+        while len(live):
+            third = (hi[live] - lo[live]) / 3.0
+            m1 = lo[live] + third
+            m2 = hi[live] - third
+            g = gap_at(np.concatenate([m1, m2]), np.concatenate([live, live]))
+            left = g[:len(live)] <= g[len(live):]
+            hi[live] = np.where(left, m2, hi[live])
+            lo[live] = np.where(left, lo[live], m1)
+            live = live[hi[live] - lo[live] > _TERNARY_WIDTH]
+        k_star = 0.5 * (lo + hi)
+        gaps = gap_at(k_star, np.arange(len(k_star)))
+        for i, j, k, gap in zip(bi, bj, k_star, gaps):
+            kind = "crossing" if gap <= gap_tol else "avoided"
+            out.append(Crossing(k=float(k), branches=(int(i), int(j)), gap=float(gap), kind=kind))
     out.sort(key=lambda c: (c.k, c.branches))
     return out
-
-
-def _refine_min_gap(spec, k_lo, k_hi, ref_i, ref_j, width=1e-12):
-    vec_i, om_i = ref_i
-    vec_j, om_j = ref_j
-
-    def gap_at(ks):
-        ks = np.asarray(ks, dtype=float)
-        oi, _ = spec.local_omegas(ks, np.tile(vec_i, (len(ks), 1)), np.full(len(ks), om_i))
-        oj, _ = spec.local_omegas(ks, np.tile(vec_j, (len(ks), 1)), np.full(len(ks), om_j))
-        return _circle_gap(oi, oj)
-
-    lo, hi = float(k_lo), float(k_hi)
-    while hi - lo > width:
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        g = gap_at(np.array([m1, m2]))
-        if g[0] <= g[1]:
-            hi = m2
-        else:
-            lo = m1
-    k_star = 0.5 * (lo + hi)
-    return k_star, float(gap_at(np.array([k_star]))[0])
 
 
 @dataclass(frozen=True)

@@ -40,9 +40,15 @@ class ProgramError(KeyError):
 
 @dataclass(frozen=True)
 class RawCoin:
-    """Coin given directly as a unitary 4x4 matrix."""
+    """Coin given directly as a unitary 4x4 matrix, held as a read-only copy
+    (CoinProgram caches resolved matrices by the spec's identity)."""
 
     matrix_value: np.ndarray
+
+    def __post_init__(self):
+        frozen = np.array(self.matrix_value)
+        frozen.setflags(write=False)
+        object.__setattr__(self, "matrix_value", frozen)
 
     def matrix(self) -> np.ndarray:
         return self.matrix_value

@@ -151,3 +151,49 @@ def hadamard_line_bands(k: np.ndarray) -> np.ndarray:
     w2 = np.pi - w1
     w2 = (w2 + np.pi) % (2.0 * np.pi) - np.pi
     return np.sort(np.stack([w1, w1, w2, w2]), axis=0)
+
+
+def bloch_matrix(coin: np.ndarray, k: float) -> np.ndarray:
+    """U(k) = S(k) C with the shift written out entry by entry."""
+    s = np.zeros((MODES, MODES), dtype=complex)
+    s[CCH, CH] = np.exp(-1j * k)
+    s[CCV, CV] = np.exp(1j * k)
+    s[CH, CCH] = np.exp(1j * k)
+    s[CV, CCV] = np.exp(-1j * k)
+    return s @ np.asarray(coin, dtype=complex)
+
+
+# S(k) = S(0) exp(ikD): the phase each column of the shift picks up per unit k
+SHIFT_GENERATOR = np.diag([-1.0, 1.0, 1.0, -1.0])
+
+
+def hellmann_feynman_velocities(coin: np.ndarray, k: float, cluster_tol: float = 1e-7):
+    """Eigenphases of U(k) in (-pi, pi] and their group velocities.
+
+    For an eigenvector v of U(k), d omega / dk = <Cv| D |Cv>.  Phases within
+    cluster_tol on the circle (the seam included) form one degenerate
+    eigenspace; there the velocities are the eigenvalues of C^dag D C
+    restricted to an orthonormal basis of the space (from an SVD, so the
+    basis does not depend on the eigenvectors eig happens to return).
+    Returns (phases, velocities), sorted by phase, velocities ascending
+    inside a cluster.
+    """
+    c = np.asarray(coin, dtype=complex)
+    w, v = np.linalg.eig(bloch_matrix(c, k))
+    phases = np.angle(w)
+    order = np.argsort(phases)
+    phases, v = phases[order], v[:, order]
+    g = c.conj().T @ SHIFT_GENERATOR @ c
+    n = len(phases)
+    labels = list(range(n))
+    for i in range(n):
+        for j in range(i):
+            if abs(np.angle(np.exp(1j * (phases[i] - phases[j])))) <= cluster_tol:
+                labels[i] = labels[j]
+                break
+    velocities = np.empty(n)
+    for lab in set(labels):
+        cols = [i for i in range(n) if labels[i] == lab]
+        basis, _, _ = np.linalg.svd(v[:, cols], full_matrices=False)
+        velocities[cols] = np.linalg.eigvalsh(basis.conj().T @ g @ basis)
+    return phases, velocities

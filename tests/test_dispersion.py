@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loopwalk.config import parse_coin
 from loopwalk.dispersion import (
     SplitStepParams,
     band_structure,
@@ -328,3 +331,160 @@ def test_random_coins_never_exceed_eight_fronts():
         coin = random_unitary(4, rng)
         ws = wavefront_speeds(band_structure(coin, n_k=256))
         assert len(ws.speeds) <= 8
+
+
+# --- analytic band derivatives ----------------------------------------------
+
+# element stacks on which finite-difference refinement missed fronts: two
+# bands come within 5e-3 of each other near the fronts, and a front carried
+# a stencil truncation error of 1.5e-5
+NEAR_DEGENERATE = {
+    "arm_a": {"waveplates": [{"kind": "hwp", "angle_deg": 175.030245}], "eom_phase_deg": 71.849095},
+    "arm_b": {"waveplates": [{"kind": "qwp", "angle_deg": 134.430534}], "eom_phase_deg": -85.434705},
+    "loop": [{"kind": "hwp", "angle_deg": 37.726975}],
+}
+STENCIL_ERROR = {
+    "arm_a": {
+        "waveplates": [{"kind": "qwp", "angle_deg": 61.05566}, {"kind": "qwp", "angle_deg": 62.275462}],
+        "eom_phase_deg": -40.896978,
+    },
+    "arm_b": {"waveplates": [{"kind": "hwp", "angle_deg": 135.438204}], "eom_phase_deg": 10.609507},
+    "loop": [{"kind": "eom", "angle_deg": 134.345656}, {"kind": "eom", "angle_deg": 169.805549}],
+}
+
+
+def element_coin(elements):
+    return parse_coin({"elements": elements}, "coin").matrix()
+
+
+def random_element_coin(rng):
+    def plates():
+        kinds = rng.choice(["qwp", "hwp"], size=int(rng.integers(1, 3)))
+        return [{"kind": str(kd), "angle_deg": float(rng.uniform(0.0, 180.0))} for kd in kinds]
+
+    def arm():
+        return {"waveplates": plates(), "eom_phase_deg": float(rng.uniform(-90.0, 90.0))}
+
+    loop = [{"kind": str(rng.choice(["qwp", "hwp", "eom"])), "angle_deg": float(rng.uniform(0.0, 180.0))}]
+    return element_coin({"arm_a": arm(), "arm_b": arm(), "loop": loop})
+
+
+def oracle_velocity(coin, k, omega):
+    """Oracle group velocity of the eigenphase nearest omega at k."""
+    phases, velocities = oracles.hellmann_feynman_velocities(coin, k)
+    return velocities[np.argmin(np.abs(wrap_phase(phases - omega)))]
+
+
+def test_group_velocities_match_hellmann_feynman_oracle():
+    rng = np.random.default_rng(80)
+    coins = [random_unitary(4, rng) for _ in range(3)] + [random_element_coin(rng) for _ in range(3)]
+    for coin in coins:
+        spec = band_structure(coin, n_k=128)
+        v = group_velocities(spec)
+        assert np.max(np.abs(v)) <= 1.0 + 1e-12
+        for i, k in enumerate(spec.k_grid):
+            for b in range(spec.n_branches):
+                assert abs(v[b, i] - oracle_velocity(coin, k, spec.omegas[b, i])) < 1e-10
+
+
+@pytest.mark.parametrize("elements", [NEAR_DEGENERATE, STENCIL_ERROR], ids=["near_degenerate", "stencil_error"])
+def test_fronts_are_inflection_velocities(elements):
+    coin = element_coin(elements)
+    spec = band_structure(coin)
+    ws = wavefront_speeds(spec)
+    assert 0 < len(ws.speeds) <= 8
+    assert np.max(np.abs(ws.speeds)) <= 1.0
+    h = 1e-6
+    for front in ws.fronts:
+        assert front.k is not None
+        phases, velocities = oracles.hellmann_feynman_velocities(coin, front.k)
+        n = np.argmin(np.abs(velocities - front.speed))
+        assert abs(velocities[n] - front.speed) < 1e-9
+        assert abs(front.speed) <= 1.0
+        # omega'' of that band by a central difference of oracle velocities
+        slope = [oracle_velocity(coin, front.k + s, phases[n] + s * front.speed) for s in (-h, h)]
+        assert abs(slope[1] - slope[0]) / (2.0 * h) < 1e-5
+
+
+def test_balanced_coin_speeds_exact():
+    ws = wavefront_speeds(hadamard_spectrum(n_k=1024))
+    assert np.max(np.abs(ws.speeds - np.array([-1.0, 1.0]) / np.sqrt(2.0))) < 1e-12
+
+
+def test_callable_spectrum_has_no_derivatives():
+    coin = np.array([[0.8, 0.6], [-0.6, 0.8]], dtype=complex)
+    spec = band_structure(split_step_bands(SplitStepParams(coin, coin)).bloch, n_k=64)
+    assert spec.omegas.shape == (2, 64)
+    with pytest.raises(ValueError, match="no band derivatives"):
+        group_velocities(spec)
+    with pytest.raises(ValueError, match="no band derivatives"):
+        wavefront_speeds(spec)
+
+
+def test_bloch_callable_must_be_batched():
+    def scalar_only(k):
+        return np.diag([np.exp(1j * k), np.exp(-1j * k)])
+
+    with pytest.raises(ValueError, match=r"got shape \(2,\)"):
+        band_structure(scalar_only, n_k=64)
+
+
+def test_bloch_callable_wrong_shape():
+    def momenta_last(ks):
+        return np.array([[np.exp(1j * ks), 0.0 * ks], [0.0 * ks, np.exp(-1j * ks)]])
+
+    with pytest.raises(ValueError, match=r"got shape \(2, 2, 70\)"):
+        band_structure(momenta_last, n_k=64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_group_velocity_is_band_slope(seed):
+    coin = random_unitary(4, np.random.default_rng(seed))
+    spec = band_structure(coin, n_k=64)
+    v = group_velocities(spec)
+    assert np.max(np.abs(v)) <= 1.0 + 1e-12
+    h = 1e-5
+    for i in range(0, 64, 8):
+        k = spec.k_grid[i]
+        ph = [np.angle(np.linalg.eigvals(oracles.bloch_matrix(coin, k + s))) for s in (-h, h)]
+        for b in range(spec.n_branches):
+            om = spec.omegas[b, i]
+            near = [p[np.argmin(np.abs(wrap_phase(p - om)))] for p in ph]
+            assert abs(wrap_phase(near[1] - near[0]) / (2.0 * h) - v[b, i]) < 1e-6
+
+
+def sequential_branches(coin, k_pad):
+    """Branch connection sample by sample: greedy matching on the overlaps,
+    rows in branch order, then unwrapping against the previous sample."""
+    w, v = np.linalg.eig(shift_bloch(k_pad) @ coin)
+    m, d = w.shape
+    omega = np.empty((d, m))
+    vecs = np.empty((d, m, d), dtype=complex)
+    cols = np.argsort(wrap_phase(np.angle(w[0])), kind="stable")
+    omega[:, 0] = wrap_phase(np.angle(w[0]))[cols]
+    vecs[:, 0] = v[0][:, cols].T
+    for s in range(1, m):
+        weights = np.abs(v[s - 1][:, cols].conj().T @ v[s])
+        nxt = np.full(d, -1)
+        for _ in range(d):
+            i, j = np.unravel_index(np.argmax(weights), weights.shape)
+            nxt[i] = j
+            weights[i, :] = -1.0
+            weights[:, j] = -1.0
+        cols = nxt
+        ph = np.angle(w[s][cols])
+        omega[:, s] = ph + 2.0 * np.pi * np.round((omega[:, s - 1] - ph) / (2.0 * np.pi))
+        vecs[:, s] = v[s][:, cols].T
+    return omega, vecs
+
+
+def test_band_structure_matches_sequential_connection():
+    rng = np.random.default_rng(81)
+    coins = [random_unitary(4, rng), random_element_coin(rng), crossing_coin(), np.eye(4, dtype=complex)]
+    coins.append(full_coin(MINUS_IX, MINUS_IX, hwp_matrix(22.5)))
+    for coin in coins:
+        spec = band_structure(coin, n_k=128)
+        omega, vecs = sequential_branches(coin, spec._k_pad)
+        assert np.array_equal(spec._omega_pad, omega)
+        assert np.array_equal(spec._vec_pad, vecs)

@@ -277,6 +277,20 @@ def test_raw_coin_cannot_be_perturbed():
     assert not raw.has_elements
 
 
+def test_raw_coin_matrix_is_a_frozen_copy():
+    # CoinProgram caches resolved matrices by id(spec), so a spec's matrix
+    # must not change after construction
+    source = np.eye(4, dtype=complex)
+    raw = RawCoin(source)
+    program = CoinProgram(default=raw)
+    before = program.coin_at(0, 0).copy()
+    with pytest.raises(ValueError):
+        raw.matrix()[0, 0] = -1.0
+    source[0, 0] = -1.0
+    assert np.array_equal(raw.matrix(), np.eye(4))
+    assert np.array_equal(program.coin_at(0, 0), before)
+
+
 def test_element_coin_angles_roundtrip():
     from loopwalk.optics import ArmSetting, OpticalElement
 
