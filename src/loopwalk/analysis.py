@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph_programs import MappedRecord, SiteMap, map_sites
-from .walk_engine import CoinProgram, IntensityRecord, WalkerState, evolve
+from .walk_engine import CoinProgram, InitialState, IntensityRecord, evolve
 
 
 def _flatten_table(table, resolved: bool) -> dict:
@@ -74,14 +74,12 @@ class SimilarityReport:
 
 
 def _step_tables(record, resolved: bool):
-    """Normalize the record argument to a list of per-step distributions."""
+    """Normalize the record argument to a list of keyed per-step distributions."""
     if isinstance(record, IntensityRecord):
-        tables = record.steps
-    elif isinstance(record, MappedRecord):
-        tables = record.steps
-    else:
-        tables = record
-    return [_flatten_table(table, resolved) for table in tables]
+        record = [
+            dict(zip(record.positions(t).tolist(), record.intensity(t))) for t in range(len(record))
+        ]
+    return [_flatten_table(table, resolved) for table in record]
 
 
 def average_similarity(per_step, t: Optional[int] = None) -> float:
@@ -113,10 +111,16 @@ def similarity_report(record_p, record_q, resolved: bool = False, steps=None) ->
     return SimilarityReport(per_step=per_step, mean=mean, resolved=resolved)
 
 
+def _support_weights(record: IntensityRecord, step: int, support) -> list:
+    """Mode-summed intensity at each support site, 0.0 outside the window."""
+    p = record.distribution_vector(step)
+    return [float(p[m - record.offset]) if 0 <= m - record.offset < len(p) else 0.0 for m in support]
+
+
 def equidistribution_similarity(
-    record, step: int, support: Sequence[int], renormalize: bool = False
+    record: IntensityRecord, step: int, support: Sequence[int], renormalize: bool = False
 ) -> float:
-    """Similarity of a step's position distribution to uniform on `support`.
+    """Similarity of a step's site distribution to uniform on `support`.
 
     By default the distribution is not renormalized: weight living outside
     the support lowers the score, which is the honest reading for
@@ -126,15 +130,14 @@ def equidistribution_similarity(
     support = list(support)
     if not support:
         raise ValueError("support must not be empty")
-    tables = _step_tables(record, resolved=False)
-    p = tables[step]
+    weights = _support_weights(record, step, support)
     scale = 1.0
     if renormalize:
-        total = sum(p.get(m, 0.0) for m in support)
+        total = sum(weights)
         if total > 0.0:
             scale = 1.0 / total
     q = 1.0 / len(support)
-    amp = sum(np.sqrt(p.get(m, 0.0) * scale * q) for m in support)
+    amp = sum(np.sqrt(w * scale * q) for w in weights)
     return float(amp * amp)
 
 
@@ -147,14 +150,14 @@ def find_revivals(record: MappedRecord, tol: float = 1e-6) -> list:
     """
     if not isinstance(record, MappedRecord):
         raise TypeError("find_revivals expects a MappedRecord (see map_sites)")
-    m = record.num_nodes
-    p0 = record.distribution_vector(0)
+    nodes = np.arange(record.num_nodes)
+    # rolls[s] is step 0 moved by +s nodes
+    rolls = record.distribution_vector(0)[(nodes[None, :] - nodes[:, None]) % record.num_nodes]
     out = []
-    for t in range(1, len(record.steps)):
-        pt = record.distribution_vector(t)
-        for s in range(m):
-            if similarity(np.roll(p0, s), pt) >= 1.0 - tol:
-                out.append((t, s, "perfect" if s == 0 else "shifted"))
+    for t in range(1, len(record)):
+        overlap = np.sqrt(rolls * record.distribution_vector(t)).sum(axis=1) ** 2
+        for s in np.flatnonzero(overlap >= 1.0 - tol).tolist():
+            out.append((t, s, "perfect" if s == 0 else "shifted"))
     return out
 
 
@@ -163,7 +166,7 @@ class WalkSetup:
     """Bundle of everything needed to rerun one walk configuration."""
 
     program: CoinProgram
-    initial: WalkerState
+    initial: InitialState
     steps: int
     site_map: Optional[SiteMap] = None
     support: Optional[list] = None
@@ -173,14 +176,16 @@ class WalkSetup:
 class ErrorBarReport:
     """Sampling statistics of a walk under element-angle and detection noise.
 
-    sigma_mode[t][pos] is the per-mode root-mean-square deviation from the
-    unperturbed reference; sigma_position sums modes before taking spreads.
-    Similarity fields are present when a support was configured.
+    `reference` is the unperturbed record after the same distortion
+    pipeline (on graph nodes when the setup has a site map).
+    sigma_mode[t, i] is the per-mode root-mean-square deviation from it at
+    site i of that record; sigma_position[t, i] sums modes before taking
+    spreads.  Similarity fields are present when a support was configured.
     """
 
-    reference: list
-    sigma_mode: list
-    sigma_position: list
+    reference: IntensityRecord
+    sigma_mode: np.ndarray
+    sigma_position: np.ndarray
     n_samples: int
     seed: int
     angle_err_deg: float
@@ -194,38 +199,19 @@ class ErrorBarReport:
     similarity_sigma_sampled: Optional[list] = None
 
 
-def _distorted_tables(record: IntensityRecord, eff: np.ndarray, renormalize: bool):
-    """Apply per-mode detection efficiencies, optionally renormalizing each step."""
-    out = []
-    for table in record.steps:
-        row = {x: v * eff for x, v in table.items()}
-        if renormalize:
-            total = sum(float(np.sum(v)) for v in row.values())
-            if total > 0.0:
-                row = {x: v / total for x, v in row.items()}
-        out.append(row)
-    return out
+def _observed(record: IntensityRecord, eff: np.ndarray, renormalize: bool, site_map: Optional[SiteMap]):
+    """Apply per-mode detection efficiencies, optionally renormalize each
+    step, then map onto the graph when there is one.
 
-
-def _mapped_tables(tables, site_map: SiteMap):
-    from .walk_engine import CH, CV, CCH, CCV
-
-    out = []
-    for table in tables:
-        row: dict = {}
-        for x, v in table.items():
-            kc = (x, "c")
-            kcc = (x, "cc")
-            if kc in site_map.mapping:
-                vec = row.setdefault(site_map.mapping[kc], np.zeros(4))
-                vec[CH] += v[CH]
-                vec[CV] += v[CV]
-            if kcc in site_map.mapping:
-                vec = row.setdefault(site_map.mapping[kcc], np.zeros(4))
-                vec[CCH] += v[CCH]
-                vec[CCV] += v[CCV]
-        out.append(row)
-    return out
+    Step totals are running sums over the sites in position order; the
+    last bits of the printed spreads depend on that order.
+    """
+    intensities = record.intensities * eff
+    if renormalize:
+        totals = np.cumsum(intensities.sum(axis=2), axis=1)[:, -1]
+        intensities = intensities / np.where(totals > 0.0, totals, 1.0)[:, None, None]
+    observed = IntensityRecord(intensities, record.reached, record.offset)
+    return observed if site_map is None else map_sites(site_map, observed)
 
 
 def monte_carlo_error_bars(
@@ -258,17 +244,16 @@ def monte_carlo_error_bars(
         )
     rng = np.random.default_rng(seed)
 
-    ref_record = evolve(setup.initial, setup.program, setup.steps)
     # the reference runs through the same distortion pipeline with unit
     # efficiencies so that a zero-error sample is bitwise identical to it
-    ref_tables = _distorted_tables(ref_record, np.ones(4), renormalize)
-    if setup.site_map is not None:
-        ref_tables = _mapped_tables(ref_tables, setup.site_map)
-    n_steps = len(ref_tables)
+    ref_record = evolve(setup.initial, setup.program, setup.steps)
+    ref = _observed(ref_record, np.ones(4), renormalize, setup.site_map)
+    ref_dist = ref.intensities.sum(axis=2)
+    n_steps = len(ref)
 
-    sq_mode = [dict() for _ in range(n_steps)]
-    sq_pos = [dict() for _ in range(n_steps)]
-    sim_samples = [[] for _ in range(n_steps)] if setup.support else None
+    sq_mode = np.zeros_like(ref.intensities)
+    sq_pos = np.zeros_like(ref_dist)
+    sim_samples = []
 
     for _ in range(n_samples):
         if angle_err_deg > 0.0:
@@ -276,43 +261,18 @@ def monte_carlo_error_bars(
         else:
             prog = setup.program
         eff = rng.uniform(1.0 - eff_err, 1.0 + eff_err, size=4)
-        rec = evolve(setup.initial, prog, setup.steps)
-        tables = _distorted_tables(rec, eff, renormalize)
-        if setup.site_map is not None:
-            tables = _mapped_tables(tables, setup.site_map)
-        for t in range(n_steps):
-            sample = tables[t]
-            ref = ref_tables[t]
-            keys = set(sample) | set(ref)
-            acc_m = sq_mode[t]
-            acc_p = sq_pos[t]
-            for key in keys:
-                sv = sample.get(key)
-                rv = ref.get(key)
-                if sv is None:
-                    sv = np.zeros(4)
-                if rv is None:
-                    rv = np.zeros(4)
-                dm = sv - rv
-                prev = acc_m.get(key)
-                if prev is None:
-                    acc_m[key] = dm * dm
-                else:
-                    prev += dm * dm
-                dp = float(np.sum(sv) - np.sum(rv))
-                acc_p[key] = acc_p.get(key, 0.0) + dp * dp
-            if sim_samples is not None:
-                sim_samples[t].append(
-                    equidistribution_similarity([tables[t]], 0, setup.support)
-                )
+        sample = _observed(evolve(setup.initial, prog, setup.steps), eff, renormalize, setup.site_map)
+        dm = sample.intensities - ref.intensities
+        sq_mode += dm * dm
+        dp = sample.intensities.sum(axis=2) - ref_dist
+        sq_pos += dp * dp
+        if setup.support:
+            sim_samples.append(
+                [equidistribution_similarity(sample, t, setup.support) for t in range(n_steps)]
+            )
 
-    sigma_mode = [
-        {k: np.sqrt(v / n_samples) for k, v in sq_mode[t].items()} for t in range(n_steps)
-    ]
-    sigma_position = [
-        {k: float(np.sqrt(v / n_samples)) for k, v in sq_pos[t].items()}
-        for t in range(n_steps)
-    ]
+    sigma_mode = np.sqrt(sq_mode / n_samples)
+    sigma_position = np.sqrt(sq_pos / n_samples)
 
     similarity_ref = None
     similarity_sigma = None
@@ -323,25 +283,25 @@ def monte_carlo_error_bars(
         similarity_ref = []
         similarity_sigma = []
         similarity_sigma_sampled = []
+        sampled = np.asarray(sim_samples)
         for t in range(n_steps):
-            ref_dist = {k: float(np.sum(v)) for k, v in ref_tables[t].items()}
-            amp = sum(np.sqrt(ref_dist.get(m, 0.0) * q) for m in support)
+            weights = _support_weights(ref, t, support)
+            amp = sum(np.sqrt(p_m * q) for p_m in weights)
             s_ref = float(amp * amp)
             # first-order propagation: dS/dp_m = amp * sqrt(q / p_m)
             var = 0.0
-            for m_node in support:
-                p_m = ref_dist.get(m_node, 0.0)
+            for m_node, p_m in zip(support, weights):
                 if p_m <= 0.0:
                     continue
                 dsdp = amp * np.sqrt(q / p_m)
-                var += (dsdp * sigma_position[t].get(m_node, 0.0)) ** 2
+                var += (dsdp * sigma_position[t, m_node - ref.offset]) ** 2
             similarity_ref.append(s_ref)
             similarity_sigma.append(float(np.sqrt(var)))
-            devs = np.asarray(sim_samples[t]) - s_ref
+            devs = sampled[:, t] - s_ref
             similarity_sigma_sampled.append(float(np.sqrt(np.mean(devs * devs))))
 
     return ErrorBarReport(
-        reference=ref_tables,
+        reference=ref,
         sigma_mode=sigma_mode,
         sigma_position=sigma_position,
         n_samples=n_samples,

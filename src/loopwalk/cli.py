@@ -20,7 +20,7 @@ from .coin_synthesis import factor_universal, one_trip_test, su2_normalize
 from .config import ConfigError, RunConfig, parse_config
 from .dispersion import band_structure, classify_crossings, group_velocities, wavefront_speeds
 from .graph_programs import map_sites
-from .walk_engine import MODE_NAMES, evolve, trace_intensities
+from .walk_engine import MODE_NAMES, TRACE_LABELS, evolve, trace_intensities
 
 GRAPH_LEAK_TOL = 1e-9
 
@@ -92,18 +92,16 @@ def _cmd_simulate(cfg: RunConfig, args) -> str:
     _require_kind(cfg, {"line"}, "simulate")
     steps = _steps(cfg, args)
     record = evolve(cfg.initial, cfg.program, steps)
-    tables = trace_intensities(record, mode=args.trace)
-    rows = []
+    traced = trace_intensities(record, mode=args.trace)
+    step_index, site = np.nonzero(record.reached)
+    cells = zip(step_index.tolist(), (record.offset + site).tolist(), traced[step_index, site].tolist())
     if args.trace == "sum_all":
         header = ["step", "position", "intensity"]
-        for t, table in enumerate(tables):
-            for x in sorted(table):
-                rows.append([t, x, table[x]])
+        rows = [[t, x, v] for t, x, v in cells]
     else:
         header = ["step", "position", _TRACE_THIRD_COLUMN[args.trace], "intensity"]
-        for t, table in enumerate(tables):
-            for x, label in sorted(table):
-                rows.append([t, x, label, table[(x, label)]])
+        labels = TRACE_LABELS[args.trace]
+        rows = [[t, x, label, v] for t, x, vals in cells for label, v in zip(labels, vals)]
     return _render(header, rows, args.format)
 
 
@@ -124,11 +122,9 @@ def _cmd_graph(cfg: RunConfig, args, command: str) -> str:
     steps = _steps(cfg, args)
     mapped = _mapped_record(cfg, steps)
     header = ["step", "node", "mode", "intensity"]
-    rows = []
-    for t, table in enumerate(mapped.steps):
-        for node in sorted(table):
-            for m in range(4):
-                rows.append([t, node, MODE_NAMES[m], table[node][m]])
+    step_index, node = np.nonzero(mapped.reached)
+    cells = zip(step_index.tolist(), node.tolist(), mapped.intensities[step_index, node].tolist())
+    rows = [[t, m, name, v] for t, m, vals in cells for name, v in zip(MODE_NAMES, vals)]
     print(f"max off-graph intensity {mapped.max_leakage:.3e}", file=sys.stderr)
     return _render(header, rows, args.format)
 
@@ -209,8 +205,7 @@ def _cmd_errorbars(cfg: RunConfig, args) -> str:
     steps = base.steps if args.steps is None else args.steps
     seed = cfg.seed if args.seed is None else args.seed
     if base.site_map is not None:
-        mapped = _mapped_record(base, steps)
-        del mapped  # run once up front so leakage failures exit 3 before sampling
+        _mapped_record(base, steps)  # run once up front so leakage failures exit 3 before sampling
     setup = WalkSetup(
         program=base.program,
         initial=base.initial,
@@ -229,16 +224,13 @@ def _cmd_errorbars(cfg: RunConfig, args) -> str:
     )
     site_col = "node" if report.mapped else "position"
     header = ["step", site_col, "mode", "reference", "sigma"]
+    ref = report.reference
     rows = []
-    for t, table in enumerate(report.reference):
-        for key in sorted(table):
-            ref_vec = table[key]
-            sig_vec = report.sigma_mode[t][key]
-            for m in range(4):
-                rows.append([t, key, MODE_NAMES[m], float(ref_vec[m]), float(sig_vec[m])])
-            rows.append(
-                [t, key, "total", float(np.sum(ref_vec)), report.sigma_position[t][key]]
-            )
+    for t, i in zip(*np.nonzero(ref.reached)):
+        site = ref.offset + int(i)
+        for m in range(4):
+            rows.append([t, site, MODE_NAMES[m], ref.intensities[t, i, m], report.sigma_mode[t, i, m]])
+        rows.append([t, site, "total", np.sum(ref.intensities[t, i]), report.sigma_position[t, i]])
     if report.similarity_ref is not None:
         for t in range(len(report.similarity_ref)):
             rows.append([t, None, "similarity", report.similarity_ref[t], report.similarity_sigma[t]])

@@ -25,7 +25,7 @@ from .graph_programs import (
 )
 from .linalg_core import unitarity_defect
 from .optics import ArmSetting, OpticalElement
-from .walk_engine import CoinProgram, ElementCoin, RawCoin, WalkerState, make_initial
+from .walk_engine import CoinProgram, ElementCoin, InitialState, RawCoin, make_initial
 
 KINDS = ("line", "circle", "figure_eight", "dispersion", "decompose", "errorbars")
 
@@ -138,7 +138,7 @@ def parse_coin(obj, ctx: str):
     return ElementCoin(arm_a, arm_b, loop_elements, eom_first)
 
 
-def _parse_initial(obj, ctx: str) -> WalkerState:
+def _parse_initial(obj, ctx: str) -> InitialState:
     if obj is None:
         return make_initial("ccw", "H", 0)
     d = _mapping(obj, ctx)
@@ -158,7 +158,7 @@ class RunConfig:
 
     kind: str
     program: Optional[CoinProgram] = None
-    initial: Optional[WalkerState] = None
+    initial: Optional[InitialState] = None
     steps: int = 0
     site_map: Optional[SiteMap] = None
     graph_spec: object = None

@@ -20,14 +20,15 @@ between lobes.  With arc lengths N_l and N_r there are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .optics import ArmSetting, OpticalElement
-from .walk_engine import CH, CV, CCH, CCV, CoinProgram, ElementCoin, IntensityRecord, RawCoin
+from .walk_engine import CCH, CCV, CH, CV, CoinProgram, ElementCoin, IntensityRecord, RawCoin
 
 FLAVORS = ("non_mixing", "hadamard_like")
+NO_POSITION = np.iinfo(np.int64).min
 
 
 def _qwp(angle):
@@ -127,12 +128,21 @@ class SiteMap:
     """Bijection between (line position, direction subspace) and node index.
 
     Keys of `mapping` are (x, 'c') or (x, 'cc'); at shared positions (ends,
-    center) both keys exist and map to the same node.
+    center) both keys exist and map to the same node.  `node_positions[0, m]`
+    and `node_positions[1, m]` are the positions whose c and cc subspaces
+    feed node m, or NO_POSITION where none does.
     """
 
     mapping: dict
     num_nodes: int
     description: str = ""
+    node_positions: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        positions = np.full((2, self.num_nodes), NO_POSITION)
+        for (x, subspace), m in self.mapping.items():
+            positions[("c", "cc").index(subspace), m] = x
+        object.__setattr__(self, "node_positions", positions)
 
     def node_of(self, x: int, subspace: str) -> int:
         return self.mapping[(x, subspace)]
@@ -218,67 +228,47 @@ def figure_eight_program(spec: FigureEightSpec):
     return program, figure_eight_map(spec)
 
 
-@dataclass
-class MappedRecord:
-    """Intensity record re-keyed to node indices of a closed graph.
+class MappedRecord(IntensityRecord):
+    """Intensity record on the nodes 0 .. num_nodes - 1 of a closed graph.
 
-    steps[t] maps node -> (4,) float mode intensities; `leakage[t]` is the
-    total intensity found outside the mapped support at step t.
+    `leakage[t]` is the total intensity found outside the mapped support at
+    step t; `flagged` is set when its maximum exceeds the mapping's
+    tolerance.
     """
 
-    steps: list
-    leakage: list
-    num_nodes: int
-    flagged: bool = False
+    def __init__(self, intensities: np.ndarray, reached: np.ndarray, leakage: np.ndarray, flagged: bool):
+        super().__init__(intensities, reached)
+        self.leakage = leakage
+        self.flagged = flagged
 
-    def position_distribution(self, t: int) -> dict:
-        return {m: float(np.sum(v)) for m, v in self.steps[t].items()}
-
-    def distribution_vector(self, t: int) -> np.ndarray:
-        out = np.zeros(self.num_nodes)
-        for m, v in self.steps[t].items():
-            out[m] += float(np.sum(v))
-        return out
+    @property
+    def num_nodes(self) -> int:
+        return self.intensities.shape[1]
 
     @property
     def max_leakage(self) -> float:
-        return max(self.leakage) if self.leakage else 0.0
+        return float(self.leakage.max())
 
 
 def map_sites(site_map: SiteMap, record: IntensityRecord, leak_tol: float = 1e-9) -> MappedRecord:
-    """Re-key a line record to graph nodes, tracking off-graph intensity.
+    """Gather a line record onto graph nodes, tracking off-graph intensity.
 
-    Intensity in a direction subspace at a position without a mapping entry
+    Intensity in a direction subspace at a position that feeds no node
     counts as leakage; MappedRecord.max_leakage above leak_tol means the
     program failed to confine the walker (the caller decides whether that
     is fatal).
     """
-    steps = []
-    leaks = []
-    for table in record.steps:
-        row: dict = {}
-        leak = 0.0
-        for x, v in table.items():
-            key_c = (x, "c")
-            key_cc = (x, "cc")
-            c_val = float(v[CH] + v[CV])
-            cc_val = float(v[CCH] + v[CCV])
-            if key_c in site_map.mapping:
-                m = site_map.mapping[key_c]
-                vec = row.setdefault(m, np.zeros(4))
-                vec[CH] += v[CH]
-                vec[CV] += v[CV]
-            elif c_val > 0.0:
-                leak += c_val
-            if key_cc in site_map.mapping:
-                m = site_map.mapping[key_cc]
-                vec = row.setdefault(m, np.zeros(4))
-                vec[CCH] += v[CCH]
-                vec[CCV] += v[CCV]
-            elif cc_val > 0.0:
-                leak += cc_val
-        steps.append(row)
-        leaks.append(leak)
-    rec = MappedRecord(steps=steps, leakage=leaks, num_nodes=site_map.num_nodes)
-    rec.flagged = rec.max_leakage > leak_tol
-    return rec
+    n_steps, n_sites = record.reached.shape
+    intensities = np.zeros((n_steps, site_map.num_nodes, 4))
+    reached = np.zeros((n_steps, site_map.num_nodes), dtype=bool)
+    leakage = np.zeros(n_steps)
+    for sub, modes in enumerate((slice(CH, CV + 1), slice(CCH, CCV + 1))):
+        positions = site_map.node_positions[sub]
+        inside = (positions >= record.offset) & (positions < record.offset + n_sites)
+        rows = positions[inside] - record.offset
+        intensities[:, inside, modes] = record.intensities[:, rows, modes]
+        reached[:, inside] |= record.reached[:, rows]
+        feeds = np.zeros(n_sites, dtype=bool)
+        feeds[rows] = True
+        leakage += record.intensities[:, ~feeds, modes].sum(axis=(1, 2))
+    return MappedRecord(intensities, reached, leakage, flagged=float(leakage.max()) > leak_tol)

@@ -1,9 +1,14 @@
 """Time evolution of the four-mode walk on the integer line.
 
-State layout: a walker state is a dict mapping integer position to a
-complex amplitude vector of length 4 in the fixed mode order
+State layout: a walker state is a dense (n, 4) complex array of amplitudes
+over the window of positions offset .. offset + n - 1, in the fixed mode
+order
 
     0: cH   1: cV   2: ccH   3: ccV
+
+plus a boolean mask of the positions the walker has reached.  A walk of T
+steps runs on the light-cone window [min(initial) - T, max(initial) + T],
+so no amplitude can leave it.
 
 One time step applies the position/time dependent coin first and the
 flip-flop shift second.  The shift exchanges direction subspaces:
@@ -11,8 +16,10 @@ flip-flop shift second.  The shift exchanges direction subspaces:
     cH @ x  -> ccH @ x-1        ccH @ x -> cH @ x+1
     cV @ x  -> ccV @ x+1        ccV @ x -> cV @ x-1
 
-so applying it twice is the identity.  Amplitudes are never pruned;
-whatever positions appear in the dict stay there.
+so applying it twice is the identity.  At step 0 the reached positions are
+those of the initial state; after a step, a position is reached when a
+nonzero coined amplitude shifts onto it.  Coins are resolved only at
+reached positions, and records list only reached positions.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ MODE_NAMES = ("cH", "cV", "ccH", "ccV")
 # effective two-mode walks use (R, L) component order
 R2, L2 = 0, 1
 
-WalkerState = dict  # position -> complex (4,) amplitudes
+InitialState = dict  # position -> complex (4,) amplitudes, as make_initial builds it
 Effective2DState = dict  # position -> complex (2,) amplitudes
 
 
@@ -172,6 +179,17 @@ class CoinProgram:
             self._cache[key] = m
         return m
 
+    def coin_stack(self, t: int, positions: np.ndarray) -> np.ndarray:
+        """Coins for step t at a nonempty array of positions.
+
+        Shape (1, 4, 4) when one rule covers every position, else
+        (len(positions), 4, 4); a position without a rule raises
+        ProgramError.
+        """
+        if (self.time_table is not None and 0 <= t < len(self.time_table)) or not self.overrides:
+            return self.coin_at(t, int(positions[0]))[None]
+        return np.stack([self.coin_at(t, x) for x in positions.tolist()])
+
     def all_specs(self) -> list:
         """Distinct coin specs in documented enumeration order.
 
@@ -220,40 +238,80 @@ def constant_program(coin_matrix: np.ndarray) -> CoinProgram:
 
 
 class IntensityRecord:
-    """Per-step intensity tables of one walk run.
+    """Per-step mode intensities of one walk run over a window of sites.
 
-    `steps[t]` maps position to a float vector of the four mode intensities
-    after t time steps; index 0 is the initial state.
+    `intensities[t, i]` holds the four mode intensities of site offset + i
+    after t steps (index 0 is the initial state) and `reached[t, i]` marks
+    the sites reached at step t; every other site holds zeros.  The sites
+    of a line walk are positions; a MappedRecord uses the same layout for
+    graph nodes.
     """
 
-    def __init__(self, steps: list):
-        self.steps = steps
+    def __init__(self, intensities: np.ndarray, reached: np.ndarray, offset: int = 0):
+        self.intensities = intensities
+        self.reached = reached
+        self.offset = offset
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.intensities)
 
     @property
     def num_steps(self) -> int:
-        return len(self.steps) - 1
+        return len(self) - 1
 
-    def intensity(self, t: int) -> dict:
-        return self.steps[t]
+    @property
+    def steps(self) -> list:
+        """Per step, the (k, 4) intensities of the k reached sites."""
+        return [self.intensity(t) for t in range(len(self))]
 
-    def positions(self, t: int) -> list:
-        return sorted(self.steps[t])
+    def positions(self, t: int) -> np.ndarray:
+        """Reached sites at step t, ascending."""
+        return self.offset + np.flatnonzero(self.reached[t])
+
+    def intensity(self, t: int) -> np.ndarray:
+        """(k, 4) mode intensities at positions(t)."""
+        return self.intensities[t][self.reached[t]]
 
     def total(self, t: int) -> float:
-        return float(sum(np.sum(v) for v in self.steps[t].values()))
+        return float(self.intensities[t].sum())
 
-    def position_distribution(self, t: int) -> dict:
-        return {x: float(np.sum(v)) for x, v in self.steps[t].items()}
+    def position_distribution(self, t: int) -> np.ndarray:
+        """Mode-summed intensity at positions(t)."""
+        return self.intensity(t).sum(axis=1)
+
+    def distribution_vector(self, t: int) -> np.ndarray:
+        """Mode-summed intensity at every site of the window."""
+        return self.intensities[t].sum(axis=1)
 
 
-def _intensities(state: WalkerState) -> dict:
-    return {x: np.abs(a) ** 2 for x, a in state.items()}
+@dataclass
+class WalkerState:
+    """Amplitudes `amp` (n, 4) on the positions offset .. offset + n - 1,
+    with `reached` (n,) marking the positions the walker has reached."""
+
+    amp: np.ndarray
+    reached: np.ndarray
+    offset: int
+
+    @classmethod
+    def light_cone(cls, initial: InitialState, steps: int) -> "WalkerState":
+        """`initial` placed on the window that `steps` steps cannot leave."""
+        if not initial:
+            raise ValueError("initial state has no positions")
+        lo = min(initial) - steps
+        n = max(initial) + steps - lo + 1
+        amp = np.zeros((n, 4), dtype=complex)
+        reached = np.zeros(n, dtype=bool)
+        for x, a in initial.items():
+            amp[x - lo] = a
+            reached[x - lo] = True
+        return cls(amp, reached, int(lo))
+
+    def positions(self) -> np.ndarray:
+        return self.offset + np.flatnonzero(self.reached)
 
 
-def make_initial(direction: str, polarization: str, position: int = 0) -> WalkerState:
+def make_initial(direction: str, polarization: str, position: int = 0) -> InitialState:
     """Localized initial state at `position`.
 
     direction: 'cw'/'c' or 'ccw'/'cc'; polarization: H, V, D, A with
@@ -284,49 +342,44 @@ def make_initial(direction: str, polarization: str, position: int = 0) -> Walker
 
 
 def apply_coin(state: WalkerState, program: CoinProgram, t: int) -> WalkerState:
-    out: WalkerState = {}
-    for x, amp in state.items():
-        out[x] = program.coin_at(t, x) @ amp
-    return out
+    rows = np.flatnonzero(state.reached)
+    amp = state.amp.copy()
+    if rows.size:
+        coins = program.coin_stack(t, state.offset + rows)
+        amp[rows] = np.matmul(coins, amp[rows][:, :, None])[:, :, 0]
+    return WalkerState(amp, state.reached, state.offset)
 
 
 def apply_step(state: WalkerState) -> WalkerState:
-    out: WalkerState = {}
-
-    def acc(x, mode, val):
-        vec = out.get(x)
-        if vec is None:
-            vec = np.zeros(4, dtype=complex)
-            out[x] = vec
-        vec[mode] += val
-
-    for x, amp in state.items():
-        if amp[CH] != 0.0:
-            acc(x - 1, CCH, amp[CH])
-        if amp[CV] != 0.0:
-            acc(x + 1, CCV, amp[CV])
-        if amp[CCH] != 0.0:
-            acc(x + 1, CH, amp[CCH])
-        if amp[CCV] != 0.0:
-            acc(x - 1, CV, amp[CCV])
-    return out
+    a = state.amp
+    if a[0, CH] or a[0, CCV] or a[-1, CV] or a[-1, CCH]:
+        raise ValueError("amplitude would leave the window; size it with WalkerState.light_cone")
+    out = np.zeros_like(a)
+    out[:-1, CCH] = a[1:, CH]
+    out[:-1, CV] = a[1:, CCV]
+    out[1:, CH] = a[:-1, CCH]
+    out[1:, CCV] = a[:-1, CV]
+    return WalkerState(out, np.any(out != 0.0, axis=1), state.offset)
 
 
-def evolve_states(initial: WalkerState, program: CoinProgram, steps: int):
+def evolve_states(initial: InitialState, program: CoinProgram, steps: int):
     """Yield the state after 0, 1, ..., steps time steps."""
-    state = {x: np.array(a, dtype=complex) for x, a in initial.items()}
+    state = WalkerState.light_cone(initial, steps)
     yield state
     for t in range(steps):
         state = apply_step(apply_coin(state, program, t))
         yield state
 
 
-def evolve(initial: WalkerState, program: CoinProgram, steps: int) -> IntensityRecord:
-    return IntensityRecord([_intensities(s) for s in evolve_states(initial, program, steps)])
+def evolve(initial: InitialState, program: CoinProgram, steps: int) -> IntensityRecord:
+    intensities, reached = [], []
+    for state in evolve_states(initial, program, steps):
+        intensities.append(np.abs(state.amp) ** 2)
+        reached.append(state.reached)
+    return IntensityRecord(np.array(intensities), np.array(reached), state.offset)
 
 
-def final_state(initial: WalkerState, program: CoinProgram, steps: int) -> WalkerState:
-    state = None
+def final_state(initial: InitialState, program: CoinProgram, steps: int) -> WalkerState:
     for state in evolve_states(initial, program, steps):
         pass
     return state
@@ -355,33 +408,28 @@ def effective_2d_evolve(initial: Effective2DState, coin: np.ndarray, steps: int)
     return record
 
 
-_TRACE_MODES = ("full", "sum_polarization", "sum_direction", "sum_all")
+TRACE_LABELS = {
+    "full": MODE_NAMES,
+    "sum_polarization": ("c", "cc"),
+    "sum_direction": ("H", "V"),
+}
+_TRACE_MODES = (*TRACE_LABELS, "sum_all")
 
 
-def trace_intensities(record: IntensityRecord, mode: str = "full"):
-    """Collapse the mode axis of a record.
+def trace_intensities(record: IntensityRecord, mode: str = "full") -> np.ndarray:
+    """Collapse the mode axis of a record's (T+1, n, 4) intensities.
 
-    full            -> keys (position, mode name)
-    sum_polarization-> keys (position, 'c'|'cc')
-    sum_direction   -> keys (position, 'H'|'V')
-    sum_all         -> keys position
+    full, sum_polarization and sum_direction give (T+1, n, L) over the
+    labels TRACE_LABELS[mode]; sum_all gives (T+1, n).  Sites and the
+    reached mask are the record's.
     """
     if mode not in _TRACE_MODES:
         raise ValueError(f"unknown trace mode {mode!r}; expected one of {_TRACE_MODES}")
-    out = []
-    for table in record.steps:
-        row: dict = {}
-        for x, v in table.items():
-            if mode == "full":
-                for i, name in enumerate(MODE_NAMES):
-                    row[(x, name)] = float(v[i])
-            elif mode == "sum_polarization":
-                row[(x, "c")] = float(v[CH] + v[CV])
-                row[(x, "cc")] = float(v[CCH] + v[CCV])
-            elif mode == "sum_direction":
-                row[(x, "H")] = float(v[CH] + v[CCH])
-                row[(x, "V")] = float(v[CV] + v[CCV])
-            else:
-                row[x] = float(np.sum(v))
-        out.append(row)
-    return out
+    v = record.intensities
+    if mode == "full":
+        return v.copy()
+    if mode == "sum_polarization":
+        return np.stack([v[..., CH] + v[..., CV], v[..., CCH] + v[..., CCV]], axis=-1)
+    if mode == "sum_direction":
+        return np.stack([v[..., CH] + v[..., CCH], v[..., CV] + v[..., CCV]], axis=-1)
+    return v.sum(axis=-1)

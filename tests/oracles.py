@@ -1,8 +1,8 @@
 """Independent reference implementations used to pin expected values.
 
-Everything here is deliberately built differently from the package (dense
-matrices instead of sparse maps, path enumeration instead of repeated
-operator application, eigenvalues of m^dag m instead of an SVD call) so
+Everything here is deliberately built differently from the package (one
+dense step matrix instead of sliced shifts of a state array, path
+enumeration instead of repeated operator application, eigenvalues of m^dag m instead of an SVD call) so
 that agreement between the two routes is meaningful evidence rather than
 the same code tested against itself.
 """
@@ -87,6 +87,29 @@ def dense_evolve(initial: dict, coin: np.ndarray, steps: int) -> dict:
         if np.any(np.abs(block) > 0.0):
             out[x] = block.copy()
     return out
+
+
+def sitewise_evolve(initial: dict, program, steps: int) -> list:
+    """The walk one position at a time, with a {position: amplitudes} state.
+
+    Each position present is coined with program.coin_at(t, x) @ amplitude
+    and each nonzero coined amplitude is moved on its own, so a position is
+    present after a step exactly when a nonzero amplitude landed on it.
+    Returns, per step, {position: (4,) intensities}.
+    """
+    state = {x: np.array(a, dtype=complex) for x, a in initial.items()}
+    record = [{x: np.abs(a) ** 2 for x, a in state.items()}]
+    moves = ((CH, -1, CCH), (CV, +1, CCV), (CCH, +1, CH), (CCV, -1, CV))
+    for t in range(steps):
+        new: dict = {}
+        for x, amp in state.items():
+            coined = program.coin_at(t, x) @ amp
+            for mode, dx, to in moves:
+                if coined[mode] != 0.0:
+                    new.setdefault(x + dx, np.zeros(MODES, dtype=complex))[to] += coined[mode]
+        state = new
+        record.append({x: np.abs(a) ** 2 for x, a in state.items()})
+    return record
 
 
 def path_enumeration_2d(initial: dict, coin2: np.ndarray, steps: int) -> dict:

@@ -10,7 +10,7 @@ from loopwalk.analysis import (
     similarity,
     similarity_report,
 )
-from loopwalk.graph_programs import CircleSpec, circle_program, map_sites
+from loopwalk.graph_programs import CircleSpec, FigureEightSpec, circle_program, figure_eight_program, map_sites
 from loopwalk.walk_engine import constant_program, evolve, make_initial
 
 import oracles
@@ -129,6 +129,27 @@ def test_find_revivals_non_mixing_period():
         assert set(shifted_steps) == set(range(1, 2 * num_sites + 1)) - set(perfect_steps)
 
 
+def test_find_revivals_matches_shift_by_shift_search():
+    graphs = [
+        circle_program(CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")),
+        circle_program(CircleSpec(num_sites=10, left_end=-1, flavor="non_mixing")),
+        circle_program(CircleSpec(num_sites=4, left_end=2, flavor="hadamard_like")),
+        figure_eight_program(FigureEightSpec(-4, 0, 4, flavor="non_mixing")),
+    ]
+    for program, smap in graphs:
+        start = min(x for x, _ in smap.mapping) + 1
+        mapped = map_sites(smap, evolve(make_initial("ccw", "V", start), program, 3 * smap.num_nodes))
+        p0 = mapped.distribution_vector(0)
+        want = [
+            (t, s, "perfect" if s == 0 else "shifted")
+            for t in range(1, len(mapped))
+            for s in range(smap.num_nodes)
+            if similarity(np.roll(p0, s), mapped.distribution_vector(t)) >= 1.0 - 1e-6
+        ]
+        assert want
+        assert find_revivals(mapped) == want
+
+
 def test_monte_carlo_zero_error_is_exactly_zero():
     spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
     program, smap = circle_program(spec)
@@ -140,9 +161,9 @@ def test_monte_carlo_zero_error_is_exactly_zero():
     )
     report = monte_carlo_error_bars(setup, n_samples=5, eff_err=0.0, angle_err_deg=0.0)
     for t in range(7):
-        for v in report.sigma_mode[t].values():
+        for v in report.sigma_mode[t]:
             assert float(np.max(v)) == 0.0
-        for v in report.sigma_position[t].values():
+        for v in report.sigma_position[t]:
             assert v == 0.0
 
 
@@ -160,12 +181,11 @@ def test_monte_carlo_seed_reproducibility():
     b = monte_carlo_error_bars(setup, n_samples=20, seed=7)
     c = monte_carlo_error_bars(setup, n_samples=20, seed=8)
     for t in range(6):
-        assert a.sigma_position[t] == b.sigma_position[t]
-        for k in a.sigma_mode[t]:
-            assert np.array_equal(a.sigma_mode[t][k], b.sigma_mode[t][k])
+        assert np.array_equal(a.sigma_position[t], b.sigma_position[t])
+        assert np.array_equal(a.sigma_mode[t], b.sigma_mode[t])
     assert a.similarity_sigma_sampled == b.similarity_sigma_sampled
     assert any(
-        a.sigma_position[t] != c.sigma_position[t] for t in range(6)
+        not np.array_equal(a.sigma_position[t], c.sigma_position[t]) for t in range(6)
     )
 
 

@@ -164,7 +164,7 @@ def test_map_sites_preserves_totals():
     rec = evolve(make_initial("ccw", "D", 0), program, 12)
     mapped = map_sites(smap, rec)
     for t in range(13):
-        assert abs(sum(mapped.position_distribution(t).values()) - rec.total(t)) < 1e-12
+        assert abs(sum(mapped.position_distribution(t)) - rec.total(t)) < 1e-12
         assert abs(mapped.distribution_vector(t).sum() - 1.0) < 1e-10
 
 

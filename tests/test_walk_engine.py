@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopwalk.linalg_core import random_unitary
 from loopwalk.optics import full_coin, hwp_matrix, qwp_matrix
 from loopwalk.walk_engine import (
+    TRACE_LABELS,
     CoinProgram,
     ElementCoin,
     ProgramError,
     RawCoin,
+    WalkerState,
     apply_coin,
     apply_step,
     constant_program,
@@ -25,6 +29,16 @@ MINUS_IX = -1j * oracles.PAULI_X
 
 def norm(state):
     return sum(float(np.vdot(v, v).real) for v in state.values())
+
+
+def table(state):
+    """A dense state as {position: amplitudes} over its reached positions."""
+    return dict(zip(state.positions().tolist(), state.amp[state.reached]))
+
+
+def step_table(rec, t):
+    """Step t of a record as {position: intensities} over its reached positions."""
+    return dict(zip(rec.positions(t).tolist(), rec.intensity(t)))
 
 
 def random_state(rng, width=5, slots=7):
@@ -58,19 +72,19 @@ def test_make_initial_rejects_bad_labels():
 
 
 def test_apply_step_single_modes():
-    moved = apply_step({0: np.array([1, 0, 0, 0], dtype=complex)})
+    moved = table(apply_step(WalkerState.light_cone({0: np.array([1, 0, 0, 0], dtype=complex)}, 1)))
     assert set(moved) == {-1}
     assert np.array_equal(moved[-1], np.array([0, 0, 1, 0], dtype=complex))
 
-    moved = apply_step({5: np.array([0, 0, 0, 1], dtype=complex)})
+    moved = table(apply_step(WalkerState.light_cone({5: np.array([0, 0, 0, 1], dtype=complex)}, 1)))
     assert set(moved) == {4}
     assert np.array_equal(moved[4], np.array([0, 1, 0, 0], dtype=complex))
 
-    moved = apply_step({2: np.array([0, 1, 0, 0], dtype=complex)})
+    moved = table(apply_step(WalkerState.light_cone({2: np.array([0, 1, 0, 0], dtype=complex)}, 1)))
     assert set(moved) == {3}
     assert np.array_equal(moved[3], np.array([0, 0, 0, 1], dtype=complex))
 
-    moved = apply_step({0: np.array([0, 0, 1, 0], dtype=complex)})
+    moved = table(apply_step(WalkerState.light_cone({0: np.array([0, 0, 1, 0], dtype=complex)}, 1)))
     assert set(moved) == {1}
     assert np.array_equal(moved[1], np.array([1, 0, 0, 0], dtype=complex))
 
@@ -79,7 +93,7 @@ def test_apply_step_is_involution():
     rng = np.random.default_rng(30)
     for _ in range(100):
         state = random_state(rng)
-        back = apply_step(apply_step(state))
+        back = table(apply_step(apply_step(WalkerState.light_cone(state, 2))))
         assert set(back) == set(state)
         for x in state:
             assert np.max(np.abs(back[x] - state[x])) == 0.0
@@ -88,12 +102,13 @@ def test_apply_step_is_involution():
 def test_apply_coin_identity_and_translation_invariance():
     rng = np.random.default_rng(31)
     state = random_state(rng)
-    same = apply_coin(state, constant_program(np.eye(4)), 0)
+    dense = WalkerState.light_cone(state, 0)
+    same = table(apply_coin(dense, constant_program(np.eye(4)), 0))
     for x in state:
         assert np.max(np.abs(same[x] - state[x])) == 0.0
 
     u = random_unitary(4, rng)
-    coined = apply_coin(state, constant_program(u), 7)
+    coined = table(apply_coin(dense, constant_program(u), 7))
     for x in state:
         assert np.max(np.abs(coined[x] - u @ state[x])) < 1e-15
 
@@ -103,9 +118,25 @@ def test_apply_coin_unresolvable_names_position():
     state = {0: np.array([1, 0, 0, 0], dtype=complex) / np.sqrt(2),
              4: np.array([1, 0, 0, 0], dtype=complex) / np.sqrt(2)}
     with pytest.raises(ProgramError) as err:
-        apply_coin(state, program, 2)
+        apply_coin(WalkerState.light_cone(state, 0), program, 2)
     assert "4" in str(err.value)
     assert "2" in str(err.value)
+
+
+def test_coins_resolved_only_at_reached_positions():
+    # under the identity coin, cH at 0 shifts to ccH at -1 and back, so only
+    # -1 and 0 need a rule although the walk's window spans -20 .. 20
+    identity = RawCoin(np.eye(4))
+    program = CoinProgram(default=None, overrides={-1: identity, 0: identity})
+    rec = evolve(make_initial("cw", "H", 0), program, 20)
+    for t in range(21):
+        assert rec.positions(t).tolist() == ([0] if t % 2 == 0 else [-1])
+
+
+def test_apply_step_refuses_to_leave_the_window():
+    state = WalkerState.light_cone({0: np.array([1, 0, 0, 0], dtype=complex)}, 0)
+    with pytest.raises(ValueError):
+        apply_step(state)
 
 
 def test_evolve_zero_steps():
@@ -113,7 +144,7 @@ def test_evolve_zero_steps():
     rec = evolve(init, constant_program(np.eye(4)), 0)
     assert rec.num_steps == 0
     assert len(rec) == 1
-    assert rec.intensity(0) == {0: pytest.approx([0, 0, 1, 0])}
+    assert step_table(rec, 0) == {0: pytest.approx([0, 0, 1, 0])}
 
 
 def test_evolve_matches_dense_oracle():
@@ -123,13 +154,80 @@ def test_evolve_matches_dense_oracle():
         init = make_initial("ccw", "D", 0)
         rec = evolve(init, constant_program(coin), 8)
         expected = oracles.dense_evolve(init, coin, 8)
-        got = rec.intensity(8)
+        got = step_table(rec, 8)
         for x, amps in expected.items():
             want = np.abs(amps) ** 2
             have = got.get(x, np.zeros(4))
             assert np.max(np.abs(have - want)) < 1e-12
         for x in got:
             assert x in expected or np.max(np.abs(got[x])) < 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=0, max_value=12))
+def test_evolve_matches_dense_oracle_at_every_step(seed, steps):
+    rng = np.random.default_rng(seed)
+    coin = random_unitary(4, rng)
+    x0 = int(rng.integers(-3, 4))
+    amp = rng.normal(size=4) + 1j * rng.normal(size=4)
+    init = {x0: amp / np.linalg.norm(amp)}
+    rec = evolve(init, constant_program(coin), steps)
+    for t in range(steps + 1):
+        expected = {x: np.abs(a) ** 2 for x, a in oracles.dense_evolve(init, coin, t).items()}
+        got = step_table(rec, t)
+        for x in set(expected) | set(got):
+            assert np.max(np.abs(got.get(x, np.zeros(4)) - expected.get(x, np.zeros(4)))) < 1e-12
+        assert abs(rec.total(t) - 1.0) < 1e-12
+        for x in got:
+            assert (x - x0 - t) % 2 == 0
+            assert abs(x - x0) <= t
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_norm_conserved_under_per_position_programs(seed):
+    rng = np.random.default_rng(seed)
+    overrides = {
+        int(x): RawCoin(random_unitary(4, rng))
+        for x in rng.integers(-6, 7, size=int(rng.integers(1, 8)))
+    }
+    program = CoinProgram(default=RawCoin(random_unitary(4, rng)), overrides=overrides)
+    init = make_initial(str(rng.choice(["cw", "ccw"])), str(rng.choice(["H", "V", "D", "A"])), int(rng.integers(-4, 5)))
+    steps = int(rng.integers(0, 30))
+    rec = evolve(init, program, steps)
+    for t in range(steps + 1):
+        assert abs(rec.total(t) - 1.0) < 1e-12
+
+
+def test_evolve_equals_sitewise_walk_bit_for_bit():
+    # the batched coin and the sliced shift do the same arithmetic as a walk
+    # taken one position at a time, and reach the same positions
+    from loopwalk.graph_programs import CircleSpec, FigureEightSpec, circle_program, figure_eight_program
+
+    rng = np.random.default_rng(42)
+    cases = [
+        (make_initial("ccw", "D", 0), constant_program(random_unitary(4, rng)), 30),
+        (make_initial("cw", "A", 2), constant_program(oracles.BALANCED_FOUR_MODE_COIN), 30),
+        (make_initial("ccw", "V", 1), circle_program(CircleSpec(8, 0, "hadamard_like"))[0], 40),
+        (make_initial("cw", "H", 1), figure_eight_program(FigureEightSpec(-3, 0, 4, "hadamard_like"))[0], 40),
+        (
+            make_initial("cw", "D", 0),
+            CoinProgram(
+                default=RawCoin(random_unitary(4, rng)),
+                overrides={1: RawCoin(random_unitary(4, rng))},
+                time_table=[RawCoin(random_unitary(4, rng)) for _ in range(5)],
+            ),
+            20,
+        ),
+    ]
+    for init, program, steps in cases:
+        rec = evolve(init, program, steps)
+        want = oracles.sitewise_evolve(init, program, steps)
+        for t in range(steps + 1):
+            assert rec.positions(t).tolist() == sorted(want[t])
+            got = step_table(rec, t)
+            for x in want[t]:
+                assert np.array_equal(got[x], want[t][x])
 
 
 def test_norm_conservation_long_run():
@@ -144,7 +242,7 @@ def test_hadamard_configuration_stays_counterclockwise():
     coin = full_coin(MINUS_IX, MINUS_IX, hwp_matrix(22.5))
     rec = evolve(make_initial("ccw", "H", 0), constant_program(coin), 20)
     for t in range(21):
-        for v in rec.intensity(t).values():
+        for v in rec.intensity(t):
             assert float(np.max(v[:2])) <= 1e-14
 
 
@@ -155,7 +253,7 @@ def test_invariant_subspace_any_loop_block():
         coin = full_coin(MINUS_IX, MINUS_IX, random_unitary(2, rng))
         rec = evolve(make_initial("ccw", "D", 0), constant_program(coin), 15)
         for t in range(16):
-            for v in rec.intensity(t).values():
+            for v in rec.intensity(t):
                 assert float(np.max(v[:2])) <= 1e-14
 
 
@@ -164,7 +262,7 @@ def test_hadamard_configuration_matches_effective_walk():
     rec = evolve(make_initial("ccw", "H", 0), constant_program(coin), 25)
     eff = effective_2d_evolve({0: np.array([0, 1], dtype=complex)}, oracles.HADAMARD_2, 25)
     for t in range(26):
-        walk_pd = rec.position_distribution(t)
+        walk_pd = dict(zip(rec.positions(t).tolist(), rec.position_distribution(t)))
         eff_pd = {x: float(v.sum()) for x, v in eff[t].items()}
         for x in set(walk_pd) | set(eff_pd):
             assert abs(walk_pd.get(x, 0.0) - eff_pd.get(x, 0.0)) < 1e-12
@@ -207,7 +305,7 @@ def test_partial_reversal_sums_to_hadamard_walk():
     eff_init = {0: np.array([1, -1], dtype=complex) / oracles.SQ2}
     eff = effective_2d_evolve(eff_init, oracles.HADAMARD_2, 22)
     for t in range(23):
-        walk_pd = rec.position_distribution(t)
+        walk_pd = dict(zip(rec.positions(t).tolist(), rec.position_distribution(t)))
         eff_pd = {x: float(v.sum()) for x, v in eff[t].items()}
         for x in set(walk_pd) | set(eff_pd):
             assert abs(walk_pd.get(x, 0.0) - eff_pd.get(x, 0.0)) < 1e-10
@@ -223,15 +321,16 @@ def test_trace_intensities_modes():
     total = trace_intensities(rec, "sum_all")
 
     for t in range(7):
-        assert abs(sum(full[t].values()) - 1.0) < 1e-10
-        assert abs(sum(pol[t].values()) - 1.0) < 1e-10
-        assert abs(sum(direc[t].values()) - 1.0) < 1e-10
-        assert abs(sum(total[t].values()) - 1.0) < 1e-10
+        assert abs(full[t].sum() - 1.0) < 1e-10
+        assert abs(pol[t].sum() - 1.0) < 1e-10
+        assert abs(direc[t].sum() - 1.0) < 1e-10
+        assert abs(total[t].sum() - 1.0) < 1e-10
 
-    assert all(isinstance(k, tuple) and k[1] in ("cH", "cV", "ccH", "ccV") for k in full[2])
-    assert all(k[1] in ("c", "cc") for k in pol[2])
-    assert all(k[1] in ("H", "V") for k in direc[2])
-    assert all(isinstance(k, int) for k in total[2])
+    sites = rec.reached.shape
+    assert full.shape == (*sites, 4) and TRACE_LABELS["full"] == ("cH", "cV", "ccH", "ccV")
+    assert pol.shape == (*sites, 2) and TRACE_LABELS["sum_polarization"] == ("c", "cc")
+    assert direc.shape == (*sites, 2) and TRACE_LABELS["sum_direction"] == ("H", "V")
+    assert total.shape == sites
 
     with pytest.raises(ValueError):
         trace_intensities(rec, "sideways")
@@ -242,7 +341,7 @@ def test_parity_of_occupied_sites():
     coin = random_unitary(4, rng)
     rec = evolve(make_initial("cw", "V", 0), constant_program(coin), 16)
     for t in range(17):
-        for x, v in rec.intensity(t).items():
+        for x, v in step_table(rec, t).items():
             if (x + t) % 2 == 1:
                 assert float(np.max(v)) <= 1e-14
 
@@ -253,8 +352,8 @@ def test_final_state_consistent_with_record():
     init = make_initial("ccw", "D", 0)
     rec = evolve(init, constant_program(coin), 9)
     last = final_state(init, constant_program(coin), 9)
-    for x, v in last.items():
-        assert np.max(np.abs(np.abs(v) ** 2 - rec.intensity(9).get(x, np.zeros(4)))) < 1e-13
+    for x, v in table(last).items():
+        assert np.max(np.abs(np.abs(v) ** 2 - step_table(rec, 9).get(x, np.zeros(4)))) < 1e-13
 
 
 def test_intensity_record_helpers():
@@ -262,10 +361,10 @@ def test_intensity_record_helpers():
     rec = evolve(make_initial("ccw", "H", 0), constant_program(coin), 4)
     assert rec.num_steps == 4
     assert len(rec) == 5
-    assert rec.positions(0) == [0]
-    assert sorted(rec.positions(1)) == rec.positions(1)
+    assert rec.positions(0).tolist() == [0]
+    assert sorted(rec.positions(1).tolist()) == rec.positions(1).tolist()
     pd = rec.position_distribution(2)
-    assert abs(sum(pd.values()) - 1.0) < 1e-10
+    assert abs(sum(pd) - 1.0) < 1e-10
     assert abs(rec.total(3) - 1.0) < 1e-10
 
 
