@@ -2,16 +2,18 @@
 
 Every subcommand reads a YAML config (--config), runs the requested
 computation, and writes either CSV or an aligned text table to stdout or
---out.  Exit codes: 0 on success, 2 for configuration problems (including
-payload matrices that fail their unitarity certificate), 3 when a
-numerical certification fails at run time (decomposition residual above
-tolerance, intensity leaking off a closed graph).
+--out, rendered by columns (floats as %.17g).  Exit codes: 0 on success,
+2 for configuration problems (including payload matrices that fail their
+unitarity certificate), 3 when a numerical certification fails at run
+time (decomposition residual above tolerance, intensity leaking off a
+closed graph).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -29,33 +31,37 @@ class CertificationError(RuntimeError):
     """A run-time numerical certificate failed."""
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+def _column(values) -> list:
+    """One output column as strings: integers in decimal, floats as %.17g,
+    and in a sequence holding None, an empty cell for each None."""
+    a = np.asarray(values)
+    if a.dtype == object:
+        cells = iter(_column([v for v in values if v is not None]))
+        return ["" if v is None else next(cells) for v in values]
+    return list(map(str if a.dtype.kind in "iu" else "%.17g".__mod__, a.tolist()))
 
 
-def _render(header: list, rows: list, fmt: str) -> str:
-    cells = [[_fmt(v) for v in row] for row in rows]
+def _blocks(header: list, *blocks) -> list:
+    """Columns under `header` of row blocks stacked in order.  A block maps
+    column names to string lists and always holds the first column; any
+    other column it lacks is empty in its rows."""
+    return [list(chain.from_iterable(b.get(h, [""] * len(b[header[0]])) for b in blocks)) for h in header]
+
+
+def _render(header: list, columns: list, fmt: str) -> str:
+    """CSV or aligned text of equal-length string columns under `header`."""
     if fmt == "csv":
-        lines = [",".join(header)]
-        lines.extend(",".join(row) for row in cells)
-        return "\n".join(lines) + "\n"
-    widths = [len(h) for h in header]
-    for row in cells:
-        for i, c in enumerate(row):
-            widths[i] = max(widths[i], len(c))
-    def line(vals):
-        return "  ".join(v.ljust(w) for v, w in zip(vals, widths)).rstrip()
-    out = [line(header), line(["-" * w for w in widths])]
-    out.extend(line(row) for row in cells)
-    return "\n".join(out) + "\n"
+        return "\n".join(map(",".join, chain([header], zip(*columns)))) + "\n"
+    widths = [max(map(len, [h, *col])) for h, col in zip(header, columns)]
+    line = "  ".join(f"{{:<{w}}}" for w in widths).format
+    rows = chain([header, ["-" * w for w in widths]], zip(*columns))
+    return "\n".join(line(*row).rstrip() for row in rows) + "\n"
+
+
+def _site_columns(step_index: np.ndarray, site: np.ndarray, labels) -> list:
+    """step, site and label columns: one row per label at each reached site."""
+    n = len(labels)
+    return [_column(np.repeat(step_index, n)), _column(np.repeat(site, n)), list(labels) * len(step_index)]
 
 
 def _emit(text: str, out_path):
@@ -94,15 +100,14 @@ def _cmd_simulate(cfg: RunConfig, args) -> str:
     record = evolve(cfg.initial, cfg.program, steps)
     traced = trace_intensities(record, mode=args.trace)
     step_index, site = np.nonzero(record.reached)
-    cells = zip(step_index.tolist(), (record.offset + site).tolist(), traced[step_index, site].tolist())
+    values = _column(traced[step_index, site].ravel())
     if args.trace == "sum_all":
         header = ["step", "position", "intensity"]
-        rows = [[t, x, v] for t, x, v in cells]
+        columns = [_column(step_index), _column(record.offset + site), values]
     else:
         header = ["step", "position", _TRACE_THIRD_COLUMN[args.trace], "intensity"]
-        labels = TRACE_LABELS[args.trace]
-        rows = [[t, x, label, v] for t, x, vals in cells for label, v in zip(labels, vals)]
-    return _render(header, rows, args.format)
+        columns = [*_site_columns(step_index, record.offset + site, TRACE_LABELS[args.trace]), values]
+    return _render(header, columns, args.format)
 
 
 def _mapped_record(cfg: RunConfig, steps: int):
@@ -123,10 +128,10 @@ def _cmd_graph(cfg: RunConfig, args, command: str) -> str:
     mapped = _mapped_record(cfg, steps)
     header = ["step", "node", "mode", "intensity"]
     step_index, node = np.nonzero(mapped.reached)
-    cells = zip(step_index.tolist(), node.tolist(), mapped.intensities[step_index, node].tolist())
-    rows = [[t, m, name, v] for t, m, vals in cells for name, v in zip(MODE_NAMES, vals)]
+    intensity = _column(mapped.intensities[step_index, node].ravel())
+    columns = [*_site_columns(step_index, node, MODE_NAMES), intensity]
     print(f"max off-graph intensity {mapped.max_leakage:.3e}", file=sys.stderr)
-    return _render(header, rows, args.format)
+    return _render(header, columns, args.format)
 
 
 def _cmd_revivals(cfg: RunConfig, args) -> str:
@@ -134,9 +139,8 @@ def _cmd_revivals(cfg: RunConfig, args) -> str:
     steps = _steps(cfg, args)
     mapped = _mapped_record(cfg, steps)
     events = find_revivals(mapped, tol=args.tol)
-    header = ["step", "shift", "kind"]
-    rows = [[t, s, kind] for t, s, kind in events]
-    return _render(header, rows, args.format)
+    step, shift, kind = map(list, zip(*events)) if events else ([], [], [])
+    return _render(["step", "shift", "kind"], [_column(step), _column(shift), kind], args.format)
 
 
 def _cmd_dispersion(cfg: RunConfig, args) -> str:
@@ -146,31 +150,31 @@ def _cmd_dispersion(cfg: RunConfig, args) -> str:
     fronts = wavefront_speeds(spec, merge_tol=cfg.merge_tol)
     crossings = classify_crossings(spec, gap_tol=cfg.gap_tol)
     header = ["section", "branch", "branch_2", "k", "omega", "v_group", "speed", "gap", "kind"]
-    rows = []
-    for b in range(spec.n_branches):
-        for i, k in enumerate(spec.k_grid):
-            rows.append(["band", b, None, k, spec.omegas[b, i], vg[b, i], None, None, None])
-    for front in fronts.fronts:
-        rows.append(["wavefront", front.branch, None, front.k, None, None, front.speed, None, None])
-    for s in fronts.speeds:
-        rows.append(["speed", None, None, None, None, None, s, None, None])
-    for c in crossings:
-        kind = "continuum" if c.continuum else c.kind
-        rows.append(["crossing", c.branches[0], c.branches[1], c.k, None, None, None, c.gap, kind])
-    return _render(header, rows, args.format)
-
-
-def _matrix_rows(rows: list, name: str, m: np.ndarray):
-    for i in range(m.shape[0]):
-        for j in range(m.shape[1]):
-            rows.append(["matrix", name, i, j, float(m[i, j].real), float(m[i, j].imag)])
-
-
-def _factor_rows(rows: list, prefix: str, factors):
-    _matrix_rows(rows, f"{prefix}.arm_a", factors.c_a)
-    _matrix_rows(rows, f"{prefix}.arm_b", factors.c_b)
-    _matrix_rows(rows, f"{prefix}.loop_cw", factors.c_loop_cw)
-    _matrix_rows(rows, f"{prefix}.loop_ccw", factors.c_loop_ccw)
+    branch, _ = np.indices(spec.omegas.shape)
+    band = {
+        "section": ["band"] * branch.size,
+        "branch": _column(branch.ravel()),
+        "k": _column(np.broadcast_to(spec.k_grid, branch.shape).ravel()),
+        "omega": _column(spec.omegas.ravel()),
+        "v_group": _column(vg.ravel()),
+    }
+    fr = fronts.fronts
+    wavefront = {
+        "section": ["wavefront"] * len(fr),
+        "branch": _column([f.branch for f in fr]),
+        "k": _column([f.k for f in fr]),
+        "speed": _column([f.speed for f in fr]),
+    }
+    speed = {"section": ["speed"] * len(fronts.speeds), "speed": _column(fronts.speeds)}
+    crossing = {
+        "section": ["crossing"] * len(crossings),
+        "branch": _column([c.branches[0] for c in crossings]),
+        "branch_2": _column([c.branches[1] for c in crossings]),
+        "k": _column([c.k for c in crossings]),
+        "gap": _column([c.gap for c in crossings]),
+        "kind": ["continuum" if c.continuum else c.kind for c in crossings],
+    }
+    return _render(header, _blocks(header, band, wavefront, speed, crossing), args.format)
 
 
 def _cmd_decompose(cfg: RunConfig, args) -> str:
@@ -183,20 +187,29 @@ def _cmd_decompose(cfg: RunConfig, args) -> str:
         )
     norm = su2_normalize(fact)
     header = ["section", "name", "row", "col", "re", "im"]
-    rows = []
-    rows.append(["scalar", "one_trip_pass", None, None, 1.0 if passed else 0.0, None])
-    rows.append(["scalar", "one_trip_rank_m1", None, None, float(witness.rank_m1), None])
-    rows.append(["scalar", "one_trip_rank_m2", None, None, float(witness.rank_m2), None])
-    rows.append(["scalar", "residual", None, None, fact.residual, None])
-    rows.append(["scalar", "residual_normalized", None, None, norm.recompute_residual(), None])
-    rows.append(
-        ["scalar", "global_phase", None, None, float(norm.global_phase.real), float(norm.global_phase.imag)]
-    )
-    _factor_rows(rows, "trip1", fact.factor_1)
-    _factor_rows(rows, "trip2", fact.factor_2)
-    _factor_rows(rows, "trip1_su2", norm.factor_1)
-    _factor_rows(rows, "trip2_su2", norm.factor_2)
-    return _render(header, rows, args.format)
+    scalars = ["one_trip_pass", "one_trip_rank_m1", "one_trip_rank_m2", "residual", "residual_normalized"]
+    values = [float(passed), witness.rank_m1, witness.rank_m2, fact.residual, norm.recompute_residual()]
+    scalar = {
+        "section": ["scalar"] * 6,
+        "name": [*scalars, "global_phase"],
+        "re": _column([*values, norm.global_phase.real]),
+        "im": [""] * 5 + _column([norm.global_phase.imag]),
+    }
+    # arm and loop blocks of both trips, raw and in the SU(2) gauge, row-major
+    trips = ("trip1", "trip2", "trip1_su2", "trip2_su2")
+    factors = (fact.factor_1, fact.factor_2, norm.factor_1, norm.factor_2)
+    mats = np.array([[f.c_a, f.c_b, f.c_loop_cw, f.c_loop_ccw] for f in factors], dtype=complex)
+    names = [f"{trip}.{part}" for trip in trips for part in ("arm_a", "arm_b", "loop_cw", "loop_ccw")]
+    row, col = np.indices(mats.shape)[-2:]
+    matrix = {
+        "section": ["matrix"] * mats.size,
+        "name": np.repeat(names, mats[0, 0].size).tolist(),
+        "row": _column(row.ravel()),
+        "col": _column(col.ravel()),
+        "re": _column(mats.real.ravel()),
+        "im": _column(mats.imag.ravel()),
+    }
+    return _render(header, _blocks(header, scalar, matrix), args.format)
 
 
 def _cmd_errorbars(cfg: RunConfig, args) -> str:
@@ -225,19 +238,23 @@ def _cmd_errorbars(cfg: RunConfig, args) -> str:
     site_col = "node" if report.mapped else "position"
     header = ["step", site_col, "mode", "reference", "sigma"]
     ref = report.reference
-    rows = []
-    for t, i in zip(*np.nonzero(ref.reached)):
-        site = ref.offset + int(i)
-        for m in range(4):
-            rows.append([t, site, MODE_NAMES[m], ref.intensities[t, i, m], report.sigma_mode[t, i, m]])
-        rows.append([t, site, "total", np.sum(ref.intensities[t, i]), report.sigma_position[t, i]])
+    # per reached site: the four modes, then their "total"
+    step_index, i = np.nonzero(ref.reached)
+    modes, sigma_modes = ref.intensities[step_index, i], report.sigma_mode[step_index, i]
+    sites = dict(zip(header, _site_columns(step_index, ref.offset + i, (*MODE_NAMES, "total"))))
+    sites["reference"] = _column(np.column_stack([modes, modes.sum(axis=1)]).ravel())
+    sites["sigma"] = _column(np.column_stack([sigma_modes, report.sigma_position[step_index, i]]).ravel())
+    blocks = [sites]
     if report.similarity_ref is not None:
-        for t in range(len(report.similarity_ref)):
-            rows.append([t, None, "similarity", report.similarity_ref[t], report.similarity_sigma[t]])
-            rows.append(
-                [t, None, "similarity_sampled", report.similarity_ref[t], report.similarity_sigma_sampled[t]]
-            )
-    return _render(header, rows, args.format)
+        n_steps = len(report.similarity_ref)
+        sigma = np.column_stack([report.similarity_sigma, report.similarity_sigma_sampled])
+        blocks.append({
+            "step": _column(np.repeat(np.arange(n_steps), 2)),
+            "mode": ["similarity", "similarity_sampled"] * n_steps,
+            "reference": _column(np.repeat(report.similarity_ref, 2)),
+            "sigma": _column(sigma.ravel()),
+        })
+    return _render(header, _blocks(header, *blocks), args.format)
 
 
 def _add_common(sub: argparse.ArgumentParser):

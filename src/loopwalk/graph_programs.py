@@ -155,11 +155,6 @@ def line_program(c_a: np.ndarray, c_b: np.ndarray, c_l: np.ndarray) -> CoinProgr
     return CoinProgram(default=RawCoin(full_coin(c_a, c_b, c_l)))
 
 
-def line_program_from_elements(arm_a: ArmSetting, arm_b: ArmSetting, loop) -> CoinProgram:
-    """Uniform program keeping the element-level description (perturbable)."""
-    return CoinProgram(default=ElementCoin(arm_a, arm_b, tuple(loop)))
-
-
 def circle_map(spec: CircleSpec) -> SiteMap:
     two_n = spec.num_sites
     mapping = {}

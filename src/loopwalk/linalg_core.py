@@ -12,16 +12,6 @@ import numpy as np
 DEFAULT_UNITARY_TOL = 1e-10
 
 
-def mat_mul(*factors: np.ndarray) -> np.ndarray:
-    """Ordered matrix product factors[0] @ factors[1] @ ... @ factors[-1]."""
-    if not factors:
-        raise ValueError("mat_mul needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = out @ np.asarray(f, dtype=complex)
-    return out
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a, dtype=complex).conj().T

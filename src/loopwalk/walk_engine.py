@@ -160,6 +160,7 @@ class CoinProgram:
         self.overrides = dict(overrides) if overrides else {}
         self.time_table = list(time_table) if time_table is not None else None
         self._cache: dict[int, np.ndarray] = {}
+        self._overrides = None  # (override positions ascending, coin per slot), on first use
 
     def spec_at(self, t: int, x: int):
         if self.time_table is not None and 0 <= t < len(self.time_table):
@@ -183,12 +184,23 @@ class CoinProgram:
         """Coins for step t at a nonempty array of positions.
 
         Shape (1, 4, 4) when one rule covers every position, else
-        (len(positions), 4, 4); a position without a rule raises
-        ProgramError.
+        (len(positions), 4, 4), gathered from the override coins, which
+        are resolved once; a position without a rule raises ProgramError.
         """
         if (self.time_table is not None and 0 <= t < len(self.time_table)) or not self.overrides:
             return self.coin_at(t, int(positions[0]))[None]
-        return np.stack([self.coin_at(t, x) for x in positions.tolist()])
+        if self._overrides is None:
+            keys = sorted(self.overrides)
+            # a slot per override position, then, one past the last of them, the default's
+            slots = keys + [keys[-1] + 1] if self.default is not None else keys
+            self._overrides = np.array(keys), np.array([self.coin_at(t, x) for x in slots])
+        keys, coins = self._overrides
+        slot = np.searchsorted(keys, positions)
+        missing = keys[np.minimum(slot, len(keys) - 1)] != positions
+        if self.default is None and missing.any():
+            self.spec_at(t, int(positions[missing][0]))  # raises, naming step and position
+        slot[missing] = len(keys)
+        return coins[slot]
 
     def all_specs(self) -> list:
         """Distinct coin specs in documented enumeration order.

@@ -220,3 +220,154 @@ def hellmann_feynman_velocities(coin: np.ndarray, k: float, cluster_tol: float =
         basis, _, _ = np.linalg.svd(v[:, cols], full_matrices=False)
         velocities[cols] = np.linalg.eigvalsh(basis.conj().T @ g @ basis)
     return phases, velocities
+
+
+def _fmt(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
+
+
+def _render(header: list, rows: list, fmt: str) -> str:
+    cells = [[_fmt(v) for v in row] for row in rows]
+    if fmt == "csv":
+        lines = [",".join(header)]
+        lines.extend(",".join(row) for row in cells)
+        return "\n".join(lines) + "\n"
+    widths = [len(h) for h in header]
+    for row in cells:
+        for i, c in enumerate(row):
+            widths[i] = max(widths[i], len(c))
+
+    def line(vals):
+        return "  ".join(v.ljust(w) for v, w in zip(vals, widths)).rstrip()
+
+    out = [line(header), line(["-" * w for w in widths])]
+    out.extend(line(row) for row in cells)
+    return "\n".join(out) + "\n"
+
+
+def _matrix_rows(rows: list, name: str, m: np.ndarray):
+    for i in range(m.shape[0]):
+        for j in range(m.shape[1]):
+            rows.append(["matrix", name, i, j, float(m[i, j].real), float(m[i, j].imag)])
+
+
+def _factor_rows(rows: list, prefix: str, factors):
+    _matrix_rows(rows, f"{prefix}.arm_a", factors.c_a)
+    _matrix_rows(rows, f"{prefix}.arm_b", factors.c_b)
+    _matrix_rows(rows, f"{prefix}.loop_cw", factors.c_loop_cw)
+    _matrix_rows(rows, f"{prefix}.loop_ccw", factors.c_loop_ccw)
+
+
+def render_rows(command: str, cfg, args) -> str:
+    """The command line's stdout built one row and one cell at a time.
+
+    `cfg` is the parsed config of a run that succeeds and `args` its parsed
+    arguments; each cell goes through a type dispatch of its own, the way
+    the command line rendered before it built whole columns.
+    """
+    from loopwalk import analysis, coin_synthesis, dispersion, graph_programs, walk_engine
+
+    mode_names = walk_engine.MODE_NAMES
+    steps = cfg.steps if args.steps is None else args.steps
+    if command == "simulate":
+        record = walk_engine.evolve(cfg.initial, cfg.program, steps)
+        traced = walk_engine.trace_intensities(record, mode=args.trace)
+        step_index, site = np.nonzero(record.reached)
+        cells = zip(step_index.tolist(), (record.offset + site).tolist(), traced[step_index, site].tolist())
+        if args.trace == "sum_all":
+            header = ["step", "position", "intensity"]
+            rows = [[t, x, v] for t, x, v in cells]
+        else:
+            third = {"full": "mode", "sum_polarization": "subspace", "sum_direction": "polarization"}
+            header = ["step", "position", third[args.trace], "intensity"]
+            labels = walk_engine.TRACE_LABELS[args.trace]
+            rows = [[t, x, label, v] for t, x, vals in cells for label, v in zip(labels, vals)]
+    elif command in ("circle", "figure-eight", "revivals"):
+        record = walk_engine.evolve(cfg.initial, cfg.program, steps)
+        mapped = graph_programs.map_sites(cfg.site_map, record)
+        if command == "revivals":
+            header = ["step", "shift", "kind"]
+            rows = [[t, s, kind] for t, s, kind in analysis.find_revivals(mapped, tol=args.tol)]
+        else:
+            header = ["step", "node", "mode", "intensity"]
+            step_index, node = np.nonzero(mapped.reached)
+            cells = zip(step_index.tolist(), node.tolist(), mapped.intensities[step_index, node].tolist())
+            rows = [[t, m, name, v] for t, m, vals in cells for name, v in zip(mode_names, vals)]
+    elif command == "dispersion":
+        spec = dispersion.band_structure(cfg.coin_matrix, n_k=cfg.n_k)
+        vg = dispersion.group_velocities(spec)
+        fronts = dispersion.wavefront_speeds(spec, merge_tol=cfg.merge_tol)
+        crossings = dispersion.classify_crossings(spec, gap_tol=cfg.gap_tol)
+        header = ["section", "branch", "branch_2", "k", "omega", "v_group", "speed", "gap", "kind"]
+        rows = []
+        for b in range(spec.n_branches):
+            for i, k in enumerate(spec.k_grid):
+                rows.append(["band", b, None, k, spec.omegas[b, i], vg[b, i], None, None, None])
+        for front in fronts.fronts:
+            rows.append(["wavefront", front.branch, None, front.k, None, None, front.speed, None, None])
+        for s in fronts.speeds:
+            rows.append(["speed", None, None, None, None, None, s, None, None])
+        for c in crossings:
+            kind = "continuum" if c.continuum else c.kind
+            rows.append(["crossing", c.branches[0], c.branches[1], c.k, None, None, None, c.gap, kind])
+    elif command == "decompose":
+        passed, witness = coin_synthesis.one_trip_test(cfg.target, rel_tol=cfg.rel_tol)
+        fact = coin_synthesis.factor_universal(cfg.target)
+        norm = coin_synthesis.su2_normalize(fact)
+        phase = norm.global_phase
+        header = ["section", "name", "row", "col", "re", "im"]
+        rows = [
+            ["scalar", "one_trip_pass", None, None, 1.0 if passed else 0.0, None],
+            ["scalar", "one_trip_rank_m1", None, None, float(witness.rank_m1), None],
+            ["scalar", "one_trip_rank_m2", None, None, float(witness.rank_m2), None],
+            ["scalar", "residual", None, None, fact.residual, None],
+            ["scalar", "residual_normalized", None, None, norm.recompute_residual(), None],
+            ["scalar", "global_phase", None, None, float(phase.real), float(phase.imag)],
+        ]
+        _factor_rows(rows, "trip1", fact.factor_1)
+        _factor_rows(rows, "trip2", fact.factor_2)
+        _factor_rows(rows, "trip1_su2", norm.factor_1)
+        _factor_rows(rows, "trip2_su2", norm.factor_2)
+    elif command == "errorbars":
+        base = cfg.base
+        setup = analysis.WalkSetup(
+            program=base.program,
+            initial=base.initial,
+            steps=base.steps if args.steps is None else args.steps,
+            site_map=base.site_map,
+            support=cfg.support,
+        )
+        report = analysis.monte_carlo_error_bars(
+            setup,
+            n_samples=cfg.n_samples,
+            eff_err=cfg.eff_err,
+            angle_err_deg=cfg.angle_err_deg,
+            seed=cfg.seed if args.seed is None else args.seed,
+            distribution=cfg.distribution,
+            renormalize=cfg.renormalize,
+        )
+        header = ["step", "node" if report.mapped else "position", "mode", "reference", "sigma"]
+        ref = report.reference
+        rows = []
+        for t, i in zip(*np.nonzero(ref.reached)):
+            site = ref.offset + int(i)
+            for m in range(4):
+                rows.append([t, site, mode_names[m], ref.intensities[t, i, m], report.sigma_mode[t, i, m]])
+            rows.append([t, site, "total", np.sum(ref.intensities[t, i]), report.sigma_position[t, i]])
+        if report.similarity_ref is not None:
+            for t in range(len(report.similarity_ref)):
+                rows.append([t, None, "similarity", report.similarity_ref[t], report.similarity_sigma[t]])
+                rows.append(
+                    [t, None, "similarity_sampled", report.similarity_ref[t], report.similarity_sigma_sampled[t]]
+                )
+    else:
+        raise ValueError(f"unknown command {command!r}")
+    return _render(header, rows, args.format)

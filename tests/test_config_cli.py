@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from loopwalk import cli
 from loopwalk.config import ConfigError, parse_config, parse_config_dict
 from loopwalk.optics import full_coin
 
@@ -534,3 +537,55 @@ def test_cli_errorbars_similarity_rows(tmp_path):
     assert header[1] == "node"
     kinds = {r[2] for r in rows}
     assert "similarity" in kinds and "similarity_sampled" in kinds
+
+
+# ---------------------------------------------------------------- rendering
+
+
+def test_columnar_output_matches_row_oracle(tmp_path, capsys):
+    def recipe(name):
+        return os.path.join(CONFIG_DIR, f"{name}.yaml")
+
+    with open(recipe("errorbars_circle8"), encoding="utf-8") as fh:
+        errorbars = yaml.safe_load(fh)
+    errorbars["n_samples"] = 20
+    # a direction-swapping coin has constant-velocity branches, whose
+    # wavefront rows leave k empty, and continuum crossings
+    swap = np.roll(np.eye(4), 2, axis=1)
+    swap_cfg = {"kind": "dispersion", "n_k": 64, "coin": {"matrix": matrix_block(swap)}}
+    runs = [
+        ["simulate", "--config", recipe("hadamard_line"), "--trace", trace]
+        for trace in ("full", "sum_polarization", "sum_direction", "sum_all")
+    ]
+    runs += [
+        ["circle", "--config", recipe("circle8")],
+        ["figure-eight", "--config", recipe("figure_eight")],
+        ["revivals", "--config", recipe("figure_eight")],
+        ["dispersion", "--config", recipe("crossing_dispersion")],
+        ["dispersion", "--config", write_cfg(tmp_path, swap_cfg, "swap.yaml")],
+        ["decompose", "--config", recipe("decompose_grover")],
+        ["errorbars", "--config", write_cfg(tmp_path, errorbars, "errorbars.yaml"), "--steps", "6"],
+    ]
+    parser = cli.build_parser()
+    for run in runs:
+        for fmt in ("csv", "table"):
+            argv = [*run, "--format", fmt]
+            assert cli.main(argv) == 0, argv
+            got = capsys.readouterr().out
+            args = parser.parse_args(argv)
+            assert got == oracles.render_rows(args.command, parse_config(args.config), args), argv
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.floats(), max_size=40))
+def test_column_formats_floats_round_trip(xs):
+    xs = [*xs, 0.0, -0.0, 5e-324, -2.2250738585072e-308, float("nan"), float("inf"), float("-inf")]
+    assert cli._column(np.array(xs)) == [f"{float(x):.17g}" for x in xs]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.integers(min_value=-(2**63), max_value=2**63 - 1), max_size=40))
+def test_column_formats_int64_in_decimal(vs):
+    info = np.iinfo(np.int64)
+    a = np.array([*vs, info.min, info.max, -1, 0], dtype=np.int64)
+    assert cli._column(a) == [str(int(v)) for v in a]
