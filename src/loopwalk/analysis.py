@@ -222,6 +222,7 @@ def monte_carlo_error_bars(
     seed: int = 0,
     distribution: str = "uniform",
     renormalize: bool = True,
+    base_record: Optional[IntensityRecord] = None,
 ) -> ErrorBarReport:
     """Sample the walk under perturbed element angles and mode efficiencies.
 
@@ -233,7 +234,9 @@ def monte_carlo_error_bars(
 
     When the setup carries a site map, statistics are computed on node
     distributions; with a support, per-step equidistribution similarities
-    and their propagated uncertainties are included.
+    and their propagated uncertainties are included.  base_record, when
+    given, is the setup's unperturbed walk already evolved by the caller;
+    it is used instead of evolving it again.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -246,8 +249,9 @@ def monte_carlo_error_bars(
 
     # the reference runs through the same distortion pipeline with unit
     # efficiencies so that a zero-error sample is bitwise identical to it
-    ref_record = evolve(setup.initial, setup.program, setup.steps)
-    ref = _observed(ref_record, np.ones(4), renormalize, setup.site_map)
+    if base_record is None:
+        base_record = evolve(setup.initial, setup.program, setup.steps)
+    ref = _observed(base_record, np.ones(4), renormalize, setup.site_map)
     ref_dist = ref.intensities.sum(axis=2)
     n_steps = len(ref)
 

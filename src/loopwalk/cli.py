@@ -110,9 +110,9 @@ def _cmd_simulate(cfg: RunConfig, args) -> str:
     return _render(header, columns, args.format)
 
 
-def _mapped_record(cfg: RunConfig, steps: int):
-    record = evolve(cfg.initial, cfg.program, steps)
-    mapped = map_sites(cfg.site_map, record, leak_tol=GRAPH_LEAK_TOL)
+def _mapped_record(site_map, record):
+    """record mapped onto the graph; raises CertificationError on leakage."""
+    mapped = map_sites(site_map, record, leak_tol=GRAPH_LEAK_TOL)
     if mapped.flagged:
         raise CertificationError(
             f"walker left the graph: max leakage {mapped.max_leakage:.3e} "
@@ -125,7 +125,7 @@ def _cmd_graph(cfg: RunConfig, args, command: str) -> str:
     kind = {"circle": "circle", "figure-eight": "figure_eight"}[command]
     _require_kind(cfg, {kind}, command)
     steps = _steps(cfg, args)
-    mapped = _mapped_record(cfg, steps)
+    mapped = _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, steps))
     header = ["step", "node", "mode", "intensity"]
     step_index, node = np.nonzero(mapped.reached)
     intensity = _column(mapped.intensities[step_index, node].ravel())
@@ -137,7 +137,7 @@ def _cmd_graph(cfg: RunConfig, args, command: str) -> str:
 def _cmd_revivals(cfg: RunConfig, args) -> str:
     _require_kind(cfg, {"circle", "figure_eight"}, "revivals")
     steps = _steps(cfg, args)
-    mapped = _mapped_record(cfg, steps)
+    mapped = _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, steps))
     events = find_revivals(mapped, tol=args.tol)
     step, shift, kind = map(list, zip(*events)) if events else ([], [], [])
     return _render(["step", "shift", "kind"], [_column(step), _column(shift), kind], args.format)
@@ -217,8 +217,9 @@ def _cmd_errorbars(cfg: RunConfig, args) -> str:
     base = cfg.base
     steps = base.steps if args.steps is None else args.steps
     seed = cfg.seed if args.seed is None else args.seed
+    record = evolve(base.initial, base.program, steps)
     if base.site_map is not None:
-        _mapped_record(base, steps)  # run once up front so leakage failures exit 3 before sampling
+        _mapped_record(base.site_map, record)  # leakage failures exit 3 before sampling
     setup = WalkSetup(
         program=base.program,
         initial=base.initial,
@@ -234,6 +235,7 @@ def _cmd_errorbars(cfg: RunConfig, args) -> str:
         seed=seed,
         distribution=cfg.distribution,
         renormalize=cfg.renormalize,
+        base_record=record,
     )
     site_col = "node" if report.mapped else "position"
     header = ["step", site_col, "mode", "reference", "sigma"]

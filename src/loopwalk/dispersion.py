@@ -29,6 +29,11 @@ Wavefront speeds are the group velocities at inflection points of a band
 (zeros of omega'').  Bands with numerically constant slope (flat or
 strictly linear) have no isolated inflections and contribute their
 constant velocity as a single wavefront.
+
+Inflections and interbranch gap minima are both refined off the grid by
+one lockstep Illinois root finder (regula falsi that halves the value of
+an end kept twice in a row) on the analytic derivatives: omega'' for
+inflections, d(gap)/dk for gap minima.
 """
 
 from __future__ import annotations
@@ -42,12 +47,14 @@ from .linalg_core import assert_unitary, wrap_phase
 from .walk_engine import CH, CV, CCH, CCV
 
 _PAD = 3  # grid samples kept beyond each end, so searches see across the seam
-_BISECT_WIDTH = 1e-8
+_FRONT_WIDTH = 1e-8     # Illinois brackets of an inflection stop this narrow,
+_MINIMUM_WIDTH = 1e-12  # those of a gap minimum this narrow
+_MAX_ROUNDS = 100       # a guard; a bracket across a jump needs about 40
 _LINEAR_BRANCH_TOL = 1e-9
 _DEGENERATE_PHASE = 1e-7  # partners this close on the circle share an eigenspace
-# A bisection narrowed to _BISECT_WIDTH around an inflection leaves |omega''|
-# of order |omega'''| * 1e-8; one that closed on a pole of the cot sum (a
-# branch passing a near crossing) leaves it of order one or larger.
+# At a refined inflection |omega''| is at most of order |omega'''| times
+# _FRONT_WIDTH, and usually far less; a bracket that closed on a pole of the
+# cot sum (a branch passing a near crossing) leaves it of order one or larger.
 _INFLECTION_TOL = 1e-3
 # Eigenphase noise floor.  eig returns the eigenvalues of a unitary to a few
 # eps of absolute error, so every phase in [-pi, pi] carries ripple of order
@@ -55,7 +62,6 @@ _INFLECTION_TOL = 1e-3
 # Gap differences below this floor are treated as equal; the factor 64 leaves
 # room for the difference of two noisy phases and for larger dimensions.
 _PHASE_NOISE_FLOOR = 64.0 * np.finfo(float).eps * np.pi
-_TERNARY_WIDTH = 1e-12
 
 # S(k) = S(0) . exp(ikD)
 _D = np.empty(4)
@@ -175,12 +181,21 @@ class DispersionSpectrum:
         return self._slopes
 
     def _follow(self, ks: np.ndarray, *refs: np.ndarray):
-        """Eigenpairs of U(k) at off-grid momenta from one eig call and, for
-        each (n, d) set of reference eigenvectors, the column per k that
-        continues its branch (maximal overlap)."""
+        """Branches at off-grid momenta from one eig call.
+
+        For each (n, d) set of reference eigenvectors, the eigenphase per k
+        of the eigenpair that continues its branch (maximal overlap) and,
+        when the spectrum has a coin, that branch's omega' and omega''.
+        """
         w, v = np.linalg.eig(self._bloch(ks))
-        cols = [np.argmax(np.abs(np.einsum("ni,nid->nd", ref.conj(), v)), axis=1) for ref in refs]
-        return w, v, cols
+        phases = np.angle(w)
+        rows = np.arange(len(ks))
+        per_k = (phases,) if self._coin is None else (phases, *_derivatives(self._coin, v, phases))
+        out = []
+        for ref in refs:
+            col = np.argmax(np.abs(np.einsum("ni,nid->nd", ref.conj(), v)), axis=1)
+            out.append(tuple(a[rows, col] for a in per_k))
+        return out
 
 
 def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
@@ -235,6 +250,46 @@ def group_velocities(spec: DispersionSpectrum) -> np.ndarray:
     return spec._grid_derivatives()[0][:, _PAD:_PAD + spec._n_k]
 
 
+def _illinois(evaluate, lo, hi, f_lo, f_hi, width):
+    """Roots of f in sign-change brackets, all refined in lockstep.
+
+    Each round takes the regula falsi point of every live bracket [lo, hi]
+    and moves the end whose f has the same sign there; when the same end
+    is kept twice in a row its f is halved (the Illinois method, Dowell and
+    Jarratt, BIT 11 (1971) 168), so the iterates close in superlinearly on
+    a smooth root and about as fast as bisection across a jump.  A bracket
+    stops once it or its last step is narrower than width, or on f == 0; a
+    zero-width bracket is evaluated once.  evaluate(ks, live) maps the
+    momenta of the brackets indexed by live to a tuple of arrays, f first,
+    from one eig call.  Returns the last iterate of every bracket and,
+    stacked, the arrays evaluate returned there.
+    """
+    lo, hi, f_lo, f_hi = (np.array(a, dtype=float) for a in (lo, hi, f_lo, f_hi))
+    roots = np.full(len(lo), np.inf)
+    values = None
+    kept = np.zeros(len(lo))  # end kept by the last round: +1 high, -1 low
+    live = np.arange(len(lo))
+    for _ in range(_MAX_ROUNDS):
+        a, b, fa, fb = lo[live], hi[live], f_lo[live], f_hi[live]
+        x = a + (b - a) * np.divide(fa, fa - fb, out=np.zeros_like(fa), where=fa != fb)
+        got = np.array(evaluate(x, live))
+        if values is None:
+            values = np.empty((len(got), len(lo)))
+        step = np.abs(x - roots[live])
+        roots[live], values[:, live] = x, got
+        f = got[0]
+        low = np.sign(f) == np.sign(fa)
+        stale = np.where(low, kept[live] > 0, kept[live] < 0)
+        lo[live], hi[live] = np.where(low, x, a), np.where(low, b, x)
+        f_lo[live] = np.where(low, f, np.where(stale, 0.5 * fa, fa))
+        f_hi[live] = np.where(low, np.where(stale, 0.5 * fb, fb), f)
+        kept[live] = np.where(low, 1.0, -1.0)
+        live = live[(f != 0.0) & (np.minimum(hi[live] - lo[live], step) > width)]
+        if not len(live):
+            return roots, values
+    raise RuntimeError(f"Illinois refinement left {len(live)} brackets open after {_MAX_ROUNDS} rounds")
+
+
 @dataclass(frozen=True)
 class Wavefront:
     branch: int
@@ -262,9 +317,9 @@ def wavefront_speeds(spec: DispersionSpectrum, merge_tol: float = 1e-4) -> Wavef
     """Propagation-front speeds from band inflection points.
 
     Sign changes of the analytic omega'' on the grid are bracketed, and all
-    brackets are bisected in lockstep, one eig call per round, until each
-    is narrower than 1e-8; the speed is the analytic omega' at the
-    midpoint.  A root where |omega''| has not fallen to noise level is a
+    brackets are refined together by the Illinois method, one eig call per
+    round, to about 1e-8; the speed is the analytic omega' at the last
+    iterate.  A root where |omega''| has not fallen to noise level is a
     pole of the cot sum (a branch passing a near crossing), not an
     inflection, and is dropped.  Speeds from all branches are then
     clustered within merge_tol.
@@ -288,24 +343,14 @@ def wavefront_speeds(spec: DispersionSpectrum, merge_tol: float = 1e-4) -> Wavef
     if brackets:
         bs, js, hs = (np.array(col) for col in zip(*brackets))
         ref_vecs = spec._vec_pad[bs, js]
-        rows = np.arange(len(bs))
 
-        def followed(ks):
-            w, v, (col,) = spec._follow(ks, ref_vecs)
-            d1, d2 = _derivatives(spec._coin, v, np.angle(w))
-            return d1[rows, col], d2[rows, col]
+        def inflection(ks, live):
+            ((_, speed, curvature),) = spec._follow(ks, ref_vecs[live])
+            return curvature, speed
 
-        lo, hi = spec._k_pad[js], spec._k_pad[hs]
-        g_lo = second[bs, js]
-        while np.max(hi - lo) > _BISECT_WIDTH:
-            mid = 0.5 * (lo + hi)
-            _, g_mid = followed(mid)
-            take_left = g_lo * g_mid <= 0.0
-            hi = np.where(take_left, mid, hi)
-            lo = np.where(take_left, lo, mid)
-            g_lo = np.where(take_left, g_lo, g_mid)
-        roots = 0.5 * (lo + hi)
-        speeds, curvature = followed(roots)
+        roots, (curvature, speeds) = _illinois(
+            inflection, spec._k_pad[js], spec._k_pad[hs], second[bs, js], second[bs, hs], _FRONT_WIDTH
+        )
         for b, k, s, g in zip(bs, roots, speeds, curvature):
             if abs(g) <= _INFLECTION_TOL:
                 fronts.append(Wavefront(branch=int(b), k=float(k), speed=float(s)))
@@ -337,23 +382,52 @@ def _circle_gap(a, b):
     return np.abs(wrap_phase(a - b))
 
 
+def _gap_slope(om_i, om_j, v_i, v_j):
+    """d(gap)/dk and the gap on the phase circle of two branches."""
+    diff = wrap_phase(om_i - om_j)
+    return np.sign(diff) * (v_i - v_j), np.abs(diff)
+
+
+def _ternary_minimum(gap_at, lo, hi, sel):
+    """Gap minima in the brackets [lo, hi] of the minima sel, by a lockstep
+    ternary search, one eig call per round, down to _MINIMUM_WIDTH; returns
+    the midpoints and their gaps."""
+    lo, hi = lo.copy(), hi.copy()
+    live = np.flatnonzero(hi - lo > _MINIMUM_WIDTH)
+    while len(live):
+        third = (hi[live] - lo[live]) / 3.0
+        m1 = lo[live] + third
+        m2 = hi[live] - third
+        g = gap_at(np.concatenate([m1, m2]), np.concatenate([sel[live], sel[live]]))[-1]
+        left = g[:len(live)] <= g[len(live):]
+        hi[live] = np.where(left, m2, hi[live])
+        lo[live] = np.where(left, lo[live], m1)
+        live = live[hi[live] - lo[live] > _MINIMUM_WIDTH]
+    k = 0.5 * (lo + hi)
+    return k, gap_at(k, sel)[-1]
+
+
 def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
     """Locate and classify interbranch gap minima.
 
     Local minima of the eigenphase distance (on the phase circle) of each
-    branch pair are refined together by one lockstep ternary search, one
-    eig call per round, until each bracket is narrower than 1e-12; minima
-    with refined gap at most gap_tol are crossings, the rest avoided.  A
-    grid minimum must sit below both neighbours by more than the eigenphase
-    noise floor (a small multiple of eps * pi); a run of samples equal
-    within that floor, such as a minimum midway between two samples, counts
-    as one minimum and is refined over the whole run.  Each minimum is
-    reported once per 2pi period, so a pair with a constant non-zero gap
-    yields no entry at all, while pairs degenerate over the whole grid
-    yield a single entry flagged continuum=True.
+    branch pair are refined together as roots of the analytic
+    d(gap)/dk = sign(omega_i - omega_j) (omega'_i - omega'_j) by the
+    Illinois method, one eig call per round, to about 1e-12; the gap is
+    read at the last iterate.  Minima with refined gap at most gap_tol are
+    crossings, the rest avoided.  A spectrum without a coin, a bracket
+    whose slope keeps its sign, and a minimum that refined to a wider gap
+    than the grid saw are searched on the gap itself by a ternary search
+    instead.  A grid minimum must sit below both neighbours by more than
+    the eigenphase noise floor (a small multiple of eps * pi); a run of
+    samples equal within that floor, such as a minimum midway between two
+    samples, counts as one minimum and is refined over the whole run.  Each
+    minimum is reported once per 2pi period, so a pair with a constant
+    non-zero gap yields no entry at all, while pairs degenerate over the
+    whole grid yield a single entry flagged continuum=True.
     """
     out: list[Crossing] = []
-    minima = []  # (branch i, branch j, first sample of the minimum, bracket ends)
+    minima = []  # (branch i, branch j, first sample of the minimum, bracket ends, least grid gap)
     nb = spec.n_branches
     lo_idx = _PAD - 1
     hi_idx = _PAD + spec._n_k + 1
@@ -383,36 +457,36 @@ def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
                 m = p + 1
                 if sign[p] > 0 or sign[q] < 0 or not _PAD <= m < _PAD + spec._n_k:
                     continue
-                minima.append((i, j, m, p, q + 1))
+                minima.append((i, j, m, p, q + 1, np.min(d[p:q + 2])))
 
     if minima:
-        bi, bj, ms, ps, qs = (np.array(col) for col in zip(*minima))
-        vec_i, om_i = spec._vec_pad[bi, ms], spec._omega_pad[bi, ms]
-        vec_j, om_j = spec._vec_pad[bj, ms], spec._omega_pad[bj, ms]
+        bi, bj, ms, ps, qs, least = (np.array(col) for col in zip(*minima))
+        vec_i, vec_j = spec._vec_pad[bi, ms], spec._vec_pad[bj, ms]
 
         def gap_at(ks, sel):
-            # both branches of each selected minimum, unwrapped to the 2pi
-            # window of their reference omegas
-            w, _, (ci, cj) = spec._follow(ks, vec_i[sel], vec_j[sel])
-            rows = np.arange(len(ks))
-            ph_i, ph_j = np.angle(w[rows, ci]), np.angle(w[rows, cj])
-            oi = ph_i + 2.0 * np.pi * np.round((om_i[sel] - ph_i) / (2.0 * np.pi))
-            oj = ph_j + 2.0 * np.pi * np.round((om_j[sel] - ph_j) / (2.0 * np.pi))
-            return _circle_gap(oi, oj)
+            # slope (with a coin) and gap of each selected minimum's pair
+            (ph_i, *d_i), (ph_j, *d_j) = spec._follow(ks, vec_i[sel], vec_j[sel])
+            return _gap_slope(ph_i, ph_j, d_i[0], d_j[0]) if d_i else (_circle_gap(ph_i, ph_j),)
 
-        lo, hi = spec._k_pad[ps], spec._k_pad[qs]
-        live = np.flatnonzero(hi - lo > _TERNARY_WIDTH)
-        while len(live):
-            third = (hi[live] - lo[live]) / 3.0
-            m1 = lo[live] + third
-            m2 = hi[live] - third
-            g = gap_at(np.concatenate([m1, m2]), np.concatenate([live, live]))
-            left = g[:len(live)] <= g[len(live):]
-            hi[live] = np.where(left, m2, hi[live])
-            lo[live] = np.where(left, lo[live], m1)
-            live = live[hi[live] - lo[live] > _TERNARY_WIDTH]
-        k_star = 0.5 * (lo + hi)
-        gaps = gap_at(k_star, np.arange(len(k_star)))
+        k_star = spec._k_pad[ps]
+        gaps = np.full(len(ps), np.inf)
+        if spec._coin is not None:
+            om, first = spec._omega_pad, spec._grid_derivatives()[0]
+            f_lo, f_hi = (_gap_slope(om[bi, s], om[bj, s], first[bi, s], first[bj, s])[0] for s in (ps, qs))
+            sel = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
+            if len(sel):
+                k_star[sel], (_, gaps[sel]) = _illinois(
+                    lambda ks, live: gap_at(ks, sel[live]),
+                    spec._k_pad[ps[sel]], spec._k_pad[qs[sel]], f_lo[sel], f_hi[sel], _MINIMUM_WIDTH,
+                )
+        # the ternary search on the gap itself serves a spectrum without a
+        # coin, a bracket whose slope keeps its sign (branch tracking passed
+        # diabatically through a narrower avoided crossing) and a minimum
+        # that refined to a wider gap than the grid saw
+        redo = np.flatnonzero(gaps > least + _PHASE_NOISE_FLOOR)
+        if len(redo):
+            lo, hi = spec._k_pad[ps[redo]], spec._k_pad[qs[redo]]
+            k_star[redo], gaps[redo] = _ternary_minimum(gap_at, lo, hi, redo)
         for i, j, k, gap in zip(bi, bj, k_star, gaps):
             kind = "crossing" if gap <= gap_tol else "avoided"
             out.append(Crossing(k=float(k), branches=(int(i), int(j)), gap=float(gap), kind=kind))

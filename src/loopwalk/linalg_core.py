@@ -2,7 +2,7 @@
 
 All matrices are numpy complex arrays. Unitarity is always checked against
 max-abs deviation of U^dag U from the identity, never against determinants.
-Eigenphases are reported in the half-open interval [-pi, pi).
+Phases are wrapped into the half-open interval [-pi, pi).
 """
 
 from __future__ import annotations
@@ -42,39 +42,6 @@ def assert_unitary(a: np.ndarray, tol: float = DEFAULT_UNITARY_TOL, name: str = 
 def wrap_phase(phi):
     """Map angles into [-pi, pi)."""
     return np.mod(np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-
-
-def eig_unitary(u: np.ndarray, tol: float = DEFAULT_UNITARY_TOL):
-    """Eigenphases and orthonormal eigenvectors of a unitary matrix.
-
-    Returns (phases, vectors) with phases sorted ascending in [-pi, pi) and
-    vectors[:, j] the eigenvector for phases[j].  numpy's general eigensolver
-    does not promise orthogonal eigenvectors inside degenerate eigenspaces, so
-    eigenvalues are clustered by phase proximity and each cluster is
-    re-orthonormalized by QR in input order.
-    """
-    u = assert_unitary(u, tol=tol, name="eig_unitary input")
-    w, v = np.linalg.eig(u)
-    phases = wrap_phase(np.angle(w))
-    order = np.argsort(phases, kind="stable")
-    phases = phases[order]
-    v = v[:, order]
-
-    # cluster nearly equal phases (cyclically adjacent at the +-pi seam too)
-    n = len(phases)
-    cluster_gap = 1e-8
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(phases[stop] - phases[stop - 1]) <= cluster_gap:
-            stop += 1
-        if stop - start > 1:
-            q, _ = np.linalg.qr(v[:, start:stop])
-            v[:, start:stop] = q
-        else:
-            v[:, start] /= np.linalg.norm(v[:, start])
-        start = stop
-    return phases, v
 
 
 def svd_2x2(m: np.ndarray):

@@ -222,6 +222,29 @@ def hellmann_feynman_velocities(coin: np.ndarray, k: float, cluster_tol: float =
     return phases, velocities
 
 
+def eig_unitary(u: np.ndarray, cluster_gap: float = 1e-8):
+    """Eigenphases and orthonormal eigenvectors of a unitary matrix.
+
+    Returns (phases, vectors) with phases sorted ascending in [-pi, pi) and
+    vectors[:, j] the eigenvector for phases[j].  numpy's general eigensolver
+    does not promise orthogonal eigenvectors inside degenerate eigenspaces, so
+    runs of phases closer than cluster_gap are re-orthonormalised by QR in
+    input order, and every other vector is normalised.
+    """
+    w, v = np.linalg.eig(np.asarray(u, dtype=complex))
+    phases = np.mod(np.angle(w) + np.pi, 2.0 * np.pi) - np.pi
+    order = np.argsort(phases, kind="stable")
+    phases, v = phases[order], v[:, order]
+    start = 0
+    while start < len(phases):
+        stop = start + 1
+        while stop < len(phases) and phases[stop] - phases[stop - 1] <= cluster_gap:
+            stop += 1
+        v[:, start:stop] = np.linalg.qr(v[:, start:stop])[0]
+        start = stop
+    return phases, v
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""

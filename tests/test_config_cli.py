@@ -14,6 +14,7 @@ import oracles
 from loopwalk import cli
 from loopwalk.config import ConfigError, parse_config, parse_config_dict
 from loopwalk.optics import full_coin
+from loopwalk.walk_engine import CoinProgram
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs")
@@ -271,6 +272,20 @@ def test_errorbars_raw_matrix_base():
         {"kind": "errorbars", "base": raw_base, "angle_err_deg": 0.0}
     )
     assert cfg.angle_err_deg == 0.0
+
+
+def test_errorbars_leaking_program_exits_3_before_sampling(monkeypatch, capsys):
+    cfg = parse_config(os.path.join(CONFIG_DIR, "errorbars_circle8.yaml"))
+    # without its end coins the ring program walks off the graph
+    cfg.base.program = CoinProgram(default=cfg.base.program.default)
+    monkeypatch.setattr(cli, "parse_config", lambda path: cfg)
+
+    def sample(*args, **kwargs):
+        raise AssertionError("sampled a leaking walk")
+
+    monkeypatch.setattr(cli, "monte_carlo_error_bars", sample)
+    assert cli.main(["errorbars", "--config", "unused.yaml"]) == 3
+    assert "walker left the graph" in capsys.readouterr().err
 
 
 def test_parse_config_file_errors(tmp_path):

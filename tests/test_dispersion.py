@@ -488,3 +488,94 @@ def test_band_structure_matches_sequential_connection():
         omega, vecs = sequential_branches(coin, spec._k_pad)
         assert np.array_equal(spec._omega_pad, omega)
         assert np.array_equal(spec._vec_pad, vecs)
+
+
+# --- refinement of fronts and gap minima ------------------------------------
+
+
+def branch_map(coarse, fine):
+    """Branch of `fine` for every branch of `coarse`, matched by eigenphase
+    at k = -pi (the first sample of both grids)."""
+    dist = np.abs(wrap_phase(coarse.omegas[:, :1] - fine.omegas[:, 0]))
+    labels = np.argmin(dist, axis=1)
+    assert sorted(labels) == list(range(fine.n_branches))
+    return labels
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_fronts_and_minima_stable_when_n_k_doubles(seed):
+    coin = random_unitary(4, np.random.default_rng(seed))
+    coarse, fine = band_structure(coin, n_k=512), band_structure(coin, n_k=1024)
+    ws_c, ws_f = wavefront_speeds(coarse), wavefront_speeds(fine)
+    assert len(ws_c.fronts) == len(ws_f.fronts)
+    assert len(ws_c.speeds) == len(ws_f.speeds)
+    assert np.max(np.abs(ws_c.speeds - ws_f.speeds), initial=0.0) <= 1e-9
+    labels = branch_map(coarse, fine)
+
+    def by_pair(found, relabel):
+        pairs = {}
+        for c in found:
+            pairs.setdefault(tuple(sorted(relabel[b] for b in c.branches)), []).append(c)
+        return pairs
+
+    got_c = by_pair(classify_crossings(coarse), labels)
+    got_f = by_pair(classify_crossings(fine), range(fine.n_branches))
+    assert got_c.keys() == got_f.keys()
+    for pair, found_c in got_c.items():
+        found_f = got_f[pair]
+        assert len(found_c) == len(found_f), pair
+        for a in found_c:
+            b = min(found_f, key=lambda c: abs(wrap_phase(c.k - a.k)))
+            assert a.kind == b.kind, pair
+            assert abs(wrap_phase(a.k - b.k)) <= 1e-7, pair
+
+
+def test_avoided_minima_have_equal_branch_velocities():
+    # d(gap)/dk = 0 at a smooth minimum: both branches move at one speed
+    rng = np.random.default_rng(82)
+    coins = [random_unitary(4, rng) for _ in range(3)] + [random_element_coin(rng) for _ in range(3)]
+    checked = 0
+    for coin in coins:
+        for c in classify_crossings(band_structure(coin)):
+            if c.kind != "avoided":
+                continue
+            phases, velocities = oracles.hellmann_feynman_velocities(coin, c.k)
+            # the oracle's eigenphase pair separated by the refined gap
+            pairs = [(n, m) for n in range(4) for m in range(n + 1, 4)]
+            n, m = min(pairs, key=lambda nm: abs(abs(wrap_phase(phases[nm[0]] - phases[nm[1]])) - c.gap))
+            assert abs(abs(wrap_phase(phases[n] - phases[m])) - c.gap) <= 1e-9
+            assert abs(velocities[n] - velocities[m]) <= 1e-9
+            checked += 1
+    assert checked == 64
+
+
+@pytest.mark.parametrize(
+    "coin, n_avoided",
+    [(full_coin(MINUS_IX, MINUS_IX, hwp_matrix(22.5)), 8), (crossing_coin(), 4)],
+    ids=["hadamard", "crossing"],
+)
+def test_symmetric_avoided_minima_land_on_zero_and_minus_pi(coin, n_avoided):
+    # by the k -> -k symmetry these minima sit exactly on grid samples
+    found = [c for c in classify_crossings(band_structure(coin)) if c.kind == "avoided"]
+    assert len(found) == n_avoided
+    for c in found:
+        target = min((0.0, -np.pi), key=lambda t: abs(wrap_phase(c.k - t)))
+        assert abs(c.k - target) <= 1e-12, c
+
+
+def test_near_degenerate_minima_not_above_their_grid_samples():
+    # branch tracking passes diabatically through a 4.7e-3 avoided crossing
+    # of this coin, so some grid brackets of the (0,2) and (1,3) gaps carry
+    # no sign change of d(gap)/dk; the refined gap must still sit at or
+    # below the grid samples enclosing it
+    spec = band_structure(element_coin(NEAR_DEGENERATE))
+    h = spec.spacing
+    found = classify_crossings(spec)
+    assert len(found) == 16
+    for c in found:
+        i, j = c.branches
+        grid_gap = np.abs(wrap_phase(spec.omegas[i] - spec.omegas[j]))
+        s = np.floor((c.k + np.pi) / h).astype(int)
+        enclosing = grid_gap[[s % spec._n_k, (s + 1) % spec._n_k]]
+        assert c.gap <= np.min(enclosing) + 64.0 * np.finfo(float).eps * np.pi, c
