@@ -20,49 +20,16 @@ from .graph_programs import MappedRecord, SiteMap, map_sites
 from .walk_engine import CoinProgram, InitialState, IntensityRecord, evolve
 
 
-def _flatten_table(table, resolved: bool) -> dict:
-    """One distribution as {key: float}; vector values keep or sum the mode axis."""
-    out = {}
-    for pos, val in table.items():
-        arr = np.atleast_1d(np.asarray(val, dtype=float))
-        if np.any(arr < 0.0):
-            raise ValueError(f"negative intensity at {pos!r}")
-        if resolved and arr.size > 1:
-            for i, x in enumerate(arr):
-                out[(pos, i)] = float(x)
-        else:
-            out[pos] = float(np.sum(arr))
-    return out
-
-
-def similarity(p, q, resolved: bool = False) -> float:
-    """Amplitude overlap squared of two distributions.
-
-    Mappings may carry scalar or per-mode vector values; resolved=True
-    compares mode-resolved entries, otherwise modes are summed per key
-    first.  Keys missing from either side contribute nothing.  Plain
-    arrays are compared index-wise.  Negative entries are rejected.
-    """
-    p_is_map = hasattr(p, "items")
-    q_is_map = hasattr(q, "items")
-    if p_is_map != q_is_map:
-        raise ValueError("cannot compare a keyed distribution with a plain sequence")
-    if not p_is_map:
-        pv = np.asarray(p, dtype=float)
-        qv = np.asarray(q, dtype=float)
-        if pv.shape != qv.shape:
-            raise ValueError(f"shape mismatch {pv.shape} vs {qv.shape}")
-        if np.any(pv < 0.0) or np.any(qv < 0.0):
-            raise ValueError("negative intensity entry")
-        amp = float(np.sum(np.sqrt(pv * qv)))
-        return amp * amp
-    pf = _flatten_table(p, resolved)
-    qf = _flatten_table(q, resolved)
-    amp = 0.0
-    for k, pk in pf.items():
-        qk = qf.get(k, 0.0)
-        if pk > 0.0 and qk > 0.0:
-            amp += float(np.sqrt(pk * qk))
+def similarity(p, q) -> float:
+    """Amplitude overlap squared of two distributions given as arrays of the
+    same shape, compared index-wise.  Negative entries are rejected."""
+    pv = np.asarray(p, dtype=float)
+    qv = np.asarray(q, dtype=float)
+    if pv.shape != qv.shape:
+        raise ValueError(f"shape mismatch {pv.shape} vs {qv.shape}")
+    if np.any(pv < 0.0) or np.any(qv < 0.0):
+        raise ValueError("negative intensity entry")
+    amp = float(np.sum(np.sqrt(pv * qv)))
     return amp * amp
 
 
@@ -71,15 +38,6 @@ class SimilarityReport:
     per_step: list
     mean: float
     resolved: bool
-
-
-def _step_tables(record, resolved: bool):
-    """Normalize the record argument to a list of keyed per-step distributions."""
-    if isinstance(record, IntensityRecord):
-        record = [
-            dict(zip(record.positions(t).tolist(), record.intensity(t))) for t in range(len(record))
-        ]
-    return [_flatten_table(table, resolved) for table in record]
 
 
 def average_similarity(per_step, t: Optional[int] = None) -> float:
@@ -96,17 +54,27 @@ def average_similarity(per_step, t: Optional[int] = None) -> float:
     return float(np.mean(vals[:t]))
 
 
-def similarity_report(record_p, record_q, resolved: bool = False, steps=None) -> SimilarityReport:
+def similarity_report(
+    record_p: IntensityRecord, record_q: IntensityRecord, resolved: bool = False, steps=None
+) -> SimilarityReport:
     """Per-step similarity of two records with their mean.
 
-    resolved=True compares mode-resolved intensities; otherwise positions.
-    `steps` restricts to a subset of step indices (default: all shared).
+    The records' windows are aligned by position.  resolved=True compares
+    mode-resolved intensities; otherwise positions.  `steps` restricts to a
+    subset of step indices (default: all shared).
     """
-    tp = _step_tables(record_p, resolved)
-    tq = _step_tables(record_q, resolved)
-    n = min(len(tp), len(tq))
+    n = min(len(record_p), len(record_q))
+    lo = min(record_p.offset, record_q.offset)
+    hi = max(r.offset + r.intensities.shape[1] for r in (record_p, record_q))
+
+    def aligned(record):
+        out = np.zeros((n, hi - lo, 4))
+        out[:, record.offset - lo : record.offset - lo + record.intensities.shape[1]] = record.intensities[:n]
+        return out if resolved else out.sum(axis=2)
+
+    tp, tq = aligned(record_p), aligned(record_q)
     idx = range(n) if steps is None else steps
-    per_step = [(t, similarity(tp[t], tq[t], resolved=resolved)) for t in idx]
+    per_step = [(t, similarity(tp[t], tq[t])) for t in idx]
     mean = average_similarity(per_step) if per_step else 0.0
     return SimilarityReport(per_step=per_step, mean=mean, resolved=resolved)
 

@@ -215,7 +215,7 @@ def _cmd_decompose(cfg: RunConfig, args) -> str:
 def _cmd_errorbars(cfg: RunConfig, args) -> str:
     _require_kind(cfg, {"errorbars"}, "errorbars")
     base = cfg.base
-    steps = base.steps if args.steps is None else args.steps
+    steps = _steps(base, args)
     seed = cfg.seed if args.seed is None else args.seed
     record = evolve(base.initial, base.program, steps)
     if base.site_map is not None:

@@ -15,14 +15,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .graph_programs import (
-    FLAVORS,
-    CircleSpec,
-    FigureEightSpec,
-    SiteMap,
-    circle_program,
-    figure_eight_program,
-)
+from .graph_programs import FLAVORS, CircleSpec, FigureEightSpec, SiteMap, ring_chain
 from .linalg_core import unitarity_defect
 from .optics import ArmSetting, OpticalElement
 from .walk_engine import CoinProgram, ElementCoin, InitialState, RawCoin, make_initial
@@ -161,7 +154,6 @@ class RunConfig:
     initial: Optional[InitialState] = None
     steps: int = 0
     site_map: Optional[SiteMap] = None
-    graph_spec: object = None
     coin_matrix: Optional[np.ndarray] = None
     n_k: int = 1024
     merge_tol: float = 1e-4
@@ -188,53 +180,34 @@ def _parse_line(d: dict) -> RunConfig:
     return RunConfig(kind="line", program=CoinProgram(default=coin), initial=initial, steps=steps)
 
 
-def _parse_circle(d: dict) -> RunConfig:
-    flavor = _take(d, "flavor", "circle", default="hadamard_like")
-    num_sites = _integer(_take(d, "num_sites", "circle", required=True), "circle.num_sites")
-    left_end = _integer(_take(d, "left_end", "circle", default=0), "circle.left_end")
-    initial = _parse_initial(_take(d, "initial", "circle"), "circle.initial")
-    steps = _integer(_take(d, "steps", "circle", default=25), "circle.steps")
-    _reject_unknown(d, "circle")
-    if flavor not in FLAVORS:
-        raise ConfigError(f"circle.flavor: unknown flavor {flavor!r}")
-    try:
-        spec = CircleSpec(num_sites=num_sites, left_end=left_end, flavor=flavor)
-    except ValueError as exc:
-        raise ConfigError(f"circle: {exc}") from exc
-    program, site_map = circle_program(spec)
-    return RunConfig(
-        kind="circle",
-        program=program,
-        initial=initial,
-        steps=steps,
-        site_map=site_map,
-        graph_spec=spec,
-    )
+# per graph kind: spec class, its integer keys with defaults (None: required),
+# default flavor and default step count
+_GRAPHS = {
+    "circle": (CircleSpec, {"num_sites": None, "left_end": 0}, "hadamard_like", 25),
+    "figure_eight": (FigureEightSpec, {"left_end": -4, "center": 0, "right_end": 4}, "non_mixing", 32),
+}
 
 
-def _parse_figure_eight(d: dict) -> RunConfig:
-    flavor = _take(d, "flavor", "figure_eight", default="non_mixing")
-    left_end = _integer(_take(d, "left_end", "figure_eight", default=-4), "figure_eight.left_end")
-    center = _integer(_take(d, "center", "figure_eight", default=0), "figure_eight.center")
-    right_end = _integer(_take(d, "right_end", "figure_eight", default=4), "figure_eight.right_end")
-    initial = _parse_initial(_take(d, "initial", "figure_eight"), "figure_eight.initial")
-    steps = _integer(_take(d, "steps", "figure_eight", default=32), "figure_eight.steps")
-    _reject_unknown(d, "figure_eight")
+def _parse_graph(d: dict, kind: str) -> RunConfig:
+    spec_class, keys, default_flavor, default_steps = _GRAPHS[kind]
+    flavor = _take(d, "flavor", kind, default=default_flavor)
+    ints = {
+        key: _integer(_take(d, key, kind, required=default is None, default=default), f"{kind}.{key}")
+        for key, default in keys.items()
+    }
+    initial = _parse_initial(_take(d, "initial", kind), f"{kind}.initial")
+    steps = _integer(_take(d, "steps", kind, default=default_steps), f"{kind}.steps")
+    _reject_unknown(d, kind)
+    if steps < 0:
+        raise ConfigError(f"{kind}.steps: must be nonnegative")
     if flavor not in FLAVORS:
-        raise ConfigError(f"figure_eight.flavor: unknown flavor {flavor!r}")
+        raise ConfigError(f"{kind}.flavor: unknown flavor {flavor!r}")
     try:
-        spec = FigureEightSpec(left_end=left_end, center=center, right_end=right_end, flavor=flavor)
+        spec = spec_class(flavor=flavor, **ints)
     except ValueError as exc:
-        raise ConfigError(f"figure_eight: {exc}") from exc
-    program, site_map = figure_eight_program(spec)
-    return RunConfig(
-        kind="figure_eight",
-        program=program,
-        initial=initial,
-        steps=steps,
-        site_map=site_map,
-        graph_spec=spec,
-    )
+        raise ConfigError(f"{kind}: {exc}") from exc
+    program, site_map = ring_chain(spec.stops, spec.flavor)
+    return RunConfig(kind=kind, program=program, initial=initial, steps=steps, site_map=site_map)
 
 
 def _parse_dispersion(d: dict) -> RunConfig:
@@ -287,6 +260,11 @@ def _parse_errorbars(d: dict) -> RunConfig:
             raise ConfigError("errorbars.support: expected a list of integers")
         if base.site_map is None:
             raise ConfigError("errorbars.support: only meaningful for circle/figure_eight bases")
+        for i, node in enumerate(support):
+            if not 0 <= node < base.site_map.num_nodes:
+                raise ConfigError(f"errorbars.support: node {node} is not in [0, {base.site_map.num_nodes})")
+            if node in support[:i]:
+                raise ConfigError(f"errorbars.support: node {node} is listed twice")
     if angle_err > 0.0 and not base.program.has_elements:
         raise ConfigError("errorbars: base coin has no element angles to perturb")
     return RunConfig(
@@ -304,8 +282,8 @@ def _parse_errorbars(d: dict) -> RunConfig:
 
 _PARSERS = {
     "line": _parse_line,
-    "circle": _parse_circle,
-    "figure_eight": _parse_figure_eight,
+    "circle": lambda d: _parse_graph(d, "circle"),
+    "figure_eight": lambda d: _parse_graph(d, "figure_eight"),
     "dispersion": _parse_dispersion,
     "decompose": _parse_decompose,
     "errorbars": _parse_errorbars,

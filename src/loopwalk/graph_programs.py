@@ -1,31 +1,39 @@
-"""Coin programs realizing walks on closed graphs inside the line lattice.
+"""Coin programs realizing walks on chains of rings inside the line lattice.
 
-A circle of 2N sites is embedded between two end positions N apart: the
-cc direction subspace forms the upper arc, the c subspace the lower arc,
-and at the two end positions the subspaces join (reflection coins turn the
-walker around without leaking past the ends).
+A chain of K rings lies on the line between ascending stops
+s_0 < s_1 < ... < s_K.  The ends L = s_0 and R = s_K get the end coin,
+which turns the walker around without leaking past them; the K - 1
+junctions s_1 .. s_{K-1} get the center coin, which couples all four
+modes and switches the walker between the two rings meeting there; every
+other position gets the inner coin.  Between two neighbouring stops the
+c direction subspace forms one arc of a ring and the cc subspace the
+other, and the two arcs meet at the stops.
 
-Site numbering: going around the circle, nodes are m = 0 .. 2N-1 with
+Site numbering: there are M = 2(R - L) - K + 1 nodes, and
 
-    m(x, cc) = (x - left_end + 1) mod 2N
-    m(x, c)  = (left_end + 1 - x) mod 2N
+    m(x, c)  = (x - L + s_1 - L - 1) mod M          for L <= x <= R,
+    m(x, cc) = m(x, c) at a stop, else
+               (m(x, c) + 2(R - x) + 1 - #{stops > x}) mod M,
 
-so both subspaces agree at the ends (m = 1 and m = N + 1).
+except that a single ring (K = 1) takes the mirror image
+m -> (R - L - m) mod M.  The circle of 2N sites between L and L + N is
+K = 1, with
 
-A figure-eight shares one center position between a left and a right
-circle; the center coin couples all four modes, switching the walker
-between lobes.  With arc lengths N_l and N_r there are
-2 N_l + 2 N_r - 1 distinct nodes and the center is node 2 N_l - 1.
+    m(x, cc) = (x - L + 1) mod 2N,    m(x, c) = (L + 1 - x) mod 2N,
+
+so both subspaces agree at the ends (m = 1 and m = N + 1).  The
+figure-eight with center C is K = 2: 2(C - L) + 2(R - C) - 1 nodes, the
+center being node 2(C - L) - 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .optics import ArmSetting, OpticalElement
-from .walk_engine import CCH, CCV, CH, CV, CoinProgram, ElementCoin, IntensityRecord, RawCoin
+from .walk_engine import CCH, CCV, CH, CV, CoinProgram, ElementCoin, IntensityRecord
 
 FLAVORS = ("non_mixing", "hadamard_like")
 NO_POSITION = np.iinfo(np.int64).min
@@ -79,7 +87,8 @@ def _check_flavor(flavor: str):
 
 @dataclass(frozen=True)
 class CircleSpec:
-    """Closed walk on num_sites = 2N nodes between left_end and left_end + N."""
+    """Closed walk on num_sites = 2N nodes: the one-ring chain with stops
+    left_end and left_end + N."""
 
     num_sites: int
     left_end: int = 0
@@ -91,17 +100,14 @@ class CircleSpec:
         _check_flavor(self.flavor)
 
     @property
-    def half(self) -> int:
-        return self.num_sites // 2
-
-    @property
-    def right_end(self) -> int:
-        return self.left_end + self.half
+    def stops(self) -> tuple:
+        return (self.left_end, self.left_end + self.num_sites // 2)
 
 
 @dataclass(frozen=True)
 class FigureEightSpec:
-    """Two circles sharing the center position."""
+    """Two circles sharing the center position: the two-ring chain with
+    stops left_end, center and right_end."""
 
     left_end: int = -4
     center: int = 0
@@ -117,110 +123,66 @@ class FigureEightSpec:
         _check_flavor(self.flavor)
 
     @property
+    def stops(self) -> tuple:
+        return (self.left_end, self.center, self.right_end)
+
+    @property
     def num_nodes(self) -> int:
         n_l = self.center - self.left_end
         n_r = self.right_end - self.center
         return 2 * n_l + 2 * n_r - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SiteMap:
     """Bijection between (line position, direction subspace) and node index.
 
-    Keys of `mapping` are (x, 'c') or (x, 'cc'); at shared positions (ends,
-    center) both keys exist and map to the same node.  `node_positions[0, m]`
-    and `node_positions[1, m]` are the positions whose c and cc subspaces
-    feed node m, or NO_POSITION where none does.
+    `node_positions[0, m]` and `node_positions[1, m]` are the positions
+    whose c and cc subspaces feed node m, or NO_POSITION where none does;
+    at a stop both subspaces feed the same node.
     """
 
-    mapping: dict
-    num_nodes: int
-    description: str = ""
-    node_positions: np.ndarray = field(init=False, repr=False, compare=False)
+    node_positions: np.ndarray
 
-    def __post_init__(self):
-        positions = np.full((2, self.num_nodes), NO_POSITION)
-        for (x, subspace), m in self.mapping.items():
-            positions[("c", "cc").index(subspace), m] = x
-        object.__setattr__(self, "node_positions", positions)
+    @property
+    def num_nodes(self) -> int:
+        return self.node_positions.shape[1]
 
     def node_of(self, x: int, subspace: str) -> int:
-        return self.mapping[(x, subspace)]
+        """The node fed by subspace 'c' or 'cc' at position x."""
+        (m,) = np.flatnonzero(self.node_positions[("c", "cc").index(subspace)] == x)
+        return int(m)
 
 
-def line_program(c_a: np.ndarray, c_b: np.ndarray, c_l: np.ndarray) -> CoinProgram:
-    """Uniform program from raw 2x2 blocks (position and time independent)."""
-    from .optics import full_coin
+def ring_chain(stops, flavor: str):
+    """(CoinProgram, SiteMap) of the chain of rings between ascending stops.
 
-    return CoinProgram(default=RawCoin(full_coin(c_a, c_b, c_l)))
-
-
-def circle_map(spec: CircleSpec) -> SiteMap:
-    two_n = spec.num_sites
-    mapping = {}
-    for x in range(spec.left_end, spec.right_end + 1):
-        mapping[(x, "cc")] = (x - spec.left_end + 1) % two_n
-        mapping[(x, "c")] = (spec.left_end + 1 - x) % two_n
-    return SiteMap(
-        mapping=mapping,
-        num_nodes=two_n,
-        description=f"circle of {two_n} sites on [{spec.left_end}, {spec.right_end}]",
-    )
-
-
-def circle_program(spec: CircleSpec):
-    """(CoinProgram, SiteMap) realizing a closed circle walk.
-
-    End positions get the reflecting setting, everything else the inner
-    setting.  The two ends share one element class (and therefore share
-    perturbation draws in error sampling).
+    End coins at the first and last stop, center coins at the others, inner
+    coins everywhere else; each coin class is one shared object (and
+    therefore shares perturbation draws in error sampling).  Nodes are
+    numbered by the rule in the module docstring.
     """
-    inner = _inner_coin(spec.flavor)
-    end = _end_coin(spec.flavor)
-    program = CoinProgram(
-        default=inner,
-        overrides={spec.left_end: end, spec.right_end: end},
-    )
-    return program, circle_map(spec)
+    _check_flavor(flavor)
+    s = np.asarray(stops)
+    if s.ndim != 1 or len(s) < 2 or s.dtype.kind not in "iu" or np.any(np.diff(s) <= 0):
+        raise ValueError(f"stops must be at least two ascending integers, got {stops!r}")
+    left, right, k = int(s[0]), int(s[-1]), len(s) - 1
+    end, center = _end_coin(flavor), _center_coin(flavor)
+    overrides = {int(x): center for x in s[1:-1]}
+    overrides[left] = overrides[right] = end
+    program = CoinProgram(default=_inner_coin(flavor), overrides=overrides)
 
-
-def figure_eight_map(spec: FigureEightSpec) -> SiteMap:
-    n_l = spec.center - spec.left_end
-    total = spec.num_nodes
-    mapping = {}
-    for x in range(spec.left_end, spec.right_end + 1):
-        xi = x - spec.center
-        mapping[(x, "c")] = (2 * n_l - 1 + xi) % total
-        if xi > 0:
-            mapping[(x, "cc")] = (total - xi) % total
-        elif xi < 0:
-            mapping[(x, "cc")] = -1 - xi
-        else:
-            mapping[(x, "cc")] = 2 * n_l - 1
-    return SiteMap(
-        mapping=mapping,
-        num_nodes=total,
-        description=(
-            f"figure-eight of {total} nodes on [{spec.left_end}, {spec.right_end}], "
-            f"center {spec.center}"
-        ),
-    )
-
-
-def figure_eight_program(spec: FigureEightSpec):
-    """(CoinProgram, SiteMap) for two lobes joined at the center position."""
-    inner = _inner_coin(spec.flavor)
-    end = _end_coin(spec.flavor)
-    center = _center_coin(spec.flavor)
-    program = CoinProgram(
-        default=inner,
-        overrides={
-            spec.left_end: end,
-            spec.right_end: end,
-            spec.center: center,
-        },
-    )
-    return program, figure_eight_map(spec)
+    total = 2 * (right - left) - k + 1
+    x = np.arange(left, right + 1)
+    c = x - left + s[1] - left - 1
+    later = len(s) - np.searchsorted(s, x, side="right")  # stops beyond x
+    nodes = np.stack([c, np.where(np.isin(x, s), c, c + 2 * (right - x) + 1 - later)]) % total
+    if k == 1:
+        nodes = (right - left - nodes) % total
+    positions = np.full((2, total), NO_POSITION)
+    positions[0, nodes[0]] = x
+    positions[1, nodes[1]] = x
+    return program, SiteMap(positions)
 
 
 class MappedRecord(IntensityRecord):

@@ -34,11 +34,7 @@ from .optics import ArmSetting, OpticalElement, arm_operator, full_coin, loop_op
 CH, CV, CCH, CCV = 0, 1, 2, 3
 MODE_NAMES = ("cH", "cV", "ccH", "ccV")
 
-# effective two-mode walks use (R, L) component order
-R2, L2 = 0, 1
-
 InitialState = dict  # position -> complex (4,) amplitudes, as make_initial builds it
-Effective2DState = dict  # position -> complex (2,) amplitudes
 
 
 class ProgramError(KeyError):
@@ -395,29 +391,6 @@ def final_state(initial: InitialState, program: CoinProgram, steps: int) -> Walk
     for state in evolve_states(initial, program, steps):
         pass
     return state
-
-
-def effective_2d_evolve(initial: Effective2DState, coin: np.ndarray, steps: int):
-    """Reference two-mode walk: coin then shift, R moves +1 and L moves -1.
-
-    Returns a list over steps of {position: (2,) float intensities}.
-    """
-    coin = np.asarray(coin, dtype=complex)
-    state = {x: np.array(a, dtype=complex) for x, a in initial.items()}
-    record = [{x: np.abs(a) ** 2 for x, a in state.items()}]
-    for _ in range(steps):
-        new: Effective2DState = {}
-        for x, amp in state.items():
-            c = coin @ amp
-            if c[R2] != 0.0:
-                vec = new.setdefault(x + 1, np.zeros(2, dtype=complex))
-                vec[R2] += c[R2]
-            if c[L2] != 0.0:
-                vec = new.setdefault(x - 1, np.zeros(2, dtype=complex))
-                vec[L2] += c[L2]
-        state = new
-        record.append({x: np.abs(a) ** 2 for x, a in state.items()})
-    return record
 
 
 TRACE_LABELS = {

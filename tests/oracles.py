@@ -144,6 +144,65 @@ def path_enumeration_2d(initial: dict, coin2: np.ndarray, steps: int) -> dict:
     return out
 
 
+# effective two-mode walks use (R, L) component order
+R2, L2 = 0, 1
+
+Effective2DState = dict  # position -> complex (2,) amplitudes
+
+
+def effective_2d_evolve(initial: Effective2DState, coin: np.ndarray, steps: int):
+    """Reference two-mode walk: coin then shift, R moves +1 and L moves -1.
+
+    Returns a list over steps of {position: (2,) float intensities}.
+    """
+    coin = np.asarray(coin, dtype=complex)
+    state = {x: np.array(a, dtype=complex) for x, a in initial.items()}
+    record = [{x: np.abs(a) ** 2 for x, a in state.items()}]
+    for _ in range(steps):
+        new: Effective2DState = {}
+        for x, amp in state.items():
+            c = coin @ amp
+            if c[R2] != 0.0:
+                vec = new.setdefault(x + 1, np.zeros(2, dtype=complex))
+                vec[R2] += c[R2]
+            if c[L2] != 0.0:
+                vec = new.setdefault(x - 1, np.zeros(2, dtype=complex))
+                vec[L2] += c[L2]
+        state = new
+        record.append({x: np.abs(a) ** 2 for x, a in state.items()})
+    return record
+
+
+def circle_nodes(num_sites: int, left_end: int) -> dict:
+    """{(x, 'c'|'cc'): node} of the circle of num_sites = 2N nodes on
+    [left_end, left_end + N], written out case by case."""
+    out = {}
+    for x in range(left_end, left_end + num_sites // 2 + 1):
+        out[(x, "cc")] = (x - left_end + 1) % num_sites
+        out[(x, "c")] = (left_end + 1 - x) % num_sites
+    return out
+
+
+def figure_eight_nodes(left_end: int, center: int, right_end: int) -> dict:
+    """{(x, 'c'|'cc'): node} of two rings sharing the center position,
+    written out case by case: the c subspace runs through the nodes in
+    order (node 2 n_l - 1 at the center), the cc subspace comes back round
+    each lobe."""
+    n_l = center - left_end
+    total = 2 * (right_end - left_end) - 1
+    out = {}
+    for x in range(left_end, right_end + 1):
+        xi = x - center
+        out[(x, "c")] = (2 * n_l - 1 + xi) % total
+        if xi > 0:
+            out[(x, "cc")] = (total - xi) % total
+        elif xi < 0:
+            out[(x, "cc")] = -1 - xi
+        else:
+            out[(x, "cc")] = 2 * n_l - 1
+    return out
+
+
 def rotation_circle_distribution(initial_vector: np.ndarray, t: int) -> np.ndarray:
     """Distribution after t steps of a walk that only circulates.
 

@@ -34,7 +34,7 @@ from loopwalk.dispersion import (
     split_step_bands,
     wavefront_speeds,
 )
-from loopwalk.graph_programs import CircleSpec, circle_program, map_sites
+from loopwalk.graph_programs import CircleSpec, map_sites, ring_chain
 from loopwalk.linalg_core import random_su2, random_unitary, unitarity_defect, wrap_phase
 from loopwalk.optics import (
     ArmSetting,
@@ -51,7 +51,6 @@ from loopwalk.walk_engine import (
     apply_coin,
     apply_step,
     constant_program,
-    effective_2d_evolve,
     evolve,
     final_state,
     make_initial,
@@ -238,7 +237,7 @@ def test_criterion_08_circle_integrity():
     for num_sites in (4, 8, 10, 16):
         for flavor in ("hadamard_like", "non_mixing"):
             spec = CircleSpec(num_sites=num_sites, left_end=0, flavor=flavor)
-            program, smap = circle_program(spec)
+            program, smap = ring_chain(spec.stops, spec.flavor)
             rec = evolve(make_initial("ccw", "V", 1), program, 25)
             mapped = map_sites(smap, rec)
             worst_leak = max(worst_leak, mapped.max_leakage)
@@ -253,13 +252,13 @@ def test_criterion_08_circle_integrity():
 def test_criterion_09_revivals():
     t0 = time.perf_counter()
     spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = circle_program(spec)
+    program, smap = ring_chain(spec.stops, spec.flavor)
     mapped = map_sites(smap, evolve(make_initial("ccw", "V", 1), program, 24))
     events = {(s, sh, kind) for s, sh, kind in find_revivals(mapped, tol=1e-6) if s > 0}
     assert (24, 0, "perfect") in events
 
     spec = CircleSpec(num_sites=4, left_end=0, flavor="hadamard_like")
-    program, smap = circle_program(spec)
+    program, smap = ring_chain(spec.stops, spec.flavor)
     mapped = map_sites(smap, evolve(make_initial("ccw", "V", 1), program, 8))
     events4 = {(s, sh, kind) for s, sh, kind in find_revivals(mapped, tol=1e-6)}
     assert (4, 2, "shifted") in events4
@@ -270,7 +269,7 @@ def test_criterion_09_revivals():
 def test_criterion_10_equidistribution():
     t0 = time.perf_counter()
     spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = circle_program(spec)
+    program, smap = ring_chain(spec.stops, spec.flavor)
     mapped = map_sites(smap, evolve(make_initial("ccw", "V", 1), program, 11))
     s = equidistribution_similarity(mapped, 11, [1, 3, 5, 7])
     assert s >= 0.99
@@ -283,7 +282,7 @@ def test_criterion_11_partial_reversal():
     coin = full_coin(MINUS_IX, q0 @ q0, hwp_matrix(22.5))
     rec = evolve(make_initial("ccw", "A", 0), constant_program(coin), 22)
     eff_init = {0: np.array([1, -1], dtype=complex) / np.sqrt(2.0)}
-    eff = effective_2d_evolve(eff_init, oracles.HADAMARD_2, 22)
+    eff = oracles.effective_2d_evolve(eff_init, oracles.HADAMARD_2, 22)
     worst = 0.0
     for t in range(23):
         walk_pd = dict(zip(rec.positions(t).tolist(), rec.position_distribution(t)))
@@ -334,7 +333,7 @@ def test_criterion_14_balanced_coin_identity():
 def test_criterion_15_monte_carlo_determinism_and_convergence():
     t0 = time.perf_counter()
     spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = circle_program(spec)
+    program, smap = ring_chain(spec.stops, spec.flavor)
     setup = WalkSetup(
         program=program,
         initial=make_initial("ccw", "V", 1),

@@ -10,16 +10,16 @@ from loopwalk.analysis import (
     similarity,
     similarity_report,
 )
-from loopwalk.graph_programs import CircleSpec, FigureEightSpec, circle_program, figure_eight_program, map_sites
+from loopwalk.graph_programs import CircleSpec, FigureEightSpec, map_sites, ring_chain
 from loopwalk.walk_engine import constant_program, evolve, make_initial
 
 import oracles
 
 
 def test_similarity_hand_values():
-    assert abs(similarity({0: 1.0}, {0: 0.5, 1: 0.5}) - 0.5) < 1e-15
-    assert similarity({0: 1.0}, {1: 1.0}) == 0.0
-    assert abs(similarity({0: 0.3, 2: 0.7}, {0: 0.3, 2: 0.7}) - 1.0) < 1e-12
+    assert abs(similarity([1.0, 0.0], [0.5, 0.5]) - 0.5) < 1e-15
+    assert similarity([1.0, 0.0], [0.0, 1.0]) == 0.0
+    assert abs(similarity([0.3, 0.0, 0.7], [0.3, 0.0, 0.7]) - 1.0) < 1e-12
     assert abs(similarity([0.25, 0.75], [0.25, 0.75]) - 1.0) < 1e-12
 
 
@@ -40,18 +40,18 @@ def test_similarity_cauchy_schwarz():
 
 def test_similarity_rejects_negative_entries():
     with pytest.raises(ValueError):
-        similarity({0: -0.1, 1: 1.1}, {0: 1.0})
+        similarity([-0.1, 1.1], [1.0, 0.0])
     with pytest.raises(ValueError):
         similarity([0.5, 0.5], [-0.2, 1.2])
 
 
 def test_similarity_resolved_flag():
-    p = {0: np.array([0.0, 0.0, 1.0, 0.0])}
-    q = {0: np.array([0.0, 0.0, 0.0, 1.0])}
+    p = np.array([[0.0, 0.0, 1.0, 0.0]])
+    q = np.array([[0.0, 0.0, 0.0, 1.0]])
     # position-summed view: both sit entirely at position 0
-    assert abs(similarity(p, q) - 1.0) < 1e-12
+    assert abs(similarity(p.sum(axis=1), q.sum(axis=1)) - 1.0) < 1e-12
     # mode-resolved view: orthogonal
-    assert similarity(p, q, resolved=True) == 0.0
+    assert similarity(p, q) == 0.0
 
 
 def test_average_similarity():
@@ -76,9 +76,28 @@ def test_similarity_report_self_is_one():
     assert abs(report.mean - 1.0) < 1e-12
 
 
+def test_similarity_report_aligns_windows_by_position():
+    # two walks on different windows, compared against a per-position sum
+    coin = oracles.BALANCED_FOUR_MODE_COIN
+    rec_p = evolve(make_initial("ccw", "D", 0), constant_program(coin), 7)
+    rec_q = evolve(make_initial("cw", "H", 2), constant_program(coin), 5)
+    for resolved in (False, True):
+        report = similarity_report(rec_p, rec_q, resolved=resolved)
+        assert [t for t, _ in report.per_step] == list(range(6))
+        for t, s in report.per_step:
+            p = dict(zip(rec_p.positions(t).tolist(), rec_p.intensity(t)))
+            q = dict(zip(rec_q.positions(t).tolist(), rec_q.intensity(t)))
+            if not resolved:
+                p = {x: v.sum() for x, v in p.items()}
+                q = {x: v.sum() for x, v in q.items()}
+            amp = sum(np.sum(np.sqrt(p[x] * q[x])) for x in set(p) & set(q))
+            assert abs(s - amp * amp) < 1e-12
+        assert 0.0 < report.mean < 1.0
+
+
 def test_equidistribution_similarity():
     spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = circle_program(spec)
+    program, smap = ring_chain(spec.stops, spec.flavor)
     rec = evolve(make_initial("ccw", "V", 1), program, 12)
     mapped = map_sites(smap, rec)
 
@@ -95,7 +114,7 @@ def test_equidistribution_similarity():
 
 def test_find_revivals_hadamard_like_circle():
     spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = circle_program(spec)
+    program, smap = ring_chain(spec.stops, spec.flavor)
     mapped = map_sites(smap, evolve(make_initial("ccw", "V", 1), program, 24))
     revivals = find_revivals(mapped)
     perfect = [r for r in revivals if r[2] == "perfect" and r[0] > 0]
@@ -106,7 +125,7 @@ def test_find_revivals_hadamard_like_circle():
 
 def test_find_revivals_four_site_circle():
     spec = CircleSpec(num_sites=4, left_end=0, flavor="hadamard_like")
-    program, smap = circle_program(spec)
+    program, smap = ring_chain(spec.stops, spec.flavor)
     mapped = map_sites(smap, evolve(make_initial("ccw", "V", 1), program, 8))
     revivals = find_revivals(mapped)
     shifted = [r for r in revivals if r[0] == 4]
@@ -118,7 +137,7 @@ def test_find_revivals_four_site_circle():
 def test_find_revivals_non_mixing_period():
     for num_sites in (4, 6, 8, 10, 16):
         spec = CircleSpec(num_sites=num_sites, left_end=0, flavor="non_mixing")
-        program, smap = circle_program(spec)
+        program, smap = ring_chain(spec.stops, spec.flavor)
         mapped = map_sites(smap, evolve(make_initial("ccw", "H", 1), program, 2 * num_sites))
         revivals = find_revivals(mapped)
         perfect_steps = [r[0] for r in revivals if r[2] == "perfect" and r[0] > 0]
@@ -130,14 +149,15 @@ def test_find_revivals_non_mixing_period():
 
 
 def test_find_revivals_matches_shift_by_shift_search():
-    graphs = [
-        circle_program(CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")),
-        circle_program(CircleSpec(num_sites=10, left_end=-1, flavor="non_mixing")),
-        circle_program(CircleSpec(num_sites=4, left_end=2, flavor="hadamard_like")),
-        figure_eight_program(FigureEightSpec(-4, 0, 4, flavor="non_mixing")),
+    specs = [
+        CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like"),
+        CircleSpec(num_sites=10, left_end=-1, flavor="non_mixing"),
+        CircleSpec(num_sites=4, left_end=2, flavor="hadamard_like"),
+        FigureEightSpec(-4, 0, 4, flavor="non_mixing"),
     ]
-    for program, smap in graphs:
-        start = min(x for x, _ in smap.mapping) + 1
+    for spec in specs:
+        program, smap = ring_chain(spec.stops, spec.flavor)
+        start = spec.stops[0] + 1
         mapped = map_sites(smap, evolve(make_initial("ccw", "V", start), program, 3 * smap.num_nodes))
         p0 = mapped.distribution_vector(0)
         want = [
@@ -152,7 +172,7 @@ def test_find_revivals_matches_shift_by_shift_search():
 
 def test_monte_carlo_zero_error_is_exactly_zero():
     spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = circle_program(spec)
+    program, smap = ring_chain(spec.stops, spec.flavor)
     setup = WalkSetup(
         program=program,
         initial=make_initial("ccw", "V", 1),
@@ -169,7 +189,7 @@ def test_monte_carlo_zero_error_is_exactly_zero():
 
 def test_monte_carlo_seed_reproducibility():
     spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = circle_program(spec)
+    program, smap = ring_chain(spec.stops, spec.flavor)
     setup = WalkSetup(
         program=program,
         initial=make_initial("ccw", "V", 1),
@@ -191,7 +211,7 @@ def test_monte_carlo_seed_reproducibility():
 
 def test_monte_carlo_similarity_fields():
     spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = circle_program(spec)
+    program, smap = ring_chain(spec.stops, spec.flavor)
     setup = WalkSetup(
         program=program,
         initial=make_initial("ccw", "V", 1),

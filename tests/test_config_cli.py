@@ -189,6 +189,13 @@ def test_line_steps_nonnegative():
         parse_config_dict(line_cfg(steps=-1))
 
 
+def test_graph_steps_nonnegative():
+    with pytest.raises(ConfigError, match="circle.steps: must be nonnegative"):
+        parse_config_dict({"kind": "circle", "num_sites": 8, "steps": -1})
+    with pytest.raises(ConfigError, match="figure_eight.steps: must be nonnegative"):
+        parse_config_dict({"kind": "figure_eight", "steps": -1})
+
+
 def test_circle_validation():
     cfg = parse_config_dict({"kind": "circle", "num_sites": 8})
     assert cfg.kind == "circle"
@@ -256,6 +263,15 @@ def test_errorbars_validation():
     with pytest.raises(ConfigError, match="integers"):
         parse_config_dict(
             {"kind": "errorbars", "base": circle_base, "support": [1, "three"]}
+        )
+    # support nodes must exist on the graph, once each
+    with pytest.raises(ConfigError, match="not in"):
+        parse_config_dict(
+            {"kind": "errorbars", "base": circle_base, "support": [1, 3, 99, -2]}
+        )
+    with pytest.raises(ConfigError, match="twice"):
+        parse_config_dict(
+            {"kind": "errorbars", "base": circle_base, "support": [1, 1, 1, 1]}
         )
     ok = parse_config_dict(
         {"kind": "errorbars", "base": circle_base, "support": [1, 3, 5, 7]}
@@ -515,6 +531,12 @@ def test_cli_errorbars_smoke(tmp_path):
     assert totals
     for r in totals:
         assert float(r[4]) >= 0.0
+
+
+def test_cli_errorbars_negative_steps_exits_2():
+    res = run_cli("errorbars", "--config", os.path.join(CONFIG_DIR, "errorbars_circle8.yaml"), "--steps", "-1")
+    assert res.returncode == 2
+    assert "config error: --steps must be nonnegative" in res.stderr
 
 
 def test_cli_errorbars_zero_noise_zero_sigma(tmp_path):

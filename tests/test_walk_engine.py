@@ -15,7 +15,6 @@ from loopwalk.walk_engine import (
     apply_coin,
     apply_step,
     constant_program,
-    effective_2d_evolve,
     evolve,
     final_state,
     make_initial,
@@ -202,14 +201,14 @@ def test_norm_conserved_under_per_position_programs(seed):
 def test_evolve_equals_sitewise_walk_bit_for_bit():
     # the batched coin and the sliced shift do the same arithmetic as a walk
     # taken one position at a time, and reach the same positions
-    from loopwalk.graph_programs import CircleSpec, FigureEightSpec, circle_program, figure_eight_program
+    from loopwalk.graph_programs import ring_chain
 
     rng = np.random.default_rng(42)
     cases = [
         (make_initial("ccw", "D", 0), constant_program(random_unitary(4, rng)), 30),
         (make_initial("cw", "A", 2), constant_program(oracles.BALANCED_FOUR_MODE_COIN), 30),
-        (make_initial("ccw", "V", 1), circle_program(CircleSpec(8, 0, "hadamard_like"))[0], 40),
-        (make_initial("cw", "H", 1), figure_eight_program(FigureEightSpec(-3, 0, 4, "hadamard_like"))[0], 40),
+        (make_initial("ccw", "V", 1), ring_chain((0, 4), "hadamard_like")[0], 40),
+        (make_initial("cw", "H", 1), ring_chain((-3, 0, 4), "hadamard_like")[0], 40),
         (
             make_initial("cw", "D", 0),
             CoinProgram(
@@ -260,7 +259,7 @@ def test_invariant_subspace_any_loop_block():
 def test_hadamard_configuration_matches_effective_walk():
     coin = full_coin(MINUS_IX, MINUS_IX, hwp_matrix(22.5))
     rec = evolve(make_initial("ccw", "H", 0), constant_program(coin), 25)
-    eff = effective_2d_evolve({0: np.array([0, 1], dtype=complex)}, oracles.HADAMARD_2, 25)
+    eff = oracles.effective_2d_evolve({0: np.array([0, 1], dtype=complex)}, oracles.HADAMARD_2, 25)
     for t in range(26):
         walk_pd = dict(zip(rec.positions(t).tolist(), rec.position_distribution(t)))
         eff_pd = {x: float(v.sum()) for x, v in eff[t].items()}
@@ -269,7 +268,7 @@ def test_hadamard_configuration_matches_effective_walk():
 
 
 def test_effective_2d_single_step_hadamard():
-    out = effective_2d_evolve({0: np.array([1, 0], dtype=complex)}, oracles.HADAMARD_2, 1)
+    out = oracles.effective_2d_evolve({0: np.array([1, 0], dtype=complex)}, oracles.HADAMARD_2, 1)
     table = out[1]
     assert set(table) == {-1, 1}
     assert abs(table[1][0] - 0.5) < 1e-15
@@ -277,7 +276,7 @@ def test_effective_2d_single_step_hadamard():
 
 
 def test_effective_2d_identity_ballistic():
-    out = effective_2d_evolve({0: np.array([1, 0], dtype=complex)}, np.eye(2), 9)
+    out = oracles.effective_2d_evolve({0: np.array([1, 0], dtype=complex)}, np.eye(2), 9)
     table = out[9]
     assert set(x for x, v in table.items() if v.sum() > 1e-15) == {9}
     assert abs(table[9].sum() - 1.0) < 1e-12
@@ -288,7 +287,7 @@ def test_effective_2d_matches_path_enumeration():
     for _ in range(4):
         coin2 = random_unitary(2, rng)
         init = {0: np.array([1, 1j], dtype=complex) / oracles.SQ2}
-        out = effective_2d_evolve(init, coin2, 10)
+        out = oracles.effective_2d_evolve(init, coin2, 10)
         for t in (3, 7, 10):
             expected = oracles.path_enumeration_2d(init, coin2, t)
             got = {x: v for x, v in out[t].items()}
@@ -303,7 +302,7 @@ def test_partial_reversal_sums_to_hadamard_walk():
     coin = full_coin(MINUS_IX, q0 @ q0, hwp_matrix(22.5))
     rec = evolve(make_initial("ccw", "A", 0), constant_program(coin), 22)
     eff_init = {0: np.array([1, -1], dtype=complex) / oracles.SQ2}
-    eff = effective_2d_evolve(eff_init, oracles.HADAMARD_2, 22)
+    eff = oracles.effective_2d_evolve(eff_init, oracles.HADAMARD_2, 22)
     for t in range(23):
         walk_pd = dict(zip(rec.positions(t).tolist(), rec.position_distribution(t)))
         eff_pd = {x: float(v.sum()) for x, v in eff[t].items()}
@@ -451,28 +450,29 @@ def test_coin_program_without_rules_raises():
 
 def test_coin_program_perturbation_draws_are_shared():
     # every site using the same physical element set must get the same draw
-    from loopwalk.graph_programs import CircleSpec, circle_program
+    from loopwalk.graph_programs import CircleSpec, ring_chain
 
     spec = CircleSpec(num_sites=8, left_end=-3, flavor="hadamard_like")
-    program, _ = circle_program(spec)
+    program, _ = ring_chain(spec.stops, spec.flavor)
+    left_end, right_end = spec.stops
     rng = np.random.default_rng(39)
     bumped = program.perturbed(rng, 2.0, "uniform")
-    inner_positions = range(spec.left_end + 1, spec.right_end)
+    inner_positions = range(left_end + 1, right_end)
     mats = [bumped.coin_at(0, x) for x in inner_positions]
     for m in mats[1:]:
         assert np.max(np.abs(m - mats[0])) == 0.0
-    left = bumped.coin_at(0, spec.left_end)
-    right = bumped.coin_at(0, spec.right_end)
+    left = bumped.coin_at(0, left_end)
+    right = bumped.coin_at(0, right_end)
     assert np.max(np.abs(left - right)) == 0.0
     # the ends were actually jittered away from the ideal setting
-    ideal = program.coin_at(0, spec.left_end)
+    ideal = program.coin_at(0, left_end)
     assert np.max(np.abs(left - ideal)) > 1e-6
 
 
 def test_coin_program_perturbation_distributions():
-    from loopwalk.graph_programs import CircleSpec, circle_program
+    from loopwalk.graph_programs import ring_chain
 
-    program, _ = circle_program(CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like"))
+    program, _ = ring_chain((0, 4), "hadamard_like")
     rng = np.random.default_rng(40)
     for dist in ("uniform", "truncated_normal"):
         bumped = program.perturbed(rng, 1.5, dist)
