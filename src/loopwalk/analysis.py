@@ -6,7 +6,9 @@ Bhattacharyya-type amplitude overlap
     S(p, q) = ( sum_k sqrt(p_k * q_k) )^2
 
 which is 1 exactly when the normalized distributions coincide on their
-common support and both carry all their weight there.
+common support and both carry all their weight there.  Sums over sites
+(overlaps, renormalization totals, propagated variances) are added in
+index order, left to right, as np.cumsum adds; np.sum pairs terms up.
 """
 
 from __future__ import annotations
@@ -20,6 +22,11 @@ from .graph_programs import MappedRecord, SiteMap, map_sites
 from .walk_engine import CoinProgram, InitialState, IntensityRecord, evolve
 
 
+def _overlap(p, q) -> np.ndarray:
+    """sum_k sqrt(p_k * q_k) along the last axis, added in index order."""
+    return np.cumsum(np.sqrt(p * q), axis=-1)[..., -1]
+
+
 def similarity(p, q) -> float:
     """Amplitude overlap squared of two distributions given as arrays of the
     same shape, compared index-wise.  Negative entries are rejected."""
@@ -29,7 +36,7 @@ def similarity(p, q) -> float:
         raise ValueError(f"shape mismatch {pv.shape} vs {qv.shape}")
     if np.any(pv < 0.0) or np.any(qv < 0.0):
         raise ValueError("negative intensity entry")
-    amp = float(np.sum(np.sqrt(pv * qv)))
+    amp = float(_overlap(pv.ravel(), qv.ravel()))
     return amp * amp
 
 
@@ -72,17 +79,19 @@ def similarity_report(
         out[:, record.offset - lo : record.offset - lo + record.intensities.shape[1]] = record.intensities[:n]
         return out if resolved else out.sum(axis=2)
 
-    tp, tq = aligned(record_p), aligned(record_q)
-    idx = range(n) if steps is None else steps
-    per_step = [(t, similarity(tp[t], tq[t])) for t in idx]
+    amp = _overlap(aligned(record_p).reshape(n, -1), aligned(record_q).reshape(n, -1))
+    per_step = [(t, float(amp[t] * amp[t])) for t in (range(n) if steps is None else steps)]
     mean = average_similarity(per_step) if per_step else 0.0
     return SimilarityReport(per_step=per_step, mean=mean, resolved=resolved)
 
 
-def _support_weights(record: IntensityRecord, step: int, support) -> list:
-    """Mode-summed intensity at each support site, 0.0 outside the window."""
-    p = record.distribution_vector(step)
-    return [float(p[m - record.offset]) if 0 <= m - record.offset < len(p) else 0.0 for m in support]
+def _at_support(values: np.ndarray, offset: int, support) -> np.ndarray:
+    """values[..., m - offset] for each support site m, 0.0 outside the window."""
+    if len(support) == 0:
+        raise ValueError("support must not be empty")
+    i = np.asarray(support) - offset
+    inside = (i >= 0) & (i < values.shape[-1])
+    return np.where(inside, values[..., np.where(inside, i, 0)], 0.0)
 
 
 def equidistribution_similarity(
@@ -96,16 +105,11 @@ def equidistribution_similarity(
     to the support to one first.
     """
     support = list(support)
-    if not support:
-        raise ValueError("support must not be empty")
-    weights = _support_weights(record, step, support)
-    scale = 1.0
+    weights = _at_support(record.distribution_vector(step), record.offset, support)
     if renormalize:
-        total = sum(weights)
-        if total > 0.0:
-            scale = 1.0 / total
-    q = 1.0 / len(support)
-    amp = sum(np.sqrt(w * scale * q) for w in weights)
+        total = np.cumsum(weights)[-1]
+        weights = weights * (1.0 / total if total > 0.0 else 1.0)
+    amp = _overlap(weights, 1.0 / len(support))
     return float(amp * amp)
 
 
@@ -123,7 +127,7 @@ def find_revivals(record: MappedRecord, tol: float = 1e-6) -> list:
     rolls = record.distribution_vector(0)[(nodes[None, :] - nodes[:, None]) % record.num_nodes]
     out = []
     for t in range(1, len(record)):
-        overlap = np.sqrt(rolls * record.distribution_vector(t)).sum(axis=1) ** 2
+        overlap = _overlap(rolls, record.distribution_vector(t)) ** 2
         for s in np.flatnonzero(overlap >= 1.0 - tol).tolist():
             out.append((t, s, "perfect" if s == 0 else "shifted"))
     return out
@@ -221,12 +225,12 @@ def monte_carlo_error_bars(
         base_record = evolve(setup.initial, setup.program, setup.steps)
     ref = _observed(base_record, np.ones(4), renormalize, setup.site_map)
     ref_dist = ref.intensities.sum(axis=2)
-    n_steps = len(ref)
+    if setup.support is not None:
+        weights = _at_support(ref_dist, ref.offset, setup.support)
+        sampled = []  # per sample, the (steps, support) weights
 
     sq_mode = np.zeros_like(ref.intensities)
     sq_pos = np.zeros_like(ref_dist)
-    sim_samples = []
-
     for _ in range(n_samples):
         if angle_err_deg > 0.0:
             prog = setup.program.perturbed(rng, angle_err_deg, distribution)
@@ -236,46 +240,16 @@ def monte_carlo_error_bars(
         sample = _observed(evolve(setup.initial, prog, setup.steps), eff, renormalize, setup.site_map)
         dm = sample.intensities - ref.intensities
         sq_mode += dm * dm
-        dp = sample.intensities.sum(axis=2) - ref_dist
+        sample_dist = sample.intensities.sum(axis=2)
+        dp = sample_dist - ref_dist
         sq_pos += dp * dp
-        if setup.support:
-            sim_samples.append(
-                [equidistribution_similarity(sample, t, setup.support) for t in range(n_steps)]
-            )
+        if setup.support is not None:
+            sampled.append(_at_support(sample_dist, sample.offset, setup.support))
 
-    sigma_mode = np.sqrt(sq_mode / n_samples)
-    sigma_position = np.sqrt(sq_pos / n_samples)
-
-    similarity_ref = None
-    similarity_sigma = None
-    similarity_sigma_sampled = None
-    if setup.support:
-        support = list(setup.support)
-        q = 1.0 / len(support)
-        similarity_ref = []
-        similarity_sigma = []
-        similarity_sigma_sampled = []
-        sampled = np.asarray(sim_samples)
-        for t in range(n_steps):
-            weights = _support_weights(ref, t, support)
-            amp = sum(np.sqrt(p_m * q) for p_m in weights)
-            s_ref = float(amp * amp)
-            # first-order propagation: dS/dp_m = amp * sqrt(q / p_m)
-            var = 0.0
-            for m_node, p_m in zip(support, weights):
-                if p_m <= 0.0:
-                    continue
-                dsdp = amp * np.sqrt(q / p_m)
-                var += (dsdp * sigma_position[t, m_node - ref.offset]) ** 2
-            similarity_ref.append(s_ref)
-            similarity_sigma.append(float(np.sqrt(var)))
-            devs = sampled[:, t] - s_ref
-            similarity_sigma_sampled.append(float(np.sqrt(np.mean(devs * devs))))
-
-    return ErrorBarReport(
+    report = ErrorBarReport(
         reference=ref,
-        sigma_mode=sigma_mode,
-        sigma_position=sigma_position,
+        sigma_mode=np.sqrt(sq_mode / n_samples),
+        sigma_position=np.sqrt(sq_pos / n_samples),
         n_samples=n_samples,
         seed=seed,
         angle_err_deg=angle_err_deg,
@@ -284,7 +258,20 @@ def monte_carlo_error_bars(
         renormalize=renormalize,
         mapped=setup.site_map is not None,
         num_nodes=setup.site_map.num_nodes if setup.site_map is not None else None,
-        similarity_ref=similarity_ref,
-        similarity_sigma=similarity_sigma,
-        similarity_sigma_sampled=similarity_sigma_sampled,
     )
+    if setup.support is not None:
+        q = 1.0 / len(setup.support)  # the uniform distribution on the support
+        amp = _overlap(weights, q)
+        # first-order propagation over the sites holding weight: dS/dp_m =
+        # amp * sqrt(q / p_m); squared with pow (x * x can differ in the last bit)
+        held = weights > 0.0
+        dsdp = amp[:, None] * np.sqrt(q / np.where(held, weights, 1.0))
+        sigma_at = _at_support(report.sigma_position, ref.offset, setup.support)
+        terms = np.where(held, np.float_power(dsdp * sigma_at, 2), 0.0)
+        # one contiguous row of samples per step
+        sampled_amp = np.ascontiguousarray(_overlap(np.array(sampled), q).T)
+        devs = sampled_amp * sampled_amp - (amp * amp)[:, None]
+        report.similarity_ref = (amp * amp).tolist()
+        report.similarity_sigma = np.sqrt(np.cumsum(terms, axis=1)[:, -1]).tolist()
+        report.similarity_sigma_sampled = np.sqrt(np.mean(devs * devs, axis=1)).tolist()
+    return report

@@ -18,7 +18,7 @@ import yaml
 from .graph_programs import FLAVORS, CircleSpec, FigureEightSpec, SiteMap, ring_chain
 from .linalg_core import unitarity_defect
 from .optics import ArmSetting, OpticalElement
-from .walk_engine import CoinProgram, ElementCoin, InitialState, RawCoin, make_initial
+from .walk_engine import CCH, CCV, CH, CV, CoinProgram, ElementCoin, InitialState, RawCoin, make_initial
 
 KINDS = ("line", "circle", "figure_eight", "dispersion", "decompose", "errorbars")
 
@@ -206,6 +206,13 @@ def _parse_graph(d: dict, kind: str) -> RunConfig:
         spec = spec_class(flavor=flavor, **ints)
     except ValueError as exc:
         raise ConfigError(f"{kind}: {exc}") from exc
+    ((x, amp),) = initial.items()
+    left, right = spec.stops[0], spec.stops[-1]
+    if not left <= x <= right:
+        raise ConfigError(f"{kind}.initial.position: {x} is not on the graph [{left}, {right}]")
+    # at an end only the modes the shift carries back onto the graph may start
+    if (x == left and (amp[CH] or amp[CCV])) or (x == right and (amp[CV] or amp[CCH])):
+        raise ConfigError(f"{kind}.initial: the start at end {x} points off the graph")
     program, site_map = ring_chain(spec.stops, spec.flavor)
     return RunConfig(kind=kind, program=program, initial=initial, steps=steps, site_map=site_map)
 
@@ -254,10 +261,10 @@ def _parse_errorbars(d: dict) -> RunConfig:
     if angle_err < 0.0 or eff_err < 0.0:
         raise ConfigError("errorbars: error ranges must be nonnegative")
     if support is not None:
-        if not isinstance(support, list) or not all(
+        if not isinstance(support, list) or not support or not all(
             isinstance(s, int) and not isinstance(s, bool) for s in support
         ):
-            raise ConfigError("errorbars.support: expected a list of integers")
+            raise ConfigError("errorbars.support: expected a nonempty list of integers")
         if base.site_map is None:
             raise ConfigError("errorbars.support: only meaningful for circle/figure_eight bases")
         for i, node in enumerate(support):

@@ -44,7 +44,7 @@ class ProgramError(KeyError):
 @dataclass(frozen=True)
 class RawCoin:
     """Coin given directly as a unitary 4x4 matrix, held as a read-only copy
-    (CoinProgram caches resolved matrices by the spec's identity)."""
+    (CoinProgram builds each spec's matrix once and reuses it)."""
 
     matrix_value: np.ndarray
 
@@ -144,6 +144,10 @@ class CoinProgram:
     present (uniform over positions); otherwise `overrides` keyed by
     position; otherwise `default`.  A query that reaches no rule raises
     ProgramError naming the offending step and position.
+
+    `specs` lists the distinct coin specs in the order default, overrides
+    by ascending position, time table entries.  Every rule resolves to an
+    entry of it; each entry's matrix is built once, on first use.
     """
 
     def __init__(
@@ -155,26 +159,35 @@ class CoinProgram:
         self.default = default
         self.overrides = dict(overrides) if overrides else {}
         self.time_table = list(time_table) if time_table is not None else None
-        self._cache: dict[int, np.ndarray] = {}
+        positions = sorted(self.overrides)
+        rules = ([default] if default is not None else []) + [self.overrides[x] for x in positions]
+        rules += self.time_table or []
+        self.specs = list({id(spec): spec for spec in rules}.values())  # each object once, where first seen
+        entry = {id(spec): i for i, spec in enumerate(self.specs)}
+        self._override_entries = {x: entry[id(self.overrides[x])] for x in positions}
+        self._time_entries = [entry[id(spec)] for spec in self.time_table or ()]
+        self._matrices = [None] * len(self.specs)
         self._overrides = None  # (override positions ascending, coin per slot), on first use
 
-    def spec_at(self, t: int, x: int):
-        if self.time_table is not None and 0 <= t < len(self.time_table):
-            return self.time_table[t]
-        if x in self.overrides:
-            return self.overrides[x]
+    def _entry(self, t: int, x: int) -> int:
+        if 0 <= t < len(self._time_entries):
+            return self._time_entries[t]
+        if x in self._override_entries:
+            return self._override_entries[x]
         if self.default is not None:
-            return self.default
+            return 0
         raise ProgramError(f"no coin rule for step {t} at position {x}")
 
+    def _matrix(self, i: int) -> np.ndarray:
+        if self._matrices[i] is None:
+            self._matrices[i] = np.asarray(self.specs[i].matrix(), dtype=complex)
+        return self._matrices[i]
+
+    def spec_at(self, t: int, x: int):
+        return self.specs[self._entry(t, x)]
+
     def coin_at(self, t: int, x: int) -> np.ndarray:
-        spec = self.spec_at(t, x)
-        key = id(spec)
-        m = self._cache.get(key)
-        if m is None:
-            m = np.asarray(spec.matrix(), dtype=complex)
-            self._cache[key] = m
-        return m
+        return self._matrix(self._entry(t, x))
 
     def coin_stack(self, t: int, positions: np.ndarray) -> np.ndarray:
         """Coins for step t at a nonempty array of positions.
@@ -183,62 +196,36 @@ class CoinProgram:
         (len(positions), 4, 4), gathered from the override coins, which
         are resolved once; a position without a rule raises ProgramError.
         """
-        if (self.time_table is not None and 0 <= t < len(self.time_table)) or not self.overrides:
+        if 0 <= t < len(self._time_entries) or not self._override_entries:
             return self.coin_at(t, int(positions[0]))[None]
         if self._overrides is None:
-            keys = sorted(self.overrides)
-            # a slot per override position, then, one past the last of them, the default's
-            slots = keys + [keys[-1] + 1] if self.default is not None else keys
-            self._overrides = np.array(keys), np.array([self.coin_at(t, x) for x in slots])
+            # a slot per override position, then the default's
+            slots = [*self._override_entries.values(), *([0] if self.default is not None else [])]
+            self._overrides = np.array(list(self._override_entries)), np.array([self._matrix(i) for i in slots])
         keys, coins = self._overrides
         slot = np.searchsorted(keys, positions)
         missing = keys[np.minimum(slot, len(keys) - 1)] != positions
         if self.default is None and missing.any():
-            self.spec_at(t, int(positions[missing][0]))  # raises, naming step and position
+            self._entry(t, int(positions[missing][0]))  # raises, naming step and position
         slot[missing] = len(keys)
         return coins[slot]
-
-    def all_specs(self) -> list:
-        """Distinct coin specs in documented enumeration order.
-
-        Order: default, overrides by ascending position, time table entries.
-        Duplicates (same object) are listed once.
-        """
-        seen: dict[int, object] = {}
-        out = []
-
-        def add(spec):
-            if spec is not None and id(spec) not in seen:
-                seen[id(spec)] = spec
-                out.append(spec)
-
-        add(self.default)
-        for x in sorted(self.overrides):
-            add(self.overrides[x])
-        if self.time_table is not None:
-            for spec in self.time_table:
-                add(spec)
-        return out
 
     def perturbed(self, rng: np.random.Generator, angle_err_deg: float, distribution: str = "uniform") -> "CoinProgram":
         """New program with every element angle independently jittered.
 
-        Each distinct coin spec is perturbed once and reused wherever it
-        appeared, so a shared position class shares its draw.
+        One draw per entry of `specs`, in that order, reused wherever the
+        spec appeared, so a shared position class shares its draw.
         """
-        mapping: dict[int, object] = {}
-        for spec in self.all_specs():
-            mapping[id(spec)] = spec.perturbed(rng, angle_err_deg, distribution)
-        default = mapping.get(id(self.default)) if self.default is not None else None
-        overrides = {x: mapping[id(s)] for x, s in self.overrides.items()}
-        time_table = (
-            [mapping[id(s)] for s in self.time_table] if self.time_table is not None else None
+        drawn = [spec.perturbed(rng, angle_err_deg, distribution) for spec in self.specs]
+        return CoinProgram(
+            default=drawn[0] if self.default is not None else None,
+            overrides={x: drawn[i] for x, i in self._override_entries.items()},
+            time_table=[drawn[i] for i in self._time_entries] if self.time_table is not None else None,
         )
-        return CoinProgram(default=default, overrides=overrides, time_table=time_table)
 
     @property
     def has_elements(self) -> bool:
-        return all(spec.has_elements for spec in self.all_specs())
+        return all(spec.has_elements for spec in self.specs)
 
 
 def constant_program(coin_matrix: np.ndarray) -> CoinProgram:

@@ -453,3 +453,64 @@ def render_rows(command: str, cfg, args) -> str:
     else:
         raise ValueError(f"unknown command {command!r}")
     return _render(header, rows, args.format)
+
+
+def support_weights(record, step: int, support) -> list:
+    """Mode-summed intensity at each support site as Python floats, 0.0
+    outside the record's window, read one site at a time."""
+    p = record.distribution_vector(step)
+    return [float(p[m - record.offset]) if 0 <= m - record.offset < len(p) else 0.0 for m in support]
+
+
+def equidistribution_similarity(record, step: int, support, renormalize: bool = False) -> float:
+    """Similarity to uniform on `support`, summed site by site in Python."""
+    weights = support_weights(record, step, support)
+    scale = 1.0
+    if renormalize:
+        total = sum(weights)
+        if total > 0.0:
+            scale = 1.0 / total
+    q = 1.0 / len(support)
+    amp = sum(np.sqrt(w * scale * q) for w in weights)
+    return float(amp * amp)
+
+
+def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distribution, renormalize) -> dict:
+    """The error-bar statistics step by step and site by site: one
+    similarity call per sample and step, and the reference and first-order
+    propagated similarity spreads accumulated in Python loops."""
+    from loopwalk.analysis import _observed
+    from loopwalk.walk_engine import evolve
+
+    rng = np.random.default_rng(seed)
+    ref = _observed(evolve(setup.initial, setup.program, setup.steps), np.ones(4), renormalize, setup.site_map)
+    ref_dist = ref.intensities.sum(axis=2)
+    sq_mode = np.zeros_like(ref.intensities)
+    sq_pos = np.zeros_like(ref_dist)
+    sim_samples = []
+    for _ in range(n_samples):
+        prog = setup.program.perturbed(rng, angle_err_deg, distribution) if angle_err_deg > 0.0 else setup.program
+        eff = rng.uniform(1.0 - eff_err, 1.0 + eff_err, size=4)
+        sample = _observed(evolve(setup.initial, prog, setup.steps), eff, renormalize, setup.site_map)
+        dm = sample.intensities - ref.intensities
+        sq_mode += dm * dm
+        dp = sample.intensities.sum(axis=2) - ref_dist
+        sq_pos += dp * dp
+        sim_samples.append([equidistribution_similarity(sample, t, setup.support) for t in range(len(ref))])
+    out = {"sigma_mode": np.sqrt(sq_mode / n_samples), "sigma_position": np.sqrt(sq_pos / n_samples)}
+    q = 1.0 / len(setup.support)
+    sampled = np.asarray(sim_samples)
+    out.update(similarity_ref=[], similarity_sigma=[], similarity_sigma_sampled=[])
+    for t in range(len(ref)):
+        weights = support_weights(ref, t, setup.support)
+        amp = sum(np.sqrt(p_m * q) for p_m in weights)
+        s_ref = float(amp * amp)
+        var = 0.0
+        for m_node, p_m in zip(setup.support, weights):
+            if p_m > 0.0:
+                var += (amp * np.sqrt(q / p_m) * out["sigma_position"][t, m_node - ref.offset]) ** 2
+        devs = sampled[:, t] - s_ref
+        out["similarity_ref"].append(s_ref)
+        out["similarity_sigma"].append(float(np.sqrt(var)))
+        out["similarity_sigma_sampled"].append(float(np.sqrt(np.mean(devs * devs))))
+    return out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loopwalk.analysis import (
     WalkSetup,
@@ -11,7 +13,8 @@ from loopwalk.analysis import (
     similarity_report,
 )
 from loopwalk.graph_programs import CircleSpec, FigureEightSpec, map_sites, ring_chain
-from loopwalk.walk_engine import constant_program, evolve, make_initial
+from loopwalk.optics import ArmSetting, OpticalElement
+from loopwalk.walk_engine import CoinProgram, ElementCoin, constant_program, evolve, make_initial
 
 import oracles
 
@@ -242,3 +245,72 @@ def test_monte_carlo_argument_errors():
     # but pure efficiency noise is fine
     report = monte_carlo_error_bars(setup, n_samples=2, angle_err_deg=0.0, eff_err=0.01)
     assert report.n_samples == 2
+
+
+def test_monte_carlo_empty_support_raises():
+    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
+    program, smap = ring_chain(spec.stops, spec.flavor)
+    setup = WalkSetup(program=program, initial=make_initial("ccw", "V", 1), steps=4, site_map=smap, support=[])
+    with pytest.raises(ValueError, match="support must not be empty"):
+        monte_carlo_error_bars(setup, n_samples=2)
+
+
+def _random_setup(rng, support_size: int) -> WalkSetup:
+    """A ring, a figure-eight or a line walk with a support of distinct
+    sites in random order; a line's support may reach past its window."""
+    flavor = str(rng.choice(["hadamard_like", "non_mixing"]))
+    kind = str(rng.choice(["circle", "figure_eight", "line"]))
+    if kind == "line":
+        angle = lambda: float(rng.uniform(0.0, 180.0))
+        arm = lambda: ArmSetting((OpticalElement("qwp", angle()), OpticalElement("hwp", angle())), angle())
+        program = CoinProgram(default=ElementCoin(arm(), arm(), (OpticalElement("hwp", angle()),)))
+        steps = int(rng.integers(0, 8))
+        sites = rng.choice(np.arange(-steps - 5, steps + 6), size=support_size, replace=False)
+        return WalkSetup(program, make_initial("ccw", "D", 0), steps, support=sites.tolist())
+    left = int(rng.integers(-4, 4))
+    if kind == "circle":
+        stops = (left, left + int(rng.integers(5, 8)))
+    else:
+        stops = (left, left + int(rng.integers(2, 5)), left + int(rng.integers(5, 9)))
+    program, smap = ring_chain(stops, flavor)
+    initial = make_initial("ccw", str(rng.choice(["H", "V", "D", "A"])), int(rng.integers(stops[0] + 1, stops[-1])))
+    support = rng.choice(smap.num_nodes, size=support_size, replace=False).tolist()
+    return WalkSetup(program, initial, int(rng.integers(0, 13)), site_map=smap, support=support)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from(["uniform", "truncated_normal"]),
+    st.booleans(),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=8, max_value=16),
+)
+# a propagated spread that comes out one bit off when its terms are squared
+# as x * x rather than by pow, as the sitewise formula squares them
+@example(seed=324, distribution="truncated_normal", renormalize=False, support_size=7, n_samples=16)
+def test_monte_carlo_error_bars_equal_sitewise_oracle(seed, distribution, renormalize, support_size, n_samples):
+    rng = np.random.default_rng(seed)
+    setup = _random_setup(rng, support_size)
+    angle_err, eff_err = float(rng.choice([0.0, 1.0, 2.5])), float(rng.uniform(0.0, 0.05))
+    report = monte_carlo_error_bars(
+        setup, n_samples, eff_err, angle_err, seed=seed, distribution=distribution, renormalize=renormalize
+    )
+    want = oracles.monte_carlo_error_bars(setup, n_samples, eff_err, angle_err, seed, distribution, renormalize)
+    assert np.array_equal(report.sigma_mode, want["sigma_mode"])
+    assert np.array_equal(report.sigma_position, want["sigma_position"])
+    for field in ("similarity_ref", "similarity_sigma", "similarity_sigma_sampled"):
+        assert getattr(report, field) == want[field], field
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=9), st.booleans())
+def test_equidistribution_similarity_equals_sitewise_oracle(seed, support_size, renormalize):
+    rng = np.random.default_rng(seed)
+    setup = _random_setup(rng, support_size)
+    record = evolve(setup.initial, setup.program, setup.steps)
+    if setup.site_map is not None:
+        record = map_sites(setup.site_map, record)
+    for t in range(len(record)):
+        got = equidistribution_similarity(record, t, setup.support, renormalize=renormalize)
+        assert got == oracles.equidistribution_similarity(record, t, setup.support, renormalize=renormalize)

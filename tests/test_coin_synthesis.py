@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopwalk.coin_synthesis import (
     OneTripFactors,
@@ -308,3 +310,30 @@ def test_three_step_schedule_equals_single_target_step():
             three = final_state(state, program, 3)
             one = apply_step(apply_coin(WalkerState.light_cone(state, 3), constant_program(target), 0))
             assert np.max(np.abs(three.amp - one.amp)) <= 1e-9
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_factor_universal_and_su2_normalize_on_haar_coins(seed):
+    c = random_unitary(4, np.random.default_rng(seed))
+    fact = factor_universal(c)
+    assert fact.residual <= 1e-10
+    norm = su2_normalize(fact)
+    assert norm.residual <= 1e-10
+    for factors in (norm.factor_1, norm.factor_2):
+        for block in (factors.c_a, factors.c_b, factors.c_loop_cw, factors.c_loop_ccw):
+            assert abs(np.linalg.det(block) - 1.0) <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_one_trip_reconstruct_round_trips_haar_blocks(seed):
+    c = random_composite(np.random.default_rng(seed))
+    factors = one_trip_reconstruct(c)
+    for block in (factors.c_a, factors.c_b, factors.c_loop_cw):
+        assert unitarity_defect(block) <= 1e-10
+    assert np.array_equal(factors.c_loop_cw, factors.c_loop_ccw)
+    assert np.max(np.abs(factors.compose() - c)) <= 1e-9
+    # the recomposed coin is one-trip again and gives back the same factors
+    again = one_trip_reconstruct(factors.compose())
+    assert np.max(np.abs(again.compose() - c)) <= 1e-9

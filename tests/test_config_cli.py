@@ -1,5 +1,6 @@
 """Config validation plus end-to-end runs of the command line tool."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import oracles
 from loopwalk import cli
 from loopwalk.config import ConfigError, parse_config, parse_config_dict
 from loopwalk.optics import full_coin
-from loopwalk.walk_engine import CoinProgram
+from loopwalk.walk_engine import CoinProgram, make_initial
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs")
@@ -196,6 +197,55 @@ def test_graph_steps_nonnegative():
         parse_config_dict({"kind": "figure_eight", "steps": -1})
 
 
+def test_graph_start_off_the_graph_is_a_config_error():
+    # position outside [stops[0], stops[-1]]
+    with pytest.raises(ConfigError, match=r"circle.initial.position: 40 is not on the graph \[0, 4\]"):
+        parse_config_dict({"kind": "circle", "num_sites": 8, "initial": {"position": 40}})
+    with pytest.raises(ConfigError, match="figure_eight.initial.position: -5 is not on the graph"):
+        parse_config_dict({"kind": "figure_eight", "initial": {"position": -5}})
+    # a start at an end whose modes the shift carries off the graph
+    for initial in (
+        {"direction": "cw", "polarization": "H", "position": 0},
+        {"direction": "ccw", "polarization": "V", "position": 0},
+        {"direction": "cw", "polarization": "V", "position": 4},
+        {"direction": "ccw", "polarization": "D", "position": 4},
+    ):
+        with pytest.raises(ConfigError, match="circle.initial: the start at end"):
+            parse_config_dict({"kind": "circle", "num_sites": 8, "initial": initial})
+    with pytest.raises(ConfigError, match="figure_eight.initial: the start at end 4"):
+        parse_config_dict({"kind": "figure_eight", "initial": {"direction": "cw", "polarization": "A", "position": 4}})
+    # the same through an errorbars base
+    with pytest.raises(ConfigError, match="circle.initial.position"):
+        parse_config_dict({"kind": "errorbars", "base": {"kind": "circle", "num_sites": 8, "initial": {"position": 9}}})
+    with pytest.raises(ConfigError, match="circle.initial: the start at end 0"):
+        parse_config_dict(
+            {"kind": "errorbars", "base": {"kind": "circle", "num_sites": 8, "initial": {"direction": "cw"}}}
+        )
+
+
+def test_graph_start_rule_matches_leakage():
+    # every start on and next to a circle and a figure-eight: the parser
+    # rejects exactly the starts whose walk leaks off the graph
+    from loopwalk.graph_programs import map_sites
+    from loopwalk.walk_engine import evolve
+
+    graphs = [{"kind": "circle", "num_sites": 8, "left_end": -2}, {"kind": "figure_eight", "left_end": -3, "right_end": 2}]
+    for graph, flavor in itertools.product(graphs, ("non_mixing", "hadamard_like")):
+        full = parse_config_dict({**graph, "flavor": flavor})
+        left, right = graph["left_end"], graph.get("right_end", graph["left_end"] + 4)
+        positions = (left - 1, left, left + 1, 0, right - 1, right, right + 1)
+        for x, direction, polarization in itertools.product(positions, ("cw", "ccw"), "HVDA"):
+            initial = {"direction": direction, "polarization": polarization, "position": x}
+            record = evolve(make_initial(direction, polarization, x), full.program, 12)
+            leaks = map_sites(full.site_map, record).max_leakage > 1e-9
+            try:
+                parse_config_dict({**graph, "flavor": flavor, "initial": initial})
+                rejected = False
+            except ConfigError:
+                rejected = True
+            assert rejected == leaks, (graph["kind"], flavor, initial)
+
+
 def test_circle_validation():
     cfg = parse_config_dict({"kind": "circle", "num_sites": 8})
     assert cfg.kind == "circle"
@@ -273,6 +323,8 @@ def test_errorbars_validation():
         parse_config_dict(
             {"kind": "errorbars", "base": circle_base, "support": [1, 1, 1, 1]}
         )
+    with pytest.raises(ConfigError, match="errorbars.support: expected a nonempty list of integers"):
+        parse_config_dict({"kind": "errorbars", "base": circle_base, "support": []})
     ok = parse_config_dict(
         {"kind": "errorbars", "base": circle_base, "support": [1, 3, 5, 7]}
     )
@@ -537,6 +589,22 @@ def test_cli_errorbars_negative_steps_exits_2():
     res = run_cli("errorbars", "--config", os.path.join(CONFIG_DIR, "errorbars_circle8.yaml"), "--steps", "-1")
     assert res.returncode == 2
     assert "config error: --steps must be nonnegative" in res.stderr
+
+
+def test_cli_off_graph_start_and_empty_support_exit_2(tmp_path):
+    circle = {"kind": "circle", "num_sites": 8, "initial": {"position": 40}}
+    res = run_cli("circle", "--config", write_cfg(tmp_path, circle))
+    assert res.returncode == 2
+    assert "config error: circle.initial.position: 40 is not on the graph [0, 4]" in res.stderr
+    eight = {"kind": "figure_eight", "initial": {"direction": "ccw", "polarization": "V", "position": -4}}
+    res = run_cli("revivals", "--config", write_cfg(tmp_path, eight))
+    assert res.returncode == 2
+    assert "config error: figure_eight.initial: the start at end -4 points off the graph" in res.stderr
+    empty = {"kind": "errorbars", "base": {"kind": "circle", "num_sites": 8}, "support": [], "n_samples": 2}
+    res = run_cli("errorbars", "--config", write_cfg(tmp_path, empty))
+    assert res.returncode == 2
+    assert "config error: errorbars.support: expected a nonempty list of integers" in res.stderr
+    assert res.stdout == ""
 
 
 def test_cli_errorbars_zero_noise_zero_sigma(tmp_path):

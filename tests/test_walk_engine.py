@@ -4,8 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from loopwalk.linalg_core import random_unitary
-from loopwalk.optics import full_coin, hwp_matrix, qwp_matrix
+from loopwalk.optics import ArmSetting, OpticalElement, full_coin, hwp_matrix, qwp_matrix
 from loopwalk.walk_engine import (
+    CCH,
+    CCV,
+    CH,
+    CV,
     TRACE_LABELS,
     CoinProgram,
     ElementCoin,
@@ -376,7 +380,7 @@ def test_raw_coin_cannot_be_perturbed():
 
 
 def test_raw_coin_matrix_is_a_frozen_copy():
-    # CoinProgram caches resolved matrices by id(spec), so a spec's matrix
+    # CoinProgram builds a spec's matrix once and reuses it, so the matrix
     # must not change after construction
     source = np.eye(4, dtype=complex)
     raw = RawCoin(source)
@@ -481,3 +485,62 @@ def test_coin_program_perturbation_distributions():
         assert np.max(np.abs(m.conj().T @ m - np.eye(4))) < 1e-12
     with pytest.raises(ValueError):
         program.perturbed(rng, 1.5, "gaussian")
+
+
+@settings(derandomize=True, deadline=None, max_examples=50)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
+def test_apply_step_twice_is_identity_on_random_states(seed, n):
+    rng = np.random.default_rng(seed)
+    # rows of Haar-coined amplitudes, some rows empty, nothing pointing off the window
+    amp = np.array([random_unitary(4, rng)[:, 0] for _ in range(n + 2)])
+    amp[rng.random(n + 2) < 0.3] = 0.0
+    amp[0, [CH, CCV]] = 0.0
+    amp[-1, [CV, CCH]] = 0.0
+    state = WalkerState(amp, np.any(amp != 0.0, axis=1), int(rng.integers(-5, 6)))
+    back = apply_step(apply_step(state))
+    assert np.array_equal(back.amp, state.amp)
+    assert np.array_equal(back.reached, state.reached)
+    assert back.offset == state.offset
+
+
+def _element_coin(rng) -> ElementCoin:
+    angle = lambda: float(rng.uniform(0.0, 180.0))
+    arm = lambda: ArmSetting((OpticalElement("qwp", angle()), OpticalElement("hwp", angle())), angle())
+    return ElementCoin(arm(), arm(), (OpticalElement("hwp", angle()),))
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "truncated_normal"])
+def test_coin_program_specs_order_and_per_sample_draws(distribution):
+    a, b, c, d, e = (_element_coin(np.random.default_rng(41 + i)) for i in range(5))
+    twin = ElementCoin(a.arm_a, a.arm_b, a.loop)  # equal to a, but another object
+    program = CoinProgram(default=a, overrides={3: b, -1: c, 5: a, 0: twin}, time_table=[d, b, e, d])
+    # default, overrides by ascending position, time table; each object once
+    order = (a, c, twin, b, d, e)
+    assert len(program.specs) == len(order)
+    assert all(got is want for got, want in zip(program.specs, order))
+
+    def jitter(ref, n):
+        if distribution == "uniform":
+            return ref.uniform(-1.5, 1.5, size=n).tolist()
+        out = []
+        for _ in range(n):
+            while abs(draw := ref.normal(0.0, 0.75)) > 1.5:
+                pass
+            out.append(draw)
+        return out
+
+    # per sample, as error sampling draws: one jitter per angle of each
+    # entry of specs in order, then four efficiencies
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        bumped = program.perturbed(rng, 1.5, distribution)
+        eff = rng.uniform(0.975, 1.025, size=4)
+        for got, spec in zip(bumped.specs, order):
+            assert got.angles() == [x + j for x, j in zip(spec.angles(), jitter(ref, len(spec.angles())))]
+        assert np.array_equal(eff, ref.uniform(0.975, 1.025, size=4))
+        # each drawn spec serves every rule its original served
+        new = dict(zip(map(id, order), bumped.specs))
+        assert bumped.default is new[id(a)]
+        assert all(bumped.overrides[x] is new[id(s)] for x, s in program.overrides.items())
+        assert all(got is new[id(s)] for got, s in zip(bumped.time_table, program.time_table))
+        assert len(bumped.specs) == len(order)
