@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph_programs import MappedRecord, SiteMap, map_sites
-from .walk_engine import CoinProgram, InitialState, IntensityRecord, evolve
+from .walk_engine import CoinProgram, InitialState, IntensityRecord, draw_jitter, evolve, evolve_states
 
 
 def _overlap(p, q) -> np.ndarray:
@@ -173,7 +173,8 @@ class ErrorBarReport:
 
 def _observed(record: IntensityRecord, eff: np.ndarray, renormalize: bool, site_map: Optional[SiteMap]):
     """Apply per-mode detection efficiencies, optionally renormalize each
-    step, then map onto the graph when there is one.
+    step, then map onto the graph when there is one.  The record's leading
+    axis may as well be samples of one step, with eff (samples, 1, 4).
 
     Step totals are running sums over the sites in position order; the
     last bits of the printed spreads depend on that order.
@@ -200,8 +201,13 @@ def monte_carlo_error_bars(
 
     Each sample draws, in this order from one seeded generator: a jitter for
     every element angle of the coin program (one draw per element per coin
-    class, shared across positions of the class), then four multiplicative
-    mode efficiencies.  Deviations are root-mean-square distances from the
+    class, shared across positions of the class; none when angle_err_deg is
+    0), then four multiplicative mode efficiencies.  All draws are taken up
+    front, sample by sample, and the samples walk together as one batch
+    (CoinProgram.sampled): every step's (samples, sites, 4) intensities go
+    through the distortion pipeline at once and are added into the squared
+    deviations in sample order, so the result equals running the samples
+    one at a time.  Deviations are root-mean-square distances from the
     unperturbed reference, so a zero-error run reports exactly zero.
 
     When the setup carries a site map, statistics are computed on node
@@ -225,26 +231,28 @@ def monte_carlo_error_bars(
         base_record = evolve(setup.initial, setup.program, setup.steps)
     ref = _observed(base_record, np.ones(4), renormalize, setup.site_map)
     ref_dist = ref.intensities.sum(axis=2)
-    if setup.support is not None:
-        weights = _at_support(ref_dist, ref.offset, setup.support)
-        sampled = []  # per sample, the (steps, support) weights
-
+    # per sample: one offset per element angle (none without angle error), then four efficiencies
+    n_angles = len(setup.program.angles())
+    drawn = n_angles if angle_err_deg > 0.0 else 0
+    draws = draw_jitter(rng, n_samples, drawn, angle_err_deg, distribution, eff_err)
+    offsets = draws[:, :drawn] if drawn else np.zeros((n_samples, n_angles))
+    eff = draws[:, None, drawn:]
     sq_mode = np.zeros_like(ref.intensities)
     sq_pos = np.zeros_like(ref_dist)
-    for _ in range(n_samples):
-        if angle_err_deg > 0.0:
-            prog = setup.program.perturbed(rng, angle_err_deg, distribution)
-        else:
-            prog = setup.program
-        eff = rng.uniform(1.0 - eff_err, 1.0 + eff_err, size=4)
-        sample = _observed(evolve(setup.initial, prog, setup.steps), eff, renormalize, setup.site_map)
-        dm = sample.intensities - ref.intensities
-        sq_mode += dm * dm
+    if setup.support is not None:
+        weights = _at_support(ref_dist, ref.offset, setup.support)
+        sampled = np.zeros((len(ref), n_samples, len(setup.support)))  # per step, the samples' weights
+    # one step of every sample at a time, added in sample order
+    for t, state in enumerate(evolve_states(setup.initial, setup.program.sampled(offsets), setup.steps)):
+        walked = IntensityRecord(np.abs(state.amp) ** 2, state.reached, state.offset)
+        sample = _observed(walked, eff, renormalize, setup.site_map)
+        dm = sample.intensities - ref.intensities[t]
+        sq_mode[t] = np.cumsum(dm * dm, axis=0)[-1]
         sample_dist = sample.intensities.sum(axis=2)
-        dp = sample_dist - ref_dist
-        sq_pos += dp * dp
+        dp = sample_dist - ref_dist[t]
+        sq_pos[t] = np.cumsum(dp * dp, axis=0)[-1]
         if setup.support is not None:
-            sampled.append(_at_support(sample_dist, sample.offset, setup.support))
+            sampled[t] = _at_support(sample_dist, sample.offset, setup.support)
 
     report = ErrorBarReport(
         reference=ref,
@@ -268,8 +276,7 @@ def monte_carlo_error_bars(
         dsdp = amp[:, None] * np.sqrt(q / np.where(held, weights, 1.0))
         sigma_at = _at_support(report.sigma_position, ref.offset, setup.support)
         terms = np.where(held, np.float_power(dsdp * sigma_at, 2), 0.0)
-        # one contiguous row of samples per step
-        sampled_amp = np.ascontiguousarray(_overlap(np.array(sampled), q).T)
+        sampled_amp = _overlap(sampled, q)  # one contiguous row of samples per step
         devs = sampled_amp * sampled_amp - (amp * amp)[:, None]
         report.similarity_ref = (amp * amp).tolist()
         report.similarity_sigma = np.sqrt(np.cumsum(terms, axis=1)[:, -1]).tolist()

@@ -24,12 +24,13 @@ reached positions, and records list only reached positions.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .optics import ArmSetting, OpticalElement, arm_operator, full_coin, loop_operator
+from .optics import ArmSetting, OpticalElement, arm_stack, full_coin, loop_stack
 
 CH, CV, CCH, CCV = 0, 1, 2, 3
 MODE_NAMES = ("cH", "cV", "ccH", "ccV")
@@ -39,6 +40,46 @@ InitialState = dict  # position -> complex (4,) amplitudes, as make_initial buil
 
 class ProgramError(KeyError):
     """Raised when a coin program cannot resolve a (step, position) query."""
+
+
+def _no_rule(t: int, x: int) -> str:
+    return f"no coin rule for step {t} at position {x}"
+
+
+def draw_jitter(
+    rng: np.random.Generator,
+    n_samples: int,
+    n_angles: int,
+    angle_err_deg: float,
+    distribution: str,
+    eff_err: Optional[float] = None,
+) -> np.ndarray:
+    """Random draws for n_samples samples, one row each, taken from rng row
+    by row: n_angles angle offsets within +-angle_err_deg, then, with
+    eff_err, four detection efficiencies uniform on [1 - eff_err, 1 + eff_err].
+
+    Uniform draws are low + (high - low) * U over one rng.random block, as
+    Generator.uniform computes them.  truncated_normal offsets are drawn
+    from N(0, (angle_err_deg / 2)^2) one at a time, each redrawn until it
+    lies inside the window.
+    """
+    bounds = [(-angle_err_deg, angle_err_deg)] * n_angles
+    if eff_err is not None:
+        bounds += [(1.0 - eff_err, 1.0 + eff_err)] * 4
+    low, high = np.array(bounds, dtype=float).reshape(-1, 2).T
+    span = high - low
+    if distribution == "uniform":
+        return low + span * rng.random((n_samples, len(bounds)))
+    if distribution != "truncated_normal":
+        raise ValueError(f"unknown perturbation distribution {distribution!r}")
+    out = np.empty((n_samples, len(bounds)))
+    for row in out:
+        for i in range(n_angles):
+            while abs(d := rng.normal(0.0, angle_err_deg / 2.0)) > angle_err_deg:
+                pass
+            row[i] = d
+        row[n_angles:] = low[n_angles:] + span[n_angles:] * rng.random(len(bounds) - n_angles)
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,6 +96,13 @@ class RawCoin:
 
     def matrix(self) -> np.ndarray:
         return self.matrix_value
+
+    def angles(self) -> list:
+        return []
+
+    def matrices(self, angles) -> np.ndarray:
+        """The matrix once per row of an (..., 0) angle array, as a contiguous stack."""
+        return np.tile(self.matrix_value, (*np.shape(angles)[:-1], 1, 1))
 
     def perturbed(self, rng, angle_err_deg, distribution):
         raise ValueError("raw-matrix coins carry no element angles to perturb")
@@ -81,10 +129,19 @@ class ElementCoin:
         object.__setattr__(self, "loop", tuple(self.loop))
 
     def matrix(self) -> np.ndarray:
+        return self.matrices(self.angles())
+
+    def matrices(self, angles) -> np.ndarray:
+        """Coins at element angles (..., n) given in the order of angles():
+        a (..., 4, 4) stack, one coin per row; matrix() is the row of the
+        coin's own angles."""
+        angles = np.asarray(angles, dtype=float)
+        a = len(self.arm_a.waveplates) + 1
+        b = a + len(self.arm_b.waveplates) + 1
         return full_coin(
-            arm_operator(self.arm_a, eom_first=self.eom_first),
-            arm_operator(self.arm_b, eom_first=self.eom_first),
-            loop_operator(self.loop),
+            arm_stack([el.kind for el in self.arm_a.waveplates], angles[..., :a], self.eom_first),
+            arm_stack([el.kind for el in self.arm_b.waveplates], angles[..., a:b], self.eom_first),
+            loop_stack([el.kind for el in self.loop], angles[..., b:]),
         )
 
     def angles(self) -> list[float]:
@@ -117,20 +174,7 @@ class ElementCoin:
 
     def perturbed(self, rng: np.random.Generator, angle_err_deg: float, distribution: str) -> "ElementCoin":
         base = self.angles()
-        if distribution == "uniform":
-            jitter = rng.uniform(-angle_err_deg, angle_err_deg, size=len(base))
-        elif distribution == "truncated_normal":
-            # sigma = err/2, resampled into the +-err window
-            jitter = np.empty(len(base))
-            for i in range(len(base)):
-                while True:
-                    d = rng.normal(0.0, angle_err_deg / 2.0)
-                    if abs(d) <= angle_err_deg:
-                        jitter[i] = d
-                        break
-        else:
-            raise ValueError(f"unknown perturbation distribution {distribution!r}")
-        return self.with_angles([b + j for b, j in zip(base, jitter)])
+        return self.with_angles(np.add(base, draw_jitter(rng, 1, len(base), angle_err_deg, distribution)[0]))
 
     @property
     def has_elements(self) -> bool:
@@ -147,7 +191,8 @@ class CoinProgram:
 
     `specs` lists the distinct coin specs in the order default, overrides
     by ascending position, time table entries.  Every rule resolves to an
-    entry of it; each entry's matrix is built once, on first use.
+    entry of it; `table` holds the entries' matrices, all built once on
+    first use.
     """
 
     def __init__(
@@ -166,8 +211,8 @@ class CoinProgram:
         entry = {id(spec): i for i, spec in enumerate(self.specs)}
         self._override_entries = {x: entry[id(self.overrides[x])] for x in positions}
         self._time_entries = [entry[id(spec)] for spec in self.time_table or ()]
-        self._matrices = [None] * len(self.specs)
-        self._overrides = None  # (override positions ascending, coin per slot), on first use
+        self._table = None  # on first use
+        self._overrides = None  # (override positions ascending, entry per slot), on first use
 
     def _entry(self, t: int, x: int) -> int:
         if 0 <= t < len(self._time_entries):
@@ -176,39 +221,65 @@ class CoinProgram:
             return self._override_entries[x]
         if self.default is not None:
             return 0
-        raise ProgramError(f"no coin rule for step {t} at position {x}")
+        raise ProgramError(_no_rule(t, x))
 
-    def _matrix(self, i: int) -> np.ndarray:
-        if self._matrices[i] is None:
-            self._matrices[i] = np.asarray(self.specs[i].matrix(), dtype=complex)
-        return self._matrices[i]
+    @property
+    def table(self) -> np.ndarray:
+        """The read-only matrices of `specs`, (len(specs), 4, 4), built once
+        on first use; a sampled program's has a leading sample axis."""
+        if self._table is None:
+            self._table = np.array([spec.matrix() for spec in self.specs], dtype=complex)
+            self._table.setflags(write=False)
+        return self._table
 
     def spec_at(self, t: int, x: int):
         return self.specs[self._entry(t, x)]
 
     def coin_at(self, t: int, x: int) -> np.ndarray:
-        return self._matrix(self._entry(t, x))
+        return self.table[..., self._entry(t, x), :, :]
 
-    def coin_stack(self, t: int, positions: np.ndarray) -> np.ndarray:
-        """Coins for step t at a nonempty array of positions.
-
-        Shape (1, 4, 4) when one rule covers every position, else
-        (len(positions), 4, 4), gathered from the override coins, which
-        are resolved once; a position without a rule raises ProgramError.
+    def entries(self, t: int, positions: np.ndarray):
+        """The entries of `specs` serving a nonempty array of positions at
+        step t, one per position, or a single one when one rule covers them
+        all; and the mask of the positions no rule covers, None when there
+        is none (their entry is arbitrary).  The override positions are
+        resolved once and looked up with one searchsorted.
         """
-        if 0 <= t < len(self._time_entries) or not self._override_entries:
-            return self.coin_at(t, int(positions[0]))[None]
+        if 0 <= t < len(self._time_entries):
+            return np.array(self._time_entries[t : t + 1]), None
+        if not self._override_entries:
+            uncovered = None if self.default is not None else np.ones(len(positions), dtype=bool)
+            return np.zeros(1, dtype=int), uncovered
         if self._overrides is None:
             # a slot per override position, then the default's
-            slots = [*self._override_entries.values(), *([0] if self.default is not None else [])]
-            self._overrides = np.array(list(self._override_entries)), np.array([self._matrix(i) for i in slots])
-        keys, coins = self._overrides
+            slots = [*self._override_entries.values(), 0]
+            self._overrides = np.array(list(self._override_entries)), np.array(slots)
+        keys, slots = self._overrides
         slot = np.searchsorted(keys, positions)
         missing = keys[np.minimum(slot, len(keys) - 1)] != positions
-        if self.default is None and missing.any():
-            self._entry(t, int(positions[missing][0]))  # raises, naming step and position
         slot[missing] = len(keys)
-        return coins[slot]
+        return slots[slot], missing if self.default is None and missing.any() else None
+
+    def sampled(self, offsets: np.ndarray) -> "CoinProgram":
+        """This program's rules over a table with a leading sample axis.
+
+        Row s of `offsets` (S, A) shifts, for sample s, every element angle
+        of the entries of `specs` in order (A = len(angles())); the table
+        is (S, len(specs), 4, 4), contiguous.  Raw-matrix entries have no
+        angles and keep their matrix.
+        """
+        split = np.cumsum([len(spec.angles()) for spec in self.specs])[:-1]
+        shifts = np.split(offsets, split, axis=1)
+        stacks = [spec.matrices(np.add(spec.angles(), d)) for spec, d in zip(self.specs, shifts)]
+        table = np.stack(stacks, axis=1)
+        table.setflags(write=False)
+        out = copy.copy(self)
+        out._table = table
+        return out
+
+    def angles(self) -> list:
+        """Every element angle of the entries of `specs`, in order."""
+        return [angle for spec in self.specs for angle in spec.angles()]
 
     def perturbed(self, rng: np.random.Generator, angle_err_deg: float, distribution: str = "uniform") -> "CoinProgram":
         """New program with every element angle independently jittered.
@@ -281,25 +352,34 @@ class IntensityRecord:
 
 @dataclass
 class WalkerState:
-    """Amplitudes `amp` (n, 4) on the positions offset .. offset + n - 1,
-    with `reached` (n,) marking the positions the walker has reached."""
+    """Amplitudes `amp` (..., n, 4) on the positions offset .. offset + n - 1,
+    with `reached` (..., n) marking the positions the walker has reached.
+
+    A batch has a leading sample axis, amp (S, n, 4) and reached (S, n),
+    for the samples of a sampled program (CoinProgram.sampled), each walked
+    on its own; `failed` is then the (sample, message) of the lowest-index
+    sample that reached a position without a coin rule, at the first step
+    it did (see apply_coin).
+    """
 
     amp: np.ndarray
     reached: np.ndarray
     offset: int
+    failed: Optional[tuple] = None
 
     @classmethod
-    def light_cone(cls, initial: InitialState, steps: int) -> "WalkerState":
-        """`initial` placed on the window that `steps` steps cannot leave."""
+    def light_cone(cls, initial: InitialState, steps: int, samples: tuple = ()) -> "WalkerState":
+        """`initial` placed on the window that `steps` steps cannot leave,
+        once per sample when `samples` is (S,)."""
         if not initial:
             raise ValueError("initial state has no positions")
         lo = min(initial) - steps
         n = max(initial) + steps - lo + 1
-        amp = np.zeros((n, 4), dtype=complex)
-        reached = np.zeros(n, dtype=bool)
+        amp = np.zeros((*samples, n, 4), dtype=complex)
+        reached = np.zeros((*samples, n), dtype=bool)
         for x, a in initial.items():
-            amp[x - lo] = a
-            reached[x - lo] = True
+            amp[..., x - lo, :] = a
+            reached[..., x - lo] = True
         return cls(amp, reached, int(lo))
 
     def positions(self) -> np.ndarray:
@@ -337,33 +417,59 @@ def make_initial(direction: str, polarization: str, position: int = 0) -> Initia
 
 
 def apply_coin(state: WalkerState, program: CoinProgram, t: int) -> WalkerState:
-    rows = np.flatnonzero(state.reached)
-    amp = state.amp.copy()
+    """Coin the reached positions of step t.
+
+    A batch state (S, n, 4) takes a program whose table is
+    (S, len(specs), 4, 4), and each sample is coined from its own row; a
+    position reached by any sample is coined in every sample (zero
+    amplitudes stay zero).  A reached position without a rule raises
+    ProgramError naming the step and the lowest such position.  In a batch
+    the failure is kept in `failed` instead, for the lowest-index failing
+    sample at its first failing step, and evolve_states raises it after the
+    last step: the error running the samples one by one would raise.
+    """
+    reached = state.reached
+    rows = np.flatnonzero(reached if reached.ndim == 1 else reached.any(axis=0))
+    amp, failed = state.amp.copy(), state.failed
     if rows.size:
-        coins = program.coin_stack(t, state.offset + rows)
-        amp[rows] = np.matmul(coins, amp[rows][:, :, None])[:, :, 0]
-    return WalkerState(amp, state.reached, state.offset)
+        entries, missing = program.entries(t, state.offset + rows)
+        if missing is not None:
+            bad = (reached[..., rows] & missing).reshape(-1, len(rows))  # a row per sample
+            failing = np.flatnonzero(bad.any(axis=1))
+            if failing.size and (failed is None or failing[0] < failed[0]):
+                sample = int(failing[0])
+                failed = (sample, _no_rule(t, int(state.offset + rows[bad[sample]][0])))
+                if reached.ndim == 1:
+                    raise ProgramError(failed[1])
+        coins = program.table.take(entries, axis=-3)
+        amp[..., rows, :] = np.matmul(coins, amp.take(rows, axis=-2)[..., None])[..., 0]
+    return WalkerState(amp, reached, state.offset, failed)
 
 
 def apply_step(state: WalkerState) -> WalkerState:
     a = state.amp
-    if a[0, CH] or a[0, CCV] or a[-1, CV] or a[-1, CCH]:
+    if np.count_nonzero(a[..., 0, CH::3]) or np.count_nonzero(a[..., -1, CV : CCH + 1]):  # cH, ccV; cV, ccH
         raise ValueError("amplitude would leave the window; size it with WalkerState.light_cone")
-    out = np.zeros_like(a)
-    out[:-1, CCH] = a[1:, CH]
-    out[:-1, CV] = a[1:, CCV]
-    out[1:, CH] = a[:-1, CCH]
-    out[1:, CCV] = a[:-1, CV]
-    return WalkerState(out, np.any(out != 0.0, axis=1), state.offset)
+    out = np.zeros(a.shape, dtype=complex)
+    out[..., :-1, CCH] = a[..., 1:, CH]
+    out[..., :-1, CV] = a[..., 1:, CCV]
+    out[..., 1:, CH] = a[..., :-1, CCH]
+    out[..., 1:, CCV] = a[..., :-1, CV]
+    return WalkerState(out, out.any(axis=-1), state.offset, state.failed)
 
 
 def evolve_states(initial: InitialState, program: CoinProgram, steps: int):
-    """Yield the state after 0, 1, ..., steps time steps."""
-    state = WalkerState.light_cone(initial, steps)
+    """Yield the state after 0, 1, ..., steps time steps; a batch when
+    program.table has a sample axis.  A batch in which a
+    sample reached a position without a coin rule raises that ProgramError
+    after its last state (see apply_coin)."""
+    state = WalkerState.light_cone(initial, steps, program.table.shape[:-3])
     yield state
     for t in range(steps):
         state = apply_step(apply_coin(state, program, t))
         yield state
+    if state.failed is not None:
+        raise ProgramError(state.failed[1])
 
 
 def evolve(initial: InitialState, program: CoinProgram, steps: int) -> IntensityRecord:

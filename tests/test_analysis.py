@@ -14,7 +14,16 @@ from loopwalk.analysis import (
 )
 from loopwalk.graph_programs import CircleSpec, FigureEightSpec, map_sites, ring_chain
 from loopwalk.optics import ArmSetting, OpticalElement
-from loopwalk.walk_engine import CoinProgram, ElementCoin, constant_program, evolve, make_initial
+from loopwalk.linalg_core import random_unitary
+from loopwalk.walk_engine import (
+    CoinProgram,
+    ElementCoin,
+    ProgramError,
+    RawCoin,
+    constant_program,
+    evolve,
+    make_initial,
+)
 
 import oracles
 
@@ -265,8 +274,7 @@ def _random_setup(rng, support_size: int) -> WalkSetup:
         arm = lambda: ArmSetting((OpticalElement("qwp", angle()), OpticalElement("hwp", angle())), angle())
         program = CoinProgram(default=ElementCoin(arm(), arm(), (OpticalElement("hwp", angle()),)))
         steps = int(rng.integers(0, 8))
-        sites = rng.choice(np.arange(-steps - 5, steps + 6), size=support_size, replace=False)
-        return WalkSetup(program, make_initial("ccw", "D", 0), steps, support=sites.tolist())
+        return WalkSetup(program, make_initial("ccw", "D", 0), steps, support=_line_support(rng, steps, support_size))
     left = int(rng.integers(-4, 4))
     if kind == "circle":
         stops = (left, left + int(rng.integers(5, 8)))
@@ -278,25 +286,63 @@ def _random_setup(rng, support_size: int) -> WalkSetup:
     return WalkSetup(program, initial, int(rng.integers(0, 13)), site_map=smap, support=support)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+def _line_support(rng, steps: int, support_size: int) -> list:
+    return rng.choice(np.arange(-steps - 5, steps + 6), size=support_size, replace=False).tolist()
+
+
+def _raw_time_table_setup(rng, support_size: int) -> WalkSetup:
+    """A line walk under a time table of raw coins, then a default and an
+    override; raw coins take no angle error."""
+    raw = lambda: RawCoin(random_unitary(4, rng))
+    program = CoinProgram(default=raw(), overrides={1: raw()}, time_table=[raw() for _ in range(int(rng.integers(1, 5)))])
+    steps = int(rng.integers(0, 8))
+    return WalkSetup(program, make_initial("cw", "A", 0), steps, support=_line_support(rng, steps, support_size))
+
+
+def _uncovered_setup(rng, support_size: int) -> WalkSetup:
+    """A line walk whose program has no default and covers only x0 - 1 ..
+    x0 + 1: at zero angles every coin is diagonal and the walker started at
+    x0 stays on them, but any angle jitter spreads it further."""
+    zero = lambda kind: OpticalElement(kind, 0.0)
+    arm = lambda: ArmSetting(tuple(zero(str(k)) for k in rng.choice(["qwp", "hwp"], size=int(rng.integers(0, 3)))))
+    coin = lambda: ElementCoin(arm(), arm(), (zero(str(rng.choice(["qwp", "hwp", "eom"]))),))
+    x0, shared = int(rng.integers(-3, 4)), coin()
+    program = CoinProgram(overrides={x0 - 1: shared, x0: coin(), x0 + 1: shared})
+    initial = make_initial(str(rng.choice(["cw", "ccw"])), str(rng.choice(["H", "V", "D", "A"])), x0)
+    steps = int(rng.integers(0, 8))
+    return WalkSetup(program, initial, steps, support=_line_support(rng, steps, support_size))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
     st.sampled_from(["uniform", "truncated_normal"]),
     st.booleans(),
     st.integers(min_value=1, max_value=9),
-    st.integers(min_value=8, max_value=16),
+    st.integers(min_value=1, max_value=16),
+    st.sampled_from(["elements", "raw_time_table", "uncovered"]),
 )
 # a propagated spread that comes out one bit off when its terms are squared
 # as x * x rather than by pow, as the sitewise formula squares them
-@example(seed=324, distribution="truncated_normal", renormalize=False, support_size=7, n_samples=16)
-def test_monte_carlo_error_bars_equal_sitewise_oracle(seed, distribution, renormalize, support_size, n_samples):
+@example(seed=324, distribution="truncated_normal", renormalize=False, support_size=7, n_samples=16, kind="elements")
+def test_monte_carlo_error_bars_equal_sitewise_oracle(seed, distribution, renormalize, support_size, n_samples, kind):
     rng = np.random.default_rng(seed)
-    setup = _random_setup(rng, support_size)
-    angle_err, eff_err = float(rng.choice([0.0, 1.0, 2.5])), float(rng.uniform(0.0, 0.05))
-    report = monte_carlo_error_bars(
-        setup, n_samples, eff_err, angle_err, seed=seed, distribution=distribution, renormalize=renormalize
+    setup = {"elements": _random_setup, "raw_time_table": _raw_time_table_setup, "uncovered": _uncovered_setup}[kind](
+        rng, support_size
     )
-    want = oracles.monte_carlo_error_bars(setup, n_samples, eff_err, angle_err, seed, distribution, renormalize)
+    angle_err = float(rng.choice([0.0, 1.0, 2.5])) if setup.program.has_elements else 0.0
+    eff_err = float(rng.uniform(0.0, 0.05))
+    args = (setup, n_samples, eff_err, angle_err, seed, distribution, renormalize)
+    try:
+        want = oracles.monte_carlo_error_bars(*args)
+    except ProgramError as err:
+        # a sample left the covered positions: the same error, naming the
+        # first failing sample's step and position
+        with pytest.raises(ProgramError) as got:
+            monte_carlo_error_bars(*args)
+        assert str(got.value) == str(err)
+        return
+    report = monte_carlo_error_bars(*args)
     assert np.array_equal(report.sigma_mode, want["sigma_mode"])
     assert np.array_equal(report.sigma_position, want["sigma_position"])
     for field in ("similarity_ref", "similarity_sigma", "similarity_sigma_sampled"):

@@ -694,3 +694,17 @@ def test_column_formats_int64_in_decimal(vs):
     info = np.iinfo(np.int64)
     a = np.array([*vs, info.min, info.max, -1, 0], dtype=np.int64)
     assert cli._column(a) == [str(int(v)) for v in a]
+
+
+def test_package_all_lists_every_public_name():
+    import types
+
+    import loopwalk
+
+    public = {
+        name
+        for name, value in vars(loopwalk).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(loopwalk.__all__) == len(set(loopwalk.__all__))
+    assert set(loopwalk.__all__) == public

@@ -544,3 +544,92 @@ def test_coin_program_specs_order_and_per_sample_draws(distribution):
         assert all(bumped.overrides[x] is new[id(s)] for x, s in program.overrides.items())
         assert all(got is new[id(s)] for got, s in zip(bumped.time_table, program.time_table))
         assert len(bumped.specs) == len(order)
+
+
+def _batch_cases(rng):
+    from loopwalk.graph_programs import ring_chain
+
+    element = _element_coin(rng)
+    return [
+        (make_initial("ccw", "D", 0), CoinProgram(default=element), 12),
+        (make_initial("ccw", "V", 1), ring_chain((0, 4), "hadamard_like")[0], 14),
+        (make_initial("cw", "H", 1), ring_chain((-3, 0, 4), "non_mixing")[0], 14),
+        (
+            make_initial("cw", "D", 0),
+            CoinProgram(
+                default=RawCoin(random_unitary(4, rng)),
+                overrides={1: element, -2: RawCoin(random_unitary(4, rng))},
+                time_table=[RawCoin(random_unitary(4, rng)) for _ in range(3)],
+            ),
+            10,
+        ),
+    ]
+
+
+def test_sampled_copies_evolve_like_evolve_bit_for_bit():
+    # S contiguous copies of a program's table walk exactly as the program
+    # does alone, in every sample
+    from loopwalk.walk_engine import evolve_states
+
+    for init, program, steps in _batch_cases(np.random.default_rng(43)):
+        copies = program.sampled(np.zeros((5, len(program.angles()))))
+        assert copies.table.shape == (5, *program.table.shape)
+        assert copies.table.flags.c_contiguous
+        for state, single in zip(evolve_states(init, copies, steps), evolve_states(init, program, steps)):
+            assert state.offset == single.offset
+            for s in range(5):
+                assert np.array_equal(state.amp[s], single.amp)
+                assert np.array_equal(state.reached[s], single.reached)
+
+
+def test_sampled_program_walks_each_sample_as_its_own_program():
+    # a sample of the batch equals the program rebuilt from its jittered angles
+    from loopwalk.walk_engine import evolve_states
+
+    rng = np.random.default_rng(44)
+    for init, program, steps in _batch_cases(rng):
+        offsets = rng.uniform(-2.0, 2.0, size=(4, len(program.angles())))
+        batch = list(evolve_states(init, program.sampled(offsets), steps))
+        for s, row in enumerate(offsets):
+            shifted, start = {}, 0
+            for spec in program.specs:
+                n = len(spec.angles())
+                shifted[id(spec)] = spec.with_angles(np.add(spec.angles(), row[start : start + n])) if n else spec
+                start += n
+            alone = CoinProgram(
+                default=shifted[id(program.default)] if program.default is not None else None,
+                overrides={x: shifted[id(c)] for x, c in program.overrides.items()},
+                time_table=[shifted[id(c)] for c in program.time_table] if program.time_table else None,
+            )
+            for state, single in zip(batch, evolve_states(init, alone, steps)):
+                assert np.array_equal(state.amp[s], single.amp)
+
+
+def test_batch_raises_the_lowest_failing_sample_first_failure():
+    # the coin at zero angles is diagonal, so the walker bounces between two
+    # positions; a jittered coin mixes all four modes and spreads it.
+    # Sample 0 mixes on -3..0 and leaves the covered positions at step 4,
+    # sample 1 mixes on 1 only and leaves at step 2, sample 2 never leaves.
+    # One by one, sample 0 raises first, so the batch must name its failure
+    from loopwalk.walk_engine import evolve_states
+
+    covered = (-3, -2, -1, 0, 1)
+    specs = [ElementCoin(ArmSetting((), 0.0), ArmSetting((), 0.0), (OpticalElement("hwp", 0.0),)) for _ in covered]
+    program = CoinProgram(overrides=dict(zip(covered, specs)))
+    mix = np.array([20.0, 35.0, 10.0])
+    offsets = np.zeros((3, 5, 3))
+    offsets[0, :4] = mix
+    offsets[1, 4] = mix
+    init = make_initial("ccw", "H", 0)
+    one_by_one = []
+    for row in offsets:
+        alone = CoinProgram(overrides={x: spec.with_angles(d) for x, spec, d in zip(covered, specs, row)})
+        try:
+            evolve(init, alone, 6)
+        except ProgramError as err:
+            one_by_one.append(str(err))
+    assert one_by_one == ["'no coin rule for step 4 at position -4'", "'no coin rule for step 2 at position 2'"]
+    with pytest.raises(ProgramError) as err:
+        for _ in evolve_states(init, program.sampled(offsets.reshape(3, -1)), 6):
+            pass
+    assert str(err.value) == one_by_one[0]
