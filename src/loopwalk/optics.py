@@ -30,9 +30,10 @@ from .linalg_core import assert_unitary
 
 def _two_by_two(m00, m01, m10, m11) -> np.ndarray:
     """The C-contiguous (..., 2, 2) complex stack [[m00, m01], [m10, m11]]
-    over the broadcast shape of the entries."""
-    entries = np.broadcast_arrays(m00, m01, m10, m11)
-    return np.stack(entries, axis=-1, dtype=complex).reshape(entries[0].shape + (2, 2))
+    of four entries of one shape."""
+    out = np.empty(np.shape(m00) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = m00, m01, m10, m11
+    return out
 
 
 def _identity(shape: tuple) -> np.ndarray:

@@ -352,8 +352,8 @@ class IntensityRecord:
 
 @dataclass
 class WalkerState:
-    """Amplitudes `amp` (..., n, 4) on the positions offset .. offset + n - 1,
-    with `reached` (..., n) marking the positions the walker has reached.
+    """Amplitudes `amp` (n, 4) on the positions offset .. offset + n - 1,
+    with `reached` (n,) marking the positions the walker has reached.
 
     A batch has a leading sample axis, amp (S, n, 4) and reached (S, n),
     for the samples of a sampled program (CoinProgram.sampled), each walked
@@ -459,10 +459,10 @@ def apply_step(state: WalkerState) -> WalkerState:
 
 
 def evolve_states(initial: InitialState, program: CoinProgram, steps: int):
-    """Yield the state after 0, 1, ..., steps time steps; a batch when
-    program.table has a sample axis.  A batch in which a
-    sample reached a position without a coin rule raises that ProgramError
-    after its last state (see apply_coin)."""
+    """Yield the state after 0, 1, ..., steps time steps, a batch when
+    program.table has a sample axis.  A batch in which a sample reached a
+    position without a coin rule raises that ProgramError after its last
+    state (see apply_coin)."""
     state = WalkerState.light_cone(initial, steps, program.table.shape[:-3])
     yield state
     for t in range(steps):

@@ -550,8 +550,11 @@ def _batch_cases(rng):
     from loopwalk.graph_programs import ring_chain
 
     element = _element_coin(rng)
+    # diagonal at zero angles: unjittered, the walker stays on -1 .. 1
+    diagonal = ElementCoin(ArmSetting((OpticalElement("qwp", 0.0),), 0.0), ArmSetting(), (OpticalElement("hwp", 0.0),))
     return [
         (make_initial("ccw", "D", 0), CoinProgram(default=element), 12),
+        (make_initial("cw", "D", 0), CoinProgram(default=diagonal), 8),
         (make_initial("ccw", "V", 1), ring_chain((0, 4), "hadamard_like")[0], 14),
         (make_initial("cw", "H", 1), ring_chain((-3, 0, 4), "non_mixing")[0], 14),
         (
@@ -583,12 +586,14 @@ def test_sampled_copies_evolve_like_evolve_bit_for_bit():
 
 
 def test_sampled_program_walks_each_sample_as_its_own_program():
-    # a sample of the batch equals the program rebuilt from its jittered angles
+    # a sample of the batch equals the program rebuilt from its jittered
+    # angles; sample 0 is not jittered, so the samples reach different sites
     from loopwalk.walk_engine import evolve_states
 
     rng = np.random.default_rng(44)
     for init, program, steps in _batch_cases(rng):
         offsets = rng.uniform(-2.0, 2.0, size=(4, len(program.angles())))
+        offsets[0] = 0.0
         batch = list(evolve_states(init, program.sampled(offsets), steps))
         for s, row in enumerate(offsets):
             shifted, start = {}, 0
