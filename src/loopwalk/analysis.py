@@ -22,6 +22,13 @@ from .graph_programs import MappedRecord, SiteMap, map_sites
 from .walk_engine import CoinProgram, InitialState, IntensityRecord, draw_jitter, evolve, evolve_states
 
 
+# A weight at or below this multiple of its step's total intensity is
+# rounding noise of a zero (squared amplitude rounding errors are about
+# eps^2 of the total): the propagated similarity spread leaves it out, as
+# its derivative amp * sqrt(q / p) diverges there.
+DUST_FLOOR = 64.0 * np.finfo(float).eps
+
+
 def _overlap(p, q) -> np.ndarray:
     """sum_k sqrt(p_k * q_k) along the last axis, added in index order."""
     return np.cumsum(np.sqrt(p * q), axis=-1)[..., -1]
@@ -174,7 +181,7 @@ class ErrorBarReport:
 def _observed(record: IntensityRecord, eff: np.ndarray, renormalize: bool, site_map: Optional[SiteMap]):
     """Apply per-mode detection efficiencies, optionally renormalize each
     step, then map onto the graph when there is one.  The record's leading
-    axis may as well be samples of one step, with eff (samples, 1, 4).
+    axis may also be the samples of one step, with eff (samples, 1, 4).
 
     Step totals are running sums over the sites in position order; the
     last bits of the printed spreads depend on that order.
@@ -212,9 +219,11 @@ def monte_carlo_error_bars(
 
     When the setup carries a site map, statistics are computed on node
     distributions; with a support, per-step equidistribution similarities
-    and their propagated uncertainties are included.  base_record, when
-    given, is the setup's unperturbed walk already evolved by the caller;
-    it is used instead of evolving it again.
+    and their uncertainties are included, both sampled and propagated to
+    first order from the position spreads (over the support sites whose
+    reference weight exceeds DUST_FLOOR times the step's total).
+    base_record, when given, is the setup's unperturbed walk already
+    evolved by the caller; it is used instead of evolving it again.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -272,7 +281,7 @@ def monte_carlo_error_bars(
         amp = _overlap(weights, q)
         # first-order propagation over the sites holding weight: dS/dp_m =
         # amp * sqrt(q / p_m); squared with pow (x * x can differ in the last bit)
-        held = weights > 0.0
+        held = weights > DUST_FLOOR * np.cumsum(ref_dist, axis=1)[:, -1:]
         dsdp = amp[:, None] * np.sqrt(q / np.where(held, weights, 1.0))
         sigma_at = _at_support(report.sigma_position, ref.offset, setup.support)
         terms = np.where(held, np.float_power(dsdp * sigma_at, 2), 0.0)

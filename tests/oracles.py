@@ -478,7 +478,9 @@ def equidistribution_similarity(record, step: int, support, renormalize: bool = 
 def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distribution, renormalize) -> dict:
     """The error-bar statistics step by step and site by site: one
     similarity call per sample and step, and the reference and first-order
-    propagated similarity spreads accumulated in Python loops."""
+    propagated similarity spreads accumulated in Python loops; the
+    propagated spread sums over the support sites whose weight is above 64
+    eps times the step's total."""
     from loopwalk.analysis import _observed
     from loopwalk.walk_engine import evolve
 
@@ -505,9 +507,13 @@ def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distr
         weights = support_weights(ref, t, setup.support)
         amp = sum(np.sqrt(p_m * q) for p_m in weights)
         s_ref = float(amp * amp)
+        total = 0.0
+        for p in ref_dist[t]:
+            total += p
+        floor = 64.0 * np.finfo(float).eps * total  # below it a weight is rounding noise of a zero
         var = 0.0
         for m_node, p_m in zip(setup.support, weights):
-            if p_m > 0.0:
+            if p_m > floor:
                 var += (amp * np.sqrt(q / p_m) * out["sigma_position"][t, m_node - ref.offset]) ** 2
         devs = sampled[:, t] - s_ref
         out["similarity_ref"].append(s_ref)

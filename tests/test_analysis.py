@@ -360,3 +360,21 @@ def test_equidistribution_similarity_equals_sitewise_oracle(seed, support_size, 
     for t in range(len(record)):
         got = equidistribution_similarity(record, t, setup.support, renormalize=renormalize)
         assert got == oracles.equidistribution_similarity(record, t, setup.support, renormalize=renormalize)
+
+
+def test_errorbars_recipe_propagated_similarity_sigmas_are_bounded():
+    # the recipe's reference puts float dust (about 1e-32) on support nodes
+    # at steps 1 and 9, where dS/dp = amp * sqrt(q / p) blew up to 1e12
+    import os
+
+    from loopwalk.config import parse_config
+
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs", "errorbars_circle8.yaml"))
+    base = cfg.base
+    setup = WalkSetup(base.program, base.initial, base.steps, site_map=base.site_map, support=cfg.support)
+    report = monte_carlo_error_bars(
+        setup, cfg.n_samples, cfg.eff_err, cfg.angle_err_deg, cfg.seed, cfg.distribution, cfg.renormalize
+    )
+    sigma = np.array(report.similarity_sigma)
+    assert np.all(np.isfinite(sigma))
+    assert np.all(sigma <= 1.0)
