@@ -22,6 +22,10 @@ from .graph_programs import MappedRecord, SiteMap, map_sites
 from .walk_engine import CoinProgram, InitialState, IntensityRecord, draw_jitter, evolve, evolve_states
 
 
+# Samples times window sites walked at once: bounds the memory of a batch,
+# whose coin stack takes 256 bytes per sample and coined site.
+BATCH_SITES = 2**16
+
 # A weight at or below this multiple of its step's total intensity is
 # rounding noise of a zero (squared amplitude rounding errors are about
 # eps^2 of the total): the propagated similarity spread leaves it out, as
@@ -210,11 +214,11 @@ def monte_carlo_error_bars(
     every element angle of the coin program (one draw per element per coin
     class, shared across positions of the class; none when angle_err_deg is
     0), then four multiplicative mode efficiencies.  All draws are taken up
-    front, sample by sample, and the samples walk together as one batch
-    (CoinProgram.sampled): every step's (samples, sites, 4) intensities go
-    through the distortion pipeline at once and are added into the squared
-    deviations in sample order, so the result equals running the samples
-    one at a time.  Deviations are root-mean-square distances from the
+    front, sample by sample, and the samples walk together in batches
+    (CoinProgram.sampled) of at most BATCH_SITES // window samples: every
+    step's (samples, sites, 4) intensities go through the distortion
+    pipeline at once and are added into the squared deviations in sample
+    order, so the result equals running the samples one at a time.  Deviations are root-mean-square distances from the
     unperturbed reference, so a zero-error run reports exactly zero.
 
     When the setup carries a site map, statistics are computed on node
@@ -251,17 +255,21 @@ def monte_carlo_error_bars(
     if setup.support is not None:
         weights = _at_support(ref_dist, ref.offset, setup.support)
         sampled = np.zeros((len(ref), n_samples, len(setup.support)))  # per step, the samples' weights
-    # one step of every sample at a time, added in sample order
-    for t, state in enumerate(evolve_states(setup.initial, setup.program.sampled(offsets), setup.steps)):
-        walked = IntensityRecord(np.abs(state.amp) ** 2, state.reached, state.offset)
-        sample = _observed(walked, eff, renormalize, setup.site_map)
-        dm = sample.intensities - ref.intensities[t]
-        sq_mode[t] = np.cumsum(dm * dm, axis=0)[-1]
-        sample_dist = sample.intensities.sum(axis=2)
-        dp = sample_dist - ref_dist[t]
-        sq_pos[t] = np.cumsum(dp * dp, axis=0)[-1]
-        if setup.support is not None:
-            sampled[t] = _at_support(sample_dist, sample.offset, setup.support)
+    # the samples walk in batches of at most BATCH_SITES // window of them,
+    # one step of a batch at a time, and are added in sample order
+    size = max(1, BATCH_SITES // base_record.intensities.shape[1])
+    for first in range(0, n_samples, size):
+        batch = slice(first, first + size)
+        for t, state in enumerate(evolve_states(setup.initial, setup.program.sampled(offsets[batch]), setup.steps)):
+            walked = IntensityRecord(np.abs(state.amp) ** 2, state.reached, state.offset)
+            sample = _observed(walked, eff[batch], renormalize, setup.site_map)
+            dm = sample.intensities - ref.intensities[t]
+            sq_mode[t] = np.cumsum(np.concatenate([sq_mode[t][None], dm * dm]), axis=0)[-1]
+            sample_dist = sample.intensities.sum(axis=2)
+            dp = sample_dist - ref_dist[t]
+            sq_pos[t] = np.cumsum(np.concatenate([sq_pos[t][None], dp * dp]), axis=0)[-1]
+            if setup.support is not None:
+                sampled[t, batch] = _at_support(sample_dist, sample.offset, setup.support)
 
     report = ErrorBarReport(
         reference=ref,

@@ -378,3 +378,27 @@ def test_errorbars_recipe_propagated_similarity_sigmas_are_bounded():
     sigma = np.array(report.similarity_sigma)
     assert np.all(np.isfinite(sigma))
     assert np.all(sigma <= 1.0)
+
+
+def test_monte_carlo_batch_size_does_not_change_the_result(monkeypatch):
+    # samples walk in batches of BATCH_SITES // window of them; smaller
+    # batches give the same bits, and the same error when a sample leaves
+    # the covered positions
+    import dataclasses
+
+    import loopwalk.analysis as analysis
+
+    def run(setup):
+        try:
+            report = monte_carlo_error_bars(setup, 7, 0.02, 1.5, seed=11, distribution="truncated_normal")
+        except ProgramError as err:
+            return str(err)
+        return report.sigma_mode.tolist(), report.sigma_position.tolist(), report.similarity_sigma_sampled
+
+    rng = np.random.default_rng(12)
+    setups = [_random_setup(rng, 3) for _ in range(4)] + [dataclasses.replace(_uncovered_setup(rng, 3), steps=5)]
+    whole = [run(setup) for setup in setups]
+    for sites in (1, 20, 50):  # windows of 1 to 25 sites
+        monkeypatch.setattr(analysis, "BATCH_SITES", sites)
+        assert [run(setup) for setup in setups] == whole
+    assert whole[-1].startswith("'no coin rule for step 2 at position")
