@@ -47,12 +47,7 @@ def _no_rule(t: int, x: int) -> str:
 
 
 def draw_jitter(
-    rng: np.random.Generator,
-    n_samples: int,
-    n_angles: int,
-    angle_err_deg: float,
-    distribution: str,
-    eff_err: Optional[float] = None,
+    rng: np.random.Generator, n_samples: int, n_angles: int, angle_err_deg: float, distribution: str, eff_err=None
 ) -> np.ndarray:
     """Random draws for n_samples samples, one row each, taken from rng row
     by row: n_angles angle offsets within +-angle_err_deg, then, with
@@ -271,7 +266,7 @@ class CoinProgram:
         split = np.cumsum([len(spec.angles()) for spec in self.specs])[:-1]
         shifts = np.split(offsets, split, axis=1)
         stacks = [spec.matrices(np.add(spec.angles(), d)) for spec, d in zip(self.specs, shifts)]
-        table = np.stack(stacks, axis=1)
+        table = np.stack(stacks, axis=1) if stacks else np.empty((len(offsets), 0, 4, 4), dtype=complex)
         table.setflags(write=False)
         out = copy.copy(self)
         out._table = table
