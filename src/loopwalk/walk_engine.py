@@ -246,7 +246,7 @@ class CoinProgram:
             uncovered = None if self.default is not None else np.ones(len(positions), dtype=bool)
             return np.zeros(1, dtype=int), uncovered
         if self._overrides is None:
-            # a slot per override position, then the default's
+            # a slot per override position, then the default's (entry 0, unused without a default)
             slots = [*self._override_entries.values(), 0]
             self._overrides = np.array(list(self._override_entries)), np.array(slots)
         keys, slots = self._overrides

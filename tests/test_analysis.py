@@ -294,7 +294,8 @@ def _raw_time_table_setup(rng, support_size: int) -> WalkSetup:
     """A line walk under a time table of raw coins, then a default and an
     override; raw coins take no angle error."""
     raw = lambda: RawCoin(random_unitary(4, rng))
-    program = CoinProgram(default=raw(), overrides={1: raw()}, time_table=[raw() for _ in range(int(rng.integers(1, 5)))])
+    table = [raw() for _ in range(int(rng.integers(1, 5)))]
+    program = CoinProgram(default=raw(), overrides={1: raw()}, time_table=table)
     steps = int(rng.integers(0, 8))
     return WalkSetup(program, make_initial("cw", "A", 0), steps, support=_line_support(rng, steps, support_size))
 
@@ -402,3 +403,12 @@ def test_monte_carlo_batch_size_does_not_change_the_result(monkeypatch):
         monkeypatch.setattr(analysis, "BATCH_SITES", sites)
         assert [run(setup) for setup in setups] == whole
     assert whole[-1].startswith("'no coin rule for step 2 at position")
+
+
+def test_monte_carlo_program_without_rules():
+    # zero steps never ask for a coin; one step asks at the start
+    setup = WalkSetup(CoinProgram(), make_initial("cw", "H", 0), 0)
+    report = monte_carlo_error_bars(setup, n_samples=3)
+    assert not report.sigma_mode.any()
+    with pytest.raises(ProgramError, match="no coin rule for step 0 at position 0"):
+        monte_carlo_error_bars(WalkSetup(CoinProgram(), make_initial("cw", "H", 0), 1), n_samples=3)
