@@ -18,12 +18,21 @@ w_n = C v_n, eigenphase perturbation theory gives
     omega'_n  = <w_n|D|w_n>
     omega''_n = sum_m |<w_m|D|w_n>|^2 cot((omega_n - omega_m) / 2)
 
-and |omega'| <= 1 since ||D|| = 1.  eig returns non-orthogonal vectors
-inside a degenerate eigenspace, so each sample's eigenvectors are
-orthonormalised first, and partners whose phase lies within 1e-7 on the
-circle are left out of the cot sum (a band that stays degenerate has the
-same derivatives in every basis of its eigenspace).  A spectrum built from
-a callable Bloch operator has no coin C and therefore no derivatives.
+and |omega'| <= 1 since ||D|| = 1.  Partners whose phase lies within 1e-7
+on the circle are left out of the cot sum (a band that stays degenerate has
+the same derivatives in every basis of its eigenspace).  A spectrum built
+from a callable Bloch operator has no coin C and therefore no derivatives.
+
+Eigenpairs come from a Hermitian solver.  A unitary U is normal, so it
+shares its eigenvectors with A = (U + U^H)/2 + a (U - U^H)/(2i) for real a,
+whose eigenvalues are cos(omega) + a sin(omega); eigh(A) gives orthonormal
+vectors, and the eigenvalues of U are their Rayleigh quotients v^H U v.
+Where two eigenvalues of A collide (omega_i + omega_j = 2 atan(a) mod 2pi)
+eigh mixes their vectors, and a non-normal callable has no such vectors at
+all, so every matrix whose largest residual ||Uv - lambda v|| exceeds
+3e-14 is solved again by eig.  eig returns non-orthogonal vectors inside a
+degenerate eigenspace, so those matrices' vectors are orthonormalised
+before the derivatives are taken.
 
 Wavefront speeds are the group velocities at inflection points of a band
 (zeros of omega'').  Bands with numerically constant slope (flat or
@@ -56,12 +65,18 @@ _DEGENERATE_PHASE = 1e-7  # partners this close on the circle share an eigenspac
 # _FRONT_WIDTH, and usually far less; a bracket that closed on a pole of the
 # cot sum (a branch passing a near crossing) leaves it of order one or larger.
 _INFLECTION_TOL = 1e-3
-# Eigenphase noise floor.  eig returns the eigenvalues of a unitary to a few
-# eps of absolute error, so every phase in [-pi, pi] carries ripple of order
-# eps * pi (a constant 2.3 gap on a 4x4 coin ripples by 2.2e-15 = 3.2 eps pi).
+# Eigenphase noise floor.  Rayleigh quotients of residual-gated vectors (and
+# eig, where the gate falls back to it) give the eigenvalues of a unitary to
+# a few eps of absolute error, so every phase in [-pi, pi] carries ripple of
+# order eps * pi (a constant 2.3 gap on a 4x4 coin ripples by 2.2e-15).
 # Gap differences below this floor are treated as equal; the factor 64 leaves
 # room for the difference of two noisy phases and for larger dimensions.
 _PHASE_NOISE_FLOOR = 64.0 * np.finfo(float).eps * np.pi
+# eigh mixes the vectors of eigenvalues of A that collide, and a = 0 would
+# collide every +-omega pair of a symmetric coin (such as Hadamard) at
+# every k; any fixed non-zero a leaves collisions at isolated k only
+_HERMITIAN_MIX = 0.5
+_RESIDUAL_GATE = 3e-14  # a matrix whose eigh residual exceeds this goes to eig
 
 # S(k) = S(0) . exp(ikD)
 _D = np.empty(4)
@@ -115,14 +130,36 @@ def _as_batched_bloch(coin_or_fn) -> tuple[Callable[[np.ndarray], np.ndarray], O
     return batched_coin, coin
 
 
-def _derivatives(coin: np.ndarray, vecs: np.ndarray, phases: np.ndarray):
+def _eigenpairs(u: np.ndarray):
+    """Eigenvalues and eigenvectors of a batch of unitaries (n, d, d).
+
+    Returns (w, v, redo, residual): eigenvalues (n, d), eigenvectors as
+    columns (n, d, d), the matrices that failed the residual gate and were
+    solved by eig (their vectors need not be orthonormal), and the largest
+    residual accepted from eigh (see the module docstring).
+    """
+    uh = np.conj(np.swapaxes(u, 1, 2))
+    _, v = np.linalg.eigh(0.5 * (u + uh) - 0.5j * _HERMITIAN_MIX * (u - uh))
+    uv = u @ v
+    w = np.einsum("nij,nij->nj", v.conj(), uv)
+    residual = np.max(np.linalg.norm(uv - v * w[:, None, :], axis=1), axis=1)
+    ok = residual <= _RESIDUAL_GATE  # a NaN residual fails too
+    redo = np.flatnonzero(~ok)
+    if len(redo):
+        w[redo], v[redo] = np.linalg.eig(u[redo])
+    return w, v, redo, float(np.max(residual, initial=0.0, where=ok))
+
+
+def _derivatives(coin: np.ndarray, vecs: np.ndarray, phases: np.ndarray, redo: np.ndarray):
     """omega' and omega'' of every eigenpair, batched over samples.
 
-    vecs: (n, d, d) eigenvectors of U(k) as columns; phases: (n, d) their
-    eigenphases.  Returns two (n, d) arrays (see the module docstring).
+    vecs: (n, d, d) eigenvectors of U(k) as columns, orthonormal except in
+    the samples redo (eig's vectors); phases: (n, d) their eigenphases.
+    Returns two (n, d) arrays (see the module docstring).
     """
-    q, _ = np.linalg.qr(vecs)              # orthonormal, column order kept
-    w = coin @ q
+    w = coin @ vecs
+    if len(redo):
+        w[redo] = coin @ np.linalg.qr(vecs[redo])[0]  # orthonormal, column order kept
     dm = np.einsum("sin,i,sim->snm", w.conj(), _D, w)
     diff = phases[:, :, None] - phases[:, None, :]
     partner = np.abs(wrap_phase(diff)) > _DEGENERATE_PHASE
@@ -142,7 +179,7 @@ class DispersionSpectrum:
     vectors : (n_branches, n_k, dim) matching eigenvectors
     """
 
-    def __init__(self, k_pad, omega_pad, vec_pad, bloch_fn, n_k, coin):
+    def __init__(self, k_pad, omega_pad, vec_pad, bloch_fn, n_k, coin, redo, residual):
         self._k_pad = k_pad
         self._omega_pad = omega_pad
         self._vec_pad = vec_pad
@@ -150,6 +187,10 @@ class DispersionSpectrum:
         self._n_k = n_k
         self._coin = coin
         self._slopes = None
+        # certificate of the grid solve: padded samples solved by eig, and
+        # the largest eigh residual accepted
+        self._redo = redo
+        self._residual = residual
 
     @property
     def k_grid(self) -> np.ndarray:
@@ -176,21 +217,22 @@ class DispersionSpectrum:
         if self._coin is None:
             raise ValueError("a spectrum built from a Bloch callable has no coin, hence no band derivatives")
         if self._slopes is None:
-            first, second = _derivatives(self._coin, self._vec_pad.transpose(1, 2, 0), self._omega_pad.T)
+            vecs = self._vec_pad.transpose(1, 2, 0)
+            first, second = _derivatives(self._coin, vecs, self._omega_pad.T, self._redo)
             self._slopes = (first.T, second.T)
         return self._slopes
 
     def _follow(self, ks: np.ndarray, *refs: np.ndarray):
-        """Branches at off-grid momenta from one eig call.
+        """Branches at off-grid momenta from one eigensolve.
 
         For each (n, d) set of reference eigenvectors, the eigenphase per k
         of the eigenpair that continues its branch (maximal overlap) and,
         when the spectrum has a coin, that branch's omega' and omega''.
         """
-        w, v = np.linalg.eig(self._bloch(ks))
+        w, v, redo, _ = _eigenpairs(self._bloch(ks))
         phases = np.angle(w)
         rows = np.arange(len(ks))
-        per_k = (phases,) if self._coin is None else (phases, *_derivatives(self._coin, v, phases))
+        per_k = (phases,) if self._coin is None else (phases, *_derivatives(self._coin, v, phases, redo))
         out = []
         for ref in refs:
             col = np.argmax(np.abs(np.einsum("ni,nid->nd", ref.conj(), v)), axis=1)
@@ -213,7 +255,7 @@ def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
     idx = np.arange(-_PAD, n_k + _PAD)
     k_pad = -np.pi + h * idx
 
-    w, v = np.linalg.eig(bloch_fn(k_pad))
+    w, v, redo, residual = _eigenpairs(bloch_fn(k_pad))
     m, d = w.shape
 
     # greedy maximum matching of each sample's columns to the next sample's
@@ -242,7 +284,7 @@ def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
     turns[1:] = np.cumsum(np.round((ph[:-1] - ph[1:]) / (2.0 * np.pi)), axis=0)
     omega_pad = (ph + 2.0 * np.pi * turns).T
     vec_pad = np.take_along_axis(v, cols[:, None, :], axis=2).transpose(2, 0, 1)
-    return DispersionSpectrum(k_pad, omega_pad, vec_pad, bloch_fn, n_k, coin)
+    return DispersionSpectrum(k_pad, omega_pad, vec_pad, bloch_fn, n_k, coin, redo, residual)
 
 
 def group_velocities(spec: DispersionSpectrum) -> np.ndarray:
@@ -261,7 +303,7 @@ def _illinois(evaluate, lo, hi, f_lo, f_hi, width):
     stops once it or its last step is narrower than width, or on f == 0; a
     zero-width bracket is evaluated once.  evaluate(ks, live) maps the
     momenta of the brackets indexed by live to a tuple of arrays, f first,
-    from one eig call.  Returns the last iterate of every bracket and,
+    from one eigensolve.  Returns the last iterate of every bracket and,
     stacked, the arrays evaluate returned there.
     """
     lo, hi, f_lo, f_hi = (np.array(a, dtype=float) for a in (lo, hi, f_lo, f_hi))
@@ -317,7 +359,7 @@ def wavefront_speeds(spec: DispersionSpectrum, merge_tol: float = 1e-4) -> Wavef
     """Propagation-front speeds from band inflection points.
 
     Sign changes of the analytic omega'' on the grid are bracketed, and all
-    brackets are refined together by the Illinois method, one eig call per
+    brackets are refined together by the Illinois method, one eigensolve per
     round, to about 1e-8; the speed is the analytic omega' at the last
     iterate.  A root where |omega''| has not fallen to noise level is a
     pole of the cot sum (a branch passing a near crossing), not an
@@ -390,7 +432,7 @@ def _gap_slope(om_i, om_j, v_i, v_j):
 
 def _ternary_minimum(gap_at, lo, hi, sel):
     """Gap minima in the brackets [lo, hi] of the minima sel, by a lockstep
-    ternary search, one eig call per round, down to _MINIMUM_WIDTH; returns
+    ternary search, one eigensolve per round, down to _MINIMUM_WIDTH; returns
     the midpoints and their gaps."""
     lo, hi = lo.copy(), hi.copy()
     live = np.flatnonzero(hi - lo > _MINIMUM_WIDTH)
@@ -413,7 +455,7 @@ def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
     Local minima of the eigenphase distance (on the phase circle) of each
     branch pair are refined together as roots of the analytic
     d(gap)/dk = sign(omega_i - omega_j) (omega'_i - omega'_j) by the
-    Illinois method, one eig call per round, to about 1e-12; the gap is
+    Illinois method, one eigensolve per round, to about 1e-12; the gap is
     read at the last iterate.  Minima with refined gap at most gap_tol are
     crossings, the rest avoided.  A spectrum without a coin, a bracket
     whose slope keeps its sign, and a minimum that refined to a wider gap

@@ -1,11 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopwalk.config import parse_coin
+from loopwalk.config import parse_coin, parse_config
 from loopwalk.dispersion import (
     SplitStepParams,
+    _derivatives,
+    _eigenpairs,
     band_structure,
     bloch_operator,
     classify_crossings,
@@ -454,10 +458,10 @@ def test_group_velocity_is_band_slope(seed):
             assert abs(wrap_phase(near[1] - near[0]) / (2.0 * h) - v[b, i]) < 1e-6
 
 
-def sequential_branches(coin, k_pad):
-    """Branch connection sample by sample: greedy matching on the overlaps,
-    rows in branch order, then unwrapping against the previous sample."""
-    w, v = np.linalg.eig(shift_bloch(k_pad) @ coin)
+def sequential_branches(w, v):
+    """Branch connection sample by sample of eigenpairs (m, d) and (m, d, d):
+    greedy matching on the overlaps, rows in branch order, then unwrapping
+    against the previous sample."""
     m, d = w.shape
     omega = np.empty((d, m))
     vecs = np.empty((d, m, d), dtype=complex)
@@ -485,7 +489,8 @@ def test_band_structure_matches_sequential_connection():
     coins.append(full_coin(MINUS_IX, MINUS_IX, hwp_matrix(22.5)))
     for coin in coins:
         spec = band_structure(coin, n_k=128)
-        omega, vecs = sequential_branches(coin, spec._k_pad)
+        w, v, _, _ = _eigenpairs(shift_bloch(spec._k_pad) @ coin)
+        omega, vecs = sequential_branches(w, v)
         assert np.array_equal(spec._omega_pad, omega)
         assert np.array_equal(spec._vec_pad, vecs)
 
@@ -579,3 +584,95 @@ def test_near_degenerate_minima_not_above_their_grid_samples():
         s = np.floor((c.k + np.pi) / h).astype(int)
         enclosing = grid_gap[[s % spec._n_k, (s + 1) % spec._n_k]]
         assert c.gap <= np.min(enclosing) + 64.0 * np.finfo(float).eps * np.pi, c
+
+
+# --- the Hermitian eigensolver ----------------------------------------------
+
+RESIDUAL_GATE = 3e-14
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs")
+
+
+def residuals(u, w, v):
+    """Largest ||U v - lambda v|| over the eigenpairs of each matrix."""
+    return np.max(np.linalg.norm(u @ v - v * w[:, None, :], axis=1), axis=1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_eigenpairs_match_eig_on_random_coins(seed, haar):
+    rng = np.random.default_rng(seed)
+    coin = random_unitary(4, rng) if haar else random_element_coin(rng)
+    u = shift_bloch(rng.uniform(-np.pi, np.pi, size=256)) @ coin
+    w, v, redo, accepted = _eigenpairs(u)
+    assert np.max(residuals(u, w, v)) <= 1e-13
+    assert accepted <= RESIDUAL_GATE
+    # each eigenphase of eig has one within 1e-13 on the circle, and back
+    dist = np.abs(wrap_phase(np.angle(w)[:, :, None] - np.angle(np.linalg.eigvals(u))[:, None, :]))
+    assert np.max(np.min(dist, axis=2)) <= 1e-13
+    assert np.max(np.min(dist, axis=1)) <= 1e-13
+    # eigh's vectors are orthonormal; eig's, in the matrices that fell back,
+    # need not be (they are off by up to 1.04e-13 where two eigenphases lie
+    # 0.01 apart) and are orthonormalised where the derivatives are taken
+    kept = np.setdiff1d(np.arange(len(u)), redo)
+    gram = np.conj(np.swapaxes(v[kept], 1, 2)) @ v[kept]
+    assert np.max(np.abs(gram - np.eye(4))) <= 1e-13
+
+
+def test_eigenpairs_of_non_normal_callable_are_eigs():
+    # a non-normal operator shares no eigenvectors with its Hermitian part,
+    # so every matrix fails the gate and is solved by eig, bit for bit
+    re, im = np.random.default_rng(83).normal(size=(2, 4, 4))
+    m = re + 1j * im
+
+    def bloch(ks):
+        return shift_bloch(ks) @ m
+
+    ks = -np.pi + 2.0 * np.pi / 64 * np.arange(-3, 67)
+    w, v, redo, accepted = _eigenpairs(bloch(ks))
+    w_eig, v_eig = np.linalg.eig(bloch(ks))
+    assert np.array_equal(redo, np.arange(len(ks)))
+    assert accepted == 0.0
+    assert np.array_equal(w, w_eig)
+    assert np.array_equal(v, v_eig)
+    spec = band_structure(bloch, n_k=64)
+    assert np.array_equal(spec._redo, np.arange(len(ks)))
+
+
+def test_symmetric_walk_needs_no_fallback():
+    # the split-step Hadamard walk's eigenphases come in +-omega pairs, which
+    # a Hermitian part (U + U^H)/2 alone would collide at every k
+    coin = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
+    spec = band_structure(split_step_bands(SplitStepParams(coin, coin)).bloch, n_k=64)
+    assert len(spec._redo) == 0
+
+
+def test_derivatives_orthonormalise_fallback_vectors():
+    # eig may return any unit vectors inside a degenerate eigenspace; the
+    # Hadamard coin's bands are pairwise degenerate at every k
+    coin = full_coin(MINUS_IX, MINUS_IX, hwp_matrix(22.5))
+    w, v, redo, _ = _eigenpairs(shift_bloch(np.linspace(-3.0, 3.0, 7)) @ coin)
+    phases = np.angle(w)
+    skewed = v.copy()
+    for n, i, j in zip(*np.nonzero(np.abs(phases[:, :, None] - phases[:, None, :]) < 1e-9)):
+        if i < j:
+            x = v[n, :, i] + 0.7 * v[n, :, j]
+            skewed[n, :, i] = x / np.linalg.norm(x)
+    assert len(redo) == 0 and not np.allclose(skewed, v)
+    first, second = _derivatives(coin, v, phases, redo)
+    first_s, second_s = _derivatives(coin, skewed, phases, np.arange(len(w)))
+    assert np.max(np.abs(first_s - first)) <= 1e-12
+    assert np.max(np.abs(second_s - second)) <= 1e-12
+
+
+@pytest.mark.parametrize("recipe", ["hadamard", "crossing", "repulsion"])
+def test_recipe_grid_solves_certified(recipe):
+    coin = parse_config(os.path.join(CONFIG_DIR, f"{recipe}_dispersion.yaml")).coin_matrix
+    spec = band_structure(coin)
+    assert 0.0 < spec._residual <= RESIDUAL_GATE
+    assert len(spec._redo) < spec._k_pad.size
+    # the accepted vectors are eigenvectors of U(k) to the gate
+    u = shift_bloch(spec._k_pad) @ coin
+    kept = np.setdiff1d(np.arange(spec._k_pad.size), spec._redo)
+    v = spec._vec_pad.transpose(1, 2, 0)[kept]
+    w = np.einsum("nij,nij->nj", v.conj(), u[kept] @ v)
+    assert np.max(residuals(u[kept], w, v)) <= RESIDUAL_GATE
