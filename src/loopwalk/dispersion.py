@@ -73,8 +73,8 @@ _INFLECTION_TOL = 1e-3
 # room for the difference of two noisy phases and for larger dimensions.
 _PHASE_NOISE_FLOOR = 64.0 * np.finfo(float).eps * np.pi
 # eigh mixes the vectors of eigenvalues of A that collide, and a = 0 would
-# collide every +-omega pair of a symmetric coin (such as Hadamard) at
-# every k; any fixed non-zero a leaves collisions at isolated k only
+# collide every +-omega pair (as in the split-step Hadamard walk) at every
+# k; any fixed non-zero a leaves collisions at isolated k only
 _HERMITIAN_MIX = 0.5
 _RESIDUAL_GATE = 3e-14  # a matrix whose eigh residual exceeds this goes to eig
 
