@@ -6,7 +6,6 @@ l = l'.  Not every 4x4 unitary is of this form.  This module provides
 
 - a rank test deciding one-trip realizability (common loop),
 - the factor reconstruction when the test passes,
-- the weaker rank test for direction-dependent loop blocks,
 - a universal two-factor split C = C2 . C1 valid for every unitary,
 - a gauge normalization pushing all blocks into SU(2) with one recorded
   global phase,
@@ -182,25 +181,6 @@ def one_trip_reconstruct(c: np.ndarray, rel_tol: float = 1e-9) -> OneTripFactors
     b = np.array([[beta[3], delta[3]], [beta[2], delta[2]]], dtype=complex)
     loop = np.array([alpha, gamma], dtype=complex)
     return OneTripFactors(c_a=a, c_b=b, c_loop_cw=loop, c_loop_ccw=loop)
-
-
-def one_trip_test_independent(c: np.ndarray, rel_tol: float = 1e-9) -> bool:
-    """Realizability test when the loop blocks may differ per direction.
-
-    Each 2x2 quadrant group below is an outer product of one arm column
-    with one loop-block row, so all four must have rank 1.
-    """
-    c = assert_unitary(np.asarray(c, dtype=complex), name="one_trip_test_independent input")
-    if c.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 coin, got {c.shape}")
-    c = _strip_mode_signs(c)
-    groups = (
-        c[np.ix_((0, 3), (0, 1))],
-        c[np.ix_((1, 2), (0, 1))],
-        c[np.ix_((0, 3), (2, 3))],
-        c[np.ix_((1, 2), (2, 3))],
-    )
-    return all(numerical_rank(g, rel_tol) == 1 for g in groups)
 
 
 def _orth_complement(v: np.ndarray) -> np.ndarray:

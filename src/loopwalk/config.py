@@ -9,6 +9,7 @@ ConfigError (the CLI maps these to exit code 2).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,7 +36,7 @@ def _mapping(obj, ctx: str) -> dict:
 
 def _reject_unknown(d: dict, ctx: str):
     if d:
-        raise ConfigError(f"{ctx}: unknown keys {sorted(d)}")
+        raise ConfigError(f"{ctx}: unknown keys {sorted(d, key=str)}")
 
 
 def _take(d: dict, key: str, ctx: str, required: bool = False, default=None):
@@ -47,8 +48,9 @@ def _take(d: dict, key: str, ctx: str, required: bool = False, default=None):
 
 
 def _number(v, ctx: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{ctx}: expected a number, got {v!r}")
+    # abs(v) <= max is False for NaN, infinities and ints too large for a float
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{ctx}: expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -76,7 +78,7 @@ def parse_matrix(obj, ctx: str, shape: tuple, unitary_tol: Optional[float] = 1e-
     m = re_arr + 1j * im_arr
     if unitary_tol is not None:
         defect = unitarity_defect(m)
-        if defect > unitary_tol:
+        if not defect <= unitary_tol:  # a NaN defect fails too
             raise ConfigError(f"{ctx}: matrix is not unitary (defect {defect:.3e})")
     return m
 
@@ -139,6 +141,9 @@ def _parse_initial(obj, ctx: str) -> InitialState:
     polarization = _take(d, "polarization", ctx, default="H")
     position = _take(d, "position", ctx, default=0)
     _reject_unknown(d, ctx)
+    for key, value in (("direction", direction), ("polarization", polarization)):
+        if not isinstance(value, str):
+            raise ConfigError(f"{ctx}.{key}: expected a string, got {value!r}")
     try:
         return make_initial(direction, polarization, _integer(position, f"{ctx}.position"))
     except ValueError as exc:
@@ -227,7 +232,7 @@ def _parse_dispersion(d: dict) -> RunConfig:
         raise ConfigError("dispersion.n_k: must be at least 64")
     matrix = coin_spec.matrix()
     defect = unitarity_defect(matrix)
-    if defect > 1e-10:
+    if not defect <= 1e-10:
         raise ConfigError(f"dispersion.coin: composed coin is not unitary (defect {defect:.3e})")
     return RunConfig(kind="dispersion", coin_matrix=matrix, n_k=n_k, merge_tol=merge_tol, gap_tol=gap_tol)
 

@@ -34,7 +34,7 @@ def assert_unitary(a: np.ndarray, tol: float = DEFAULT_UNITARY_TOL, name: str = 
     """Return a as a complex array, raising ValueError if not unitary within tol."""
     a = np.asarray(a, dtype=complex)
     defect = unitarity_defect(a)
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise ValueError(f"{name} is not unitary: max|A^dag A - 1| = {defect:.3e} > {tol:.1e}")
     return a
 

@@ -99,9 +99,6 @@ class RawCoin:
         """The matrix once per row of an (..., 0) angle array, as a contiguous stack."""
         return np.tile(self.matrix_value, (*np.shape(angles)[:-1], 1, 1))
 
-    def perturbed(self, rng, angle_err_deg, distribution):
-        raise ValueError("raw-matrix coins carry no element angles to perturb")
-
     @property
     def has_elements(self) -> bool:
         return False
@@ -151,25 +148,6 @@ class ElementCoin:
         vals.append(self.arm_b.eom_phase_deg)
         vals += [el.parameter_deg for el in self.loop]
         return vals
-
-    def with_angles(self, vals: Sequence[float]) -> "ElementCoin":
-        vals = list(vals)
-        expect = len(self.angles())
-        if len(vals) != expect:
-            raise ValueError(f"expected {expect} angles, got {len(vals)}")
-        it = iter(vals)
-        wp_a = tuple(OpticalElement(el.kind, next(it)) for el in self.arm_a.waveplates)
-        eom_a = next(it)
-        wp_b = tuple(OpticalElement(el.kind, next(it)) for el in self.arm_b.waveplates)
-        eom_b = next(it)
-        loop = tuple(OpticalElement(el.kind, next(it)) for el in self.loop)
-        return ElementCoin(
-            ArmSetting(wp_a, eom_a), ArmSetting(wp_b, eom_b), loop, self.eom_first
-        )
-
-    def perturbed(self, rng: np.random.Generator, angle_err_deg: float, distribution: str) -> "ElementCoin":
-        base = self.angles()
-        return self.with_angles(np.add(base, draw_jitter(rng, 1, len(base), angle_err_deg, distribution)[0]))
 
     @property
     def has_elements(self) -> bool:
@@ -227,9 +205,6 @@ class CoinProgram:
             self._table.setflags(write=False)
         return self._table
 
-    def spec_at(self, t: int, x: int):
-        return self.specs[self._entry(t, x)]
-
     def coin_at(self, t: int, x: int) -> np.ndarray:
         return self.table[..., self._entry(t, x), :, :]
 
@@ -256,17 +231,18 @@ class CoinProgram:
         return slots[slot], missing if self.default is None and missing.any() else None
 
     def sampled(self, offsets: np.ndarray) -> "CoinProgram":
-        """This program's rules over a table with a leading sample axis.
+        """This program's rules over a table with the leading axes of `offsets`.
 
-        Row s of `offsets` (S, A) shifts, for sample s, every element angle
-        of the entries of `specs` in order (A = len(angles())); the table
-        is (S, len(specs), 4, 4), contiguous.  Raw-matrix entries have no
-        angles and keep their matrix.
+        Each row of `offsets` (..., A) shifts every element angle of the
+        entries of `specs` in order (A = len(angles())), so offsets (S, A)
+        give a (S, len(specs), 4, 4) table, one sample per row, and a single
+        row (A,) a plain (len(specs), 4, 4) one; the table is contiguous.
+        Raw-matrix entries have no angles and keep their matrix.
         """
         split = np.cumsum([len(spec.angles()) for spec in self.specs])[:-1]
-        shifts = np.split(offsets, split, axis=1)
+        shifts = np.split(offsets, split, axis=-1)
         stacks = [spec.matrices(np.add(spec.angles(), d)) for spec, d in zip(self.specs, shifts)]
-        table = np.stack(stacks, axis=1) if stacks else np.empty((len(offsets), 0, 4, 4), dtype=complex)
+        table = np.stack(stacks, axis=-3) if stacks else np.empty((*offsets.shape[:-1], 0, 4, 4), dtype=complex)
         table.setflags(write=False)
         out = copy.copy(self)
         out._table = table
@@ -277,17 +253,13 @@ class CoinProgram:
         return [angle for spec in self.specs for angle in spec.angles()]
 
     def perturbed(self, rng: np.random.Generator, angle_err_deg: float, distribution: str = "uniform") -> "CoinProgram":
-        """New program with every element angle independently jittered.
-
-        One draw per entry of `specs`, in that order, reused wherever the
-        spec appeared, so a shared position class shares its draw.
-        """
-        drawn = [spec.perturbed(rng, angle_err_deg, distribution) for spec in self.specs]
-        return CoinProgram(
-            default=drawn[0] if self.default is not None else None,
-            overrides={x: drawn[i] for x, i in self._override_entries.items()},
-            time_table=[drawn[i] for i in self._time_entries] if self.time_table is not None else None,
-        )
+        """This program under one row of draw_jitter, through sampled(): each
+        entry of `specs` takes its draws in order, so a shared position class
+        shares them.  bench/tracing.py wraps this method to time a
+        perturbation; error sampling draws its rows and calls sampled() itself."""
+        if not self.has_elements:
+            raise ValueError("raw-matrix coins carry no element angles to perturb")
+        return self.sampled(draw_jitter(rng, 1, len(self.angles()), angle_err_deg, distribution)[0])
 
     @property
     def has_elements(self) -> bool:

@@ -221,6 +221,26 @@ def singular_values_via_gram(m: np.ndarray) -> np.ndarray:
     return np.sqrt(ev)[::-1]
 
 
+def one_trip_test_independent(c: np.ndarray, rel_tol: float = 1e-9) -> bool:
+    """One-trip realizability of a 4x4 coin when the loop blocks may differ
+    per direction.
+
+    With the arm assembly's cross-coupling signs undone (conjugation by
+    diag(1, 1, -1, -1)), the 2x2 group of rows (cH, ccV) or (cV, ccH) and
+    the columns of one direction is the outer product of an arm column with
+    a loop-block row, so all four groups must have rank 1: a nonzero larger
+    singular value and the smaller at most rel_tol times it.
+    """
+    sign = np.diag([1.0, 1.0, -1.0, -1.0])
+    c = sign @ np.asarray(c, dtype=complex) @ sign
+    for rows in ((0, 3), (1, 2)):
+        for cols in ((0, 1), (2, 3)):
+            s = np.linalg.svd(c[np.ix_(rows, cols)], compute_uv=False)
+            if not s[0] > 0.0 or s[1] > rel_tol * s[0]:
+                return False
+    return True
+
+
 def hadamard_line_bands(k: np.ndarray) -> np.ndarray:
     """Analytic eigenphase branches of the balanced four-mode line walk.
 
@@ -475,14 +495,54 @@ def equidistribution_similarity(record, step: int, support, renormalize: bool = 
     return float(amp * amp)
 
 
+def with_angles(coin, vals):
+    """The element coin rebuilt element by element with its angles set to
+    `vals`, given in the order of coin.angles(): arm A waveplates, arm A
+    modulator phase, arm B waveplates, arm B modulator phase, loop."""
+    from loopwalk.optics import ArmSetting, OpticalElement
+    from loopwalk.walk_engine import ElementCoin
+
+    vals = list(vals)
+    if len(vals) != len(coin.angles()):
+        raise ValueError(f"expected {len(coin.angles())} angles, got {len(vals)}")
+    it = iter(vals)
+    arm_a, arm_b = (
+        ArmSetting(tuple(OpticalElement(el.kind, next(it)) for el in arm.waveplates), next(it))
+        for arm in (coin.arm_a, coin.arm_b)
+    )
+    loop = tuple(OpticalElement(el.kind, next(it)) for el in coin.loop)
+    return ElementCoin(arm_a, arm_b, loop, coin.eom_first)
+
+
+def jittered_program(program, row):
+    """A new program with `row` (one offset per element angle of the entries
+    of program.specs, in order) added to the angles: each element spec is
+    rebuilt once through with_angles, and every rule that used it uses the
+    rebuilt one; raw-matrix specs are kept."""
+    from loopwalk.walk_engine import CoinProgram
+
+    shifted, start = {}, 0
+    for spec in program.specs:
+        n = len(spec.angles())
+        shifted[id(spec)] = with_angles(spec, np.add(spec.angles(), row[start : start + n])) if n else spec
+        start += n
+    return CoinProgram(
+        default=shifted[id(program.default)] if program.default is not None else None,
+        overrides={x: shifted[id(spec)] for x, spec in program.overrides.items()},
+        time_table=[shifted[id(spec)] for spec in program.time_table] if program.time_table is not None else None,
+    )
+
+
 def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distribution, renormalize) -> dict:
     """The error-bar statistics step by step and site by site: one
     similarity call per sample and step, and the reference and first-order
     propagated similarity spreads accumulated in Python loops; the
     propagated spread sums over the support sites whose weight is above 64
-    eps times the step's total."""
+    eps times the step's total.  Each sample takes a draw_jitter row of
+    angle offsets (none without angle error), walks the program rebuilt from
+    it by jittered_program, then draws four efficiencies."""
     from loopwalk.analysis import _observed
-    from loopwalk.walk_engine import evolve
+    from loopwalk.walk_engine import draw_jitter, evolve
 
     rng = np.random.default_rng(seed)
     ref = _observed(evolve(setup.initial, setup.program, setup.steps), np.ones(4), renormalize, setup.site_map)
@@ -490,8 +550,11 @@ def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distr
     sq_mode = np.zeros_like(ref.intensities)
     sq_pos = np.zeros_like(ref_dist)
     sim_samples = []
+    n_angles = len(setup.program.angles())
     for _ in range(n_samples):
-        prog = setup.program.perturbed(rng, angle_err_deg, distribution) if angle_err_deg > 0.0 else setup.program
+        prog = setup.program
+        if angle_err_deg > 0.0:
+            prog = jittered_program(prog, draw_jitter(rng, 1, n_angles, angle_err_deg, distribution)[0])
         eff = rng.uniform(1.0 - eff_err, 1.0 + eff_err, size=4)
         sample = _observed(evolve(setup.initial, prog, setup.steps), eff, renormalize, setup.site_map)
         dm = sample.intensities - ref.intensities

@@ -8,7 +8,6 @@ from loopwalk.coin_synthesis import (
     factor_universal,
     one_trip_reconstruct,
     one_trip_test,
-    one_trip_test_independent,
     su2_normalize,
     three_step_schedule,
 )
@@ -124,18 +123,18 @@ def test_independent_loop_blocks():
         # the shared-loop pass implies the independent-loop pass
         ok, _ = one_trip_test(c)
         assert ok
-        assert one_trip_test_independent(c)
+        assert oracles.one_trip_test_independent(c)
 
     for _ in range(200):
         a, b = random_unitary(2, rng), random_unitary(2, rng)
         cw, ccw = random_unitary(2, rng), random_unitary(2, rng)
         c = coin_ab(a, b) @ coin_ll_independent(cw, ccw)
-        assert one_trip_test_independent(c)
+        assert oracles.one_trip_test_independent(c)
         ok, _ = one_trip_test(c)
         # generic distinct blocks are not realizable with a shared loop
         assert not ok
 
-    assert not one_trip_test_independent(oracles.GROVER_4)
+    assert not oracles.one_trip_test_independent(oracles.GROVER_4)
 
 
 def test_completeness_scaled_residual():

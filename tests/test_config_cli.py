@@ -1,7 +1,9 @@
 """Config validation plus end-to-end runs of the command line tool."""
 
+import importlib
 import itertools
 import os
+import runpy
 import subprocess
 import sys
 
@@ -446,6 +448,68 @@ def test_cli_bad_config_exits_2(tmp_path):
     res = run_cli("simulate", "--config", path)
     assert res.returncode == 2
     assert "simulate" in res.stderr
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def hadamard_coin_with_loop_angle(angle):
+    return {"elements": {**HADAMARD_COIN["elements"], "loop": [{"kind": "hwp", "angle_deg": angle}]}}
+
+
+NAN_IDENTITY = {"re": [[NAN if i == j == 0 else float(i == j) for j in range(4)] for i in range(4)], "im": [[0.0] * 4] * 4}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        (
+            "dispersion",
+            {"kind": "dispersion", "coin": HADAMARD_COIN, "merge_tol": NAN},
+            "dispersion.merge_tol: expected a finite number, got nan",
+        ),
+        (
+            "errorbars",
+            {"kind": "errorbars", "base": line_cfg(), "angle_err_deg": NAN},
+            "errorbars.angle_err_deg: expected a finite number, got nan",
+        ),
+        (
+            "simulate",
+            line_cfg(coin=hadamard_coin_with_loop_angle(INF)),
+            "line.coin.elements.loop[0].angle_deg: expected a finite number, got inf",
+        ),
+        (
+            "dispersion",
+            {"kind": "dispersion", "coin": hadamard_coin_with_loop_angle(NAN)},
+            "dispersion.coin.elements.loop[0].angle_deg: expected a finite number, got nan",
+        ),
+        ("simulate", line_cfg(coin={"matrix": NAN_IDENTITY}), "line.coin.matrix: matrix is not unitary (defect nan)"),
+        ("simulate", line_cfg(initial={"direction": 1}), "line.initial.direction: expected a string, got 1"),
+        ("simulate", line_cfg(initial={"polarization": ["H"]}), "line.initial.polarization: expected a string, got ['H']"),
+        ("simulate", {**line_cfg(), 1: "a", "foo": "b"}, "line: unknown keys [1, 'foo']"),
+    ],
+    ids=["merge_tol_nan", "angle_err_nan", "line_angle_inf", "dispersion_angle_nan", "matrix_nan",
+         "direction_int", "polarization_list", "mixed_unknown_keys"],
+)
+def test_cli_malformed_config_exits_2_without_traceback(tmp_path, command, cfg, message):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(cfg, sort_keys=False))  # YAML writes the floats as .nan and .inf
+    res = run_cli(command, "--config", str(path))
+    assert res.returncode == 2, res.stderr
+    assert f"config error: {message}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_tracer_wrap_targets_resolve():
+    # bench/tracing.py times layers by wrapping these names from outside the
+    # package, so a renamed or deleted one would silently drop its metric;
+    # the module is only read here, its wrappers are never installed
+    tracing = runpy.run_path(os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracing.py"))
+    for owner, attr, _ in tracing["WRAPPED"]:
+        module, _, cls = owner.partition(":")
+        target = importlib.import_module(f"loopwalk.{module}")
+        target = getattr(target, cls) if cls else target
+        assert callable(getattr(target, attr, None)), f"{owner}.{attr}"
 
 
 def test_cli_circle_smoke(tmp_path):

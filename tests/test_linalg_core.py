@@ -42,6 +42,15 @@ def test_unitarity_defect_and_checks():
     assert back.dtype == complex
 
 
+def test_assert_unitary_rejects_nan():
+    # a NaN defect compares false against any tolerance, so it must fail the certificate
+    nan = np.eye(2, dtype=complex)
+    nan[0, 0] = np.nan
+    assert not is_unitary(nan)
+    with pytest.raises(ValueError, match="not unitary"):
+        assert_unitary(nan, name="nan matrix")
+
+
 def test_wrap_phase():
     assert wrap_phase(0.0) == 0.0
     assert abs(wrap_phase(2 * np.pi) - 0.0) < 1e-15

@@ -19,6 +19,7 @@ from loopwalk.walk_engine import (
     apply_coin,
     apply_step,
     constant_program,
+    draw_jitter,
     evolve,
     final_state,
     make_initial,
@@ -375,7 +376,7 @@ def test_raw_coin_cannot_be_perturbed():
     rng = np.random.default_rng(38)
     raw = RawCoin(np.eye(4))
     with pytest.raises(ValueError):
-        raw.perturbed(rng, 1.0, "uniform")
+        CoinProgram(default=raw).perturbed(rng, 1.0, "uniform")
     assert not raw.has_elements
 
 
@@ -404,12 +405,14 @@ def test_element_coin_angles_roundtrip():
     assert coin.angles() == [45.0, 0.0, 45.0, -90.0, 22.5]
     assert coin.has_elements
 
-    rebuilt = coin.with_angles(coin.angles())
+    rebuilt = oracles.with_angles(coin, coin.angles())
     assert np.max(np.abs(rebuilt.matrix() - coin.matrix())) == 0.0
-    shifted = coin.with_angles([46.0, 0.0, 45.0, -90.0, 22.5])
+    angles = [46.0, 0.0, 45.0, -90.0, 22.5]
+    shifted = oracles.with_angles(coin, angles)
     assert np.max(np.abs(shifted.matrix() - coin.matrix())) > 1e-3
+    assert np.array_equal(coin.matrices(angles), shifted.matrix())
     with pytest.raises(ValueError):
-        coin.with_angles([1.0, 2.0])
+        oracles.with_angles(coin, [1.0, 2.0])
 
 
 def test_element_coin_perturbation_stays_bounded():
@@ -423,9 +426,10 @@ def test_element_coin_perturbation_stays_bounded():
     rng = np.random.default_rng(41)
     base = np.array(coin.angles())
     for dist in ("uniform", "truncated_normal"):
-        for _ in range(25):
-            bumped = np.array(coin.perturbed(rng, 0.5, dist).angles())
-            assert np.max(np.abs(bumped - base)) <= 0.5
+        bumped = base + draw_jitter(rng, 25, len(base), 0.5, dist)
+        assert np.max(np.abs(bumped - base)) <= 0.5
+        # the sampled coins are the coins at the jittered angles
+        assert np.array_equal(CoinProgram(default=coin).sampled(bumped - base).table[:, 0], coin.matrices(bumped))
 
 
 def test_coin_program_time_table_precedence():
@@ -449,7 +453,7 @@ def test_coin_program_time_table_precedence():
 def test_coin_program_without_rules_raises():
     program = CoinProgram(default=None)
     with pytest.raises(ProgramError):
-        program.spec_at(0, 0)
+        program.coin_at(0, 0)
 
 
 def test_coin_program_perturbation_draws_are_shared():
@@ -460,7 +464,7 @@ def test_coin_program_perturbation_draws_are_shared():
     program, _ = ring_chain(spec.stops, spec.flavor)
     left_end, right_end = spec.stops
     rng = np.random.default_rng(39)
-    bumped = program.perturbed(rng, 2.0, "uniform")
+    bumped = program.sampled(draw_jitter(rng, 1, len(program.angles()), 2.0, "uniform")[0])
     inner_positions = range(left_end + 1, right_end)
     mats = [bumped.coin_at(0, x) for x in inner_positions]
     for m in mats[1:]:
@@ -476,13 +480,18 @@ def test_coin_program_perturbation_draws_are_shared():
 def test_coin_program_perturbation_distributions():
     from loopwalk.graph_programs import ring_chain
 
-    program, _ = ring_chain((0, 4), "hadamard_like")
-    rng = np.random.default_rng(40)
-    for dist in ("uniform", "truncated_normal"):
-        bumped = program.perturbed(rng, 1.5, dist)
-        assert bumped is not program
-        m = bumped.coin_at(0, 1)
-        assert np.max(np.abs(m.conj().T @ m - np.eye(4))) < 1e-12
+    rng, ref = np.random.default_rng(40), np.random.default_rng(40)
+    for stops in ((0, 4), (-3, 0, 4)):
+        program, _ = ring_chain(stops, "hadamard_like")
+        for dist in ("uniform", "truncated_normal"):
+            bumped = program.perturbed(rng, 1.5, dist)
+            assert bumped is not program
+            m = bumped.coin_at(0, 1)
+            assert np.max(np.abs(m.conj().T @ m - np.eye(4))) < 1e-12
+            # perturbed is one draw_jitter row through sampled, and draws as much
+            row = draw_jitter(ref, 1, len(program.angles()), 1.5, dist)[0]
+            assert np.array_equal(bumped.table, program.sampled(row).table)
+            assert rng.bit_generator.state == ref.bit_generator.state
     with pytest.raises(ValueError):
         program.perturbed(rng, 1.5, "gaussian")
 
@@ -532,18 +541,22 @@ def test_coin_program_specs_order_and_per_sample_draws(distribution):
     # per sample, as error sampling draws: one jitter per angle of each
     # entry of specs in order, then four efficiencies
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
-    for _ in range(3):
-        bumped = program.perturbed(rng, 1.5, distribution)
-        eff = rng.uniform(0.975, 1.025, size=4)
-        for got, spec in zip(bumped.specs, order):
-            assert got.angles() == [x + j for x, j in zip(spec.angles(), jitter(ref, len(spec.angles())))]
-        assert np.array_equal(eff, ref.uniform(0.975, 1.025, size=4))
-        # each drawn spec serves every rule its original served
-        new = dict(zip(map(id, order), bumped.specs))
-        assert bumped.default is new[id(a)]
-        assert all(bumped.overrides[x] is new[id(s)] for x, s in program.overrides.items())
-        assert all(got is new[id(s)] for got, s in zip(bumped.time_table, program.time_table))
-        assert len(bumped.specs) == len(order)
+    n_angles = len(program.angles())
+    draws = draw_jitter(rng, 3, n_angles, 1.5, distribution, 0.025)
+    batch = program.sampled(draws[:, :n_angles])
+    assert batch.table.shape == (3, len(order), 4, 4)
+    for s, row in enumerate(draws):
+        jittered = {
+            id(spec): oracles.with_angles(spec, [x + j for x, j in zip(spec.angles(), jitter(ref, len(spec.angles())))])
+            for spec in order
+        }
+        assert np.array_equal(row[n_angles:], ref.uniform(0.975, 1.025, size=4))
+        # each jittered spec serves every rule its original served
+        assert np.array_equal(batch.coin_at(4, 7)[s], jittered[id(a)].matrix())
+        for x, spec in program.overrides.items():
+            assert np.array_equal(batch.coin_at(4, x)[s], jittered[id(spec)].matrix())
+        for t, spec in enumerate(program.time_table):
+            assert np.array_equal(batch.coin_at(t, 3)[s], jittered[id(spec)].matrix())
 
 
 def _batch_cases(rng):
@@ -596,16 +609,7 @@ def test_sampled_program_walks_each_sample_as_its_own_program():
         offsets[0] = 0.0
         batch = list(evolve_states(init, program.sampled(offsets), steps))
         for s, row in enumerate(offsets):
-            shifted, start = {}, 0
-            for spec in program.specs:
-                n = len(spec.angles())
-                shifted[id(spec)] = spec.with_angles(np.add(spec.angles(), row[start : start + n])) if n else spec
-                start += n
-            alone = CoinProgram(
-                default=shifted[id(program.default)] if program.default is not None else None,
-                overrides={x: shifted[id(c)] for x, c in program.overrides.items()},
-                time_table=[shifted[id(c)] for c in program.time_table] if program.time_table else None,
-            )
+            alone = oracles.jittered_program(program, row)
             for state, single in zip(batch, evolve_states(init, alone, steps)):
                 assert np.array_equal(state.amp[s], single.amp)
 
@@ -628,7 +632,7 @@ def test_batch_raises_the_lowest_failing_sample_first_failure():
     init = make_initial("ccw", "H", 0)
     one_by_one = []
     for row in offsets:
-        alone = CoinProgram(overrides={x: spec.with_angles(d) for x, spec, d in zip(covered, specs, row)})
+        alone = CoinProgram(overrides={x: oracles.with_angles(spec, d) for x, spec, d in zip(covered, specs, row)})
         try:
             evolve(init, alone, 6)
         except ProgramError as err:
