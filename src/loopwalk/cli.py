@@ -12,6 +12,7 @@ closed graph).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from itertools import chain
 
@@ -33,12 +34,17 @@ class CertificationError(RuntimeError):
 
 def _column(values) -> list:
     """One output column as strings: integers in decimal, floats as %.17g,
-    and in a sequence holding None, an empty cell for each None."""
+    and in a sequence holding None, an empty cell for each None.  Each
+    distinct value is formatted once; floats are told apart by their bits,
+    so 0.0 and -0.0 keep their own strings."""
     a = np.asarray(values)
     if a.dtype == object:
         cells = iter(_column([v for v in values if v is not None]))
         return ["" if v is None else next(cells) for v in values]
-    return list(map(str if a.dtype.kind in "iu" else "%.17g".__mod__, a.tolist()))
+    keys = a.view(np.int64) if a.dtype.kind == "f" else a
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    distinct = map(str if a.dtype.kind in "iu" else "%.17g".__mod__, a[first].tolist())
+    return np.array(list(distinct), dtype=object)[inverse].tolist()
 
 
 def _blocks(header: list, *blocks) -> list:
@@ -266,7 +272,10 @@ def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--format", choices=("csv", "table"), default="csv")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on first use and then shared: each
+    parse_args call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="loopwalk",
         description="simulate and analyze four-mode walks in a looped interferometer",

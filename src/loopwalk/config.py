@@ -23,6 +23,10 @@ from .walk_engine import CCH, CCV, CH, CV, CoinProgram, ElementCoin, InitialStat
 
 KINDS = ("line", "circle", "figure_eight", "dispersion", "decompose", "errorbars")
 
+# libyaml's safe loader when PyYAML was built with it; it shares
+# yaml.SafeLoader's constructor and resolver, so it returns the same objects
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 class ConfigError(ValueError):
     """Invalid or ill-formed run configuration."""
@@ -52,6 +56,13 @@ def _number(v, ctx: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
         raise ConfigError(f"{ctx}: expected a finite number, got {v!r}")
     return float(v)
+
+
+def _tolerance(v, ctx: str) -> float:
+    x = _number(v, ctx)
+    if x < 0.0:
+        raise ConfigError(f"{ctx}: must be nonnegative, got {x!r}")
+    return x
 
 
 def _integer(v, ctx: str) -> int:
@@ -225,8 +236,8 @@ def _parse_graph(d: dict, kind: str) -> RunConfig:
 def _parse_dispersion(d: dict) -> RunConfig:
     coin_spec = parse_coin(_take(d, "coin", "dispersion", required=True), "dispersion.coin")
     n_k = _integer(_take(d, "n_k", "dispersion", default=1024), "dispersion.n_k")
-    merge_tol = _number(_take(d, "merge_tol", "dispersion", default=1e-4), "dispersion.merge_tol")
-    gap_tol = _number(_take(d, "gap_tol", "dispersion", default=1e-9), "dispersion.gap_tol")
+    merge_tol = _tolerance(_take(d, "merge_tol", "dispersion", default=1e-4), "dispersion.merge_tol")
+    gap_tol = _tolerance(_take(d, "gap_tol", "dispersion", default=1e-9), "dispersion.gap_tol")
     _reject_unknown(d, "dispersion")
     if n_k < 64:
         raise ConfigError("dispersion.n_k: must be at least 64")
@@ -239,7 +250,7 @@ def _parse_dispersion(d: dict) -> RunConfig:
 
 def _parse_decompose(d: dict) -> RunConfig:
     target = parse_matrix(_take(d, "target", "decompose", required=True), "decompose.target", (4, 4))
-    rel_tol = _number(_take(d, "rel_tol", "decompose", default=1e-9), "decompose.rel_tol")
+    rel_tol = _tolerance(_take(d, "rel_tol", "decompose", default=1e-9), "decompose.rel_tol")
     _reject_unknown(d, "decompose")
     return RunConfig(kind="decompose", target=target, rel_tol=rel_tol)
 
@@ -265,6 +276,8 @@ def _parse_errorbars(d: dict) -> RunConfig:
         raise ConfigError("errorbars.renormalize: expected a boolean")
     if angle_err < 0.0 or eff_err < 0.0:
         raise ConfigError("errorbars: error ranges must be nonnegative")
+    if eff_err >= 1.0:  # efficiencies are drawn from [1 - eff_err, 1 + eff_err]
+        raise ConfigError(f"errorbars.eff_err: must be below 1, got {eff_err!r}")
     if support is not None:
         if not isinstance(support, list) or not support or not all(
             isinstance(s, int) and not isinstance(s, bool) for s in support
@@ -314,7 +327,7 @@ def parse_config(path: str) -> RunConfig:
     """Load and validate a YAML configuration file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from loopwalk import cli
+from loopwalk import cli, config
 from loopwalk.config import ConfigError, parse_config, parse_config_dict
 from loopwalk.optics import full_coin
 from loopwalk.walk_engine import CoinProgram, make_initial
@@ -380,6 +380,45 @@ def test_parse_config_roundtrip(tmp_path):
     assert cfg.steps == 7
 
 
+def assert_loaders_agree(text):
+    # repr tells 1 from 1.0 and True, and -0.0 from 0.0, and compares NaNs
+    assert repr(yaml.load(text, Loader=config._YAML_LOADER)) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+
+
+def test_recipes_load_alike_under_both_loaders():
+    recipes = sorted(os.listdir(CONFIG_DIR))
+    assert recipes
+    for name in recipes:
+        with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
+            assert_loaders_agree(fh.read())
+
+
+YAML_DATA = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text() | st.integers(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.dictionaries(st.text(), YAML_DATA, max_size=6))
+def test_dumped_configs_load_alike_under_both_loaders(data):
+    assert_loaders_agree(yaml.safe_dump(data, sort_keys=False))
+
+
+def test_parse_config_uses_libyaml_when_available(monkeypatch):
+    # a silent fall back to the pure-Python loader costs several times the load time
+    loaders, load = [], yaml.load
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return load(stream, Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)  # yaml.safe_load calls it too
+    parse_config(os.path.join(CONFIG_DIR, "hadamard_line.yaml"))
+    assert loaders == [yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader]
+
+
 # ------------------------------------------------------------------- cli
 
 
@@ -487,9 +526,28 @@ NAN_IDENTITY = {"re": [[NAN if i == j == 0 else float(i == j) for j in range(4)]
         ("simulate", line_cfg(initial={"direction": 1}), "line.initial.direction: expected a string, got 1"),
         ("simulate", line_cfg(initial={"polarization": ["H"]}), "line.initial.polarization: expected a string, got ['H']"),
         ("simulate", {**line_cfg(), 1: "a", "foo": "b"}, "line: unknown keys [1, 'foo']"),
+        (
+            "dispersion",
+            {"kind": "dispersion", "coin": HADAMARD_COIN, "merge_tol": -1.0},
+            "dispersion.merge_tol: must be nonnegative, got -1.0",
+        ),
+        (
+            "dispersion",
+            {"kind": "dispersion", "coin": HADAMARD_COIN, "gap_tol": -1.0},
+            "dispersion.gap_tol: must be nonnegative, got -1.0",
+        ),
+        (
+            "decompose",
+            {"kind": "decompose", "target": matrix_block(oracles.BALANCED_FOUR_MODE_COIN), "rel_tol": -1.0},
+            "decompose.rel_tol: must be nonnegative, got -1.0",
+        ),
+        # efficiencies are drawn from [1 - eff_err, 1 + eff_err], so eff_err >= 1 allows zero or less
+        ("errorbars", {"kind": "errorbars", "base": line_cfg(), "eff_err": 1.0}, "errorbars.eff_err: must be below 1, got 1.0"),
+        ("errorbars", {"kind": "errorbars", "base": line_cfg(), "eff_err": 2.0}, "errorbars.eff_err: must be below 1, got 2.0"),
     ],
     ids=["merge_tol_nan", "angle_err_nan", "line_angle_inf", "dispersion_angle_nan", "matrix_nan",
-         "direction_int", "polarization_list", "mixed_unknown_keys"],
+         "direction_int", "polarization_list", "mixed_unknown_keys", "merge_tol_negative",
+         "gap_tol_negative", "rel_tol_negative", "eff_err_one", "eff_err_two"],
 )
 def test_cli_malformed_config_exits_2_without_traceback(tmp_path, command, cfg, message):
     path = tmp_path / "run.yaml"
@@ -708,6 +766,33 @@ def test_cli_errorbars_similarity_rows(tmp_path):
     assert "similarity" in kinds and "similarity_sampled" in kinds
 
 
+def test_shared_parser_carries_no_state_between_calls(tmp_path, capsys):
+    with open(os.path.join(CONFIG_DIR, "errorbars_circle8.yaml"), encoding="utf-8") as fh:
+        errorbars = yaml.safe_load(fh)
+    errorbars["n_samples"] = 20
+    errorbars_path = write_cfg(tmp_path, errorbars)
+    line = os.path.join(CONFIG_DIR, "hadamard_line.yaml")
+    runs = [
+        ["simulate", "--config", line, "--trace", "sum_all"],
+        ["simulate", "--config", line],
+        ["errorbars", "--config", errorbars_path, "--seed", "5"],
+        ["errorbars", "--config", errorbars_path],
+    ]
+
+    def outputs(fresh_parser):
+        got = []
+        for argv in runs:
+            if fresh_parser:
+                cli.build_parser.cache_clear()
+            assert cli.main(argv) == 0, argv
+            got.append(capsys.readouterr())
+        return got
+
+    shared = outputs(fresh_parser=False)
+    assert shared == outputs(fresh_parser=True)
+    assert shared[0] != shared[1] and shared[2] != shared[3]
+
+
 # ---------------------------------------------------------------- rendering
 
 
@@ -758,6 +843,39 @@ def test_column_formats_int64_in_decimal(vs):
     info = np.iinfo(np.int64)
     a = np.array([*vs, info.min, info.max, -1, 0], dtype=np.int64)
     assert cli._column(a) == [str(int(v)) for v in a]
+
+
+# bit patterns of 0.0, -0.0, NaNs of either sign with different payloads,
+# +-inf, the smallest and largest subnormals and two normal numbers
+FLOAT_BITS = np.array(
+    [0, 1 << 63, 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0xFFF4000000000000,
+     0x7FF0000000000000, 0xFFF0000000000000, 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF, 0x3FF0000000000000,
+     0x3FB999999999999A],
+    dtype=np.uint64,
+)
+INT64_POOL = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 1]
+UINT64_POOL = [0, 1, 2**63, 2**64 - 1]
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.lists(st.integers(0, len(FLOAT_BITS) - 1), max_size=60),
+    st.lists(st.sampled_from(INT64_POOL), max_size=60),
+    st.lists(st.sampled_from(UINT64_POOL), max_size=60),
+)
+def test_column_of_repeated_values_formats_each_cell_alike(picks, ints, uints):
+    floats = FLOAT_BITS[np.array(picks, dtype=np.intp)].view(np.float64)
+    assert cli._column(floats) == [f"{x:.17g}" for x in floats.tolist()]
+    for values, dtype in ((ints, np.int64), (uints, np.uint64)):
+        a = np.array(values, dtype=dtype)
+        assert cli._column(a) == [str(v) for v in a.tolist()]
+
+
+def test_column_empty_and_none_cells():
+    assert cli._column([]) == []
+    assert cli._column(np.array([], dtype=np.int64)) == []
+    assert cli._column([None, None]) == ["", ""]
+    assert cli._column([None, 0.5, -0.0, None, 0.5, 0.0]) == ["", "0.5", "-0", "", "0.5", "0"]
 
 
 def test_package_all_lists_every_public_name():
