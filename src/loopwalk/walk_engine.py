@@ -8,7 +8,8 @@ order
 
 plus a boolean mask of the positions the walker has reached.  A walk of T
 steps runs on the light-cone window [min(initial) - T, max(initial) + T],
-so no amplitude can leave it.
+so no amplitude can leave it, but each step coins and shifts only the
+span of the reached positions, and records are filled over that span.
 
 One time step applies the position/time dependent coin first and the
 flip-flop shift second.  The shift exchanges direction subspaces:
@@ -16,10 +17,12 @@ flip-flop shift second.  The shift exchanges direction subspaces:
     cH @ x  -> ccH @ x-1        ccH @ x -> cH @ x+1
     cV @ x  -> ccV @ x+1        ccV @ x -> cV @ x-1
 
-so applying it twice is the identity.  At step 0 the reached positions are
-those of the initial state; after a step, a position is reached when a
-nonzero coined amplitude shifts onto it.  Coins are resolved only at
-reached positions, and records list only reached positions.
+so applying it twice is the identity, and it flips each position's
+parity: when the reached positions share one, the span is every second
+position.  At step 0 the reached positions are those of the initial
+state; after a step, a position is reached when a nonzero coined amplitude
+shifts onto it.  Only reached positions need a coin rule, and records list
+only reached positions.
 """
 
 from __future__ import annotations
@@ -350,7 +353,8 @@ class WalkerState:
         return cls(amp, reached, int(lo))
 
     def positions(self) -> np.ndarray:
-        return self.offset + np.flatnonzero(self.reached)
+        """Positions reached by any sample, ascending."""
+        return self.offset + np.flatnonzero(self.reached if self.reached.ndim == 1 else self.reached.any(axis=0))
 
 
 def make_initial(direction: str, polarization: str, position: int = 0) -> InitialState:
@@ -383,6 +387,43 @@ def make_initial(direction: str, polarization: str, position: int = 0) -> Initia
     return {int(position): amp}
 
 
+def _span(reached: np.ndarray, start: int = 0, step: int = 1) -> tuple:
+    """[lo, hi) of the indices start, start + step, ... any sample reached in `reached`; (start, start) if none."""
+    hit = np.flatnonzero(reached if reached.ndim == 1 else reached.any(axis=0))
+    return (start + step * int(hit[0]), start + step * int(hit[-1]) + 1) if hit.size else (start, start)
+
+
+def _coin(state: WalkerState, program: CoinProgram, t: int, entries, uncovered, lo: int, hi: int, step: int = 1):
+    """Coined amplitudes (..., k, 4) of the k positions lo:hi:step at step t, with (entries, uncovered)
+    the program.entries(t, ...) of the window, and the failure (see apply_coin) of a reached position."""
+    failed = state.failed
+    if uncovered is not None:
+        bad = np.atleast_2d(state.reached[..., lo:hi:step] & uncovered[lo:hi:step])  # a row per sample
+        failing = np.flatnonzero(bad.any(axis=1))
+        if failing.size and (failed is None or failing[0] < failed[0]):
+            failed = (int(failing[0]), _no_rule(t, state.offset + lo + step * int(np.argmax(bad[failing[0]]))))
+            if state.reached.ndim == 1:
+                raise ProgramError(failed[1])
+    coins = program.table.take(entries if len(entries) == 1 else entries[lo:hi:step], axis=-3)
+    return np.matmul(coins, state.amp[..., lo:hi:step, :, None])[..., 0], failed
+
+
+def _shift(coined: np.ndarray, out: WalkerState, lo: int, hi: int, step: int = 1) -> tuple:
+    """Shift the coined span lo:hi:step into `out`, zero from a site below it
+    to a site above it; mark the positions reached there, return their span."""
+    amp, n = out.amp, out.amp.shape[-2]
+    if lo == 0 and coined[..., :1, CH::3].any() or hi == n and coined[..., -1:, CV : CCH + 1].any():  # cH, ccV; cV, ccH
+        raise ValueError("amplitude would leave the window; size it with WalkerState.light_cone")
+    a, d = (lo or step) - 1, min(hi + 1, n)  # the shifted span is a:d:step
+    first, last = int(lo == 0), coined.shape[-2] - int(hi == n)  # the rows that stay in the window
+    amp[..., a : hi - 1 : step, CCH] = coined[..., first:, CH]
+    amp[..., a : hi - 1 : step, CV] = coined[..., first:, CCV]
+    amp[..., lo + 1 : d : step, CH] = coined[..., :last, CCH]
+    amp[..., lo + 1 : d : step, CCV] = coined[..., :last, CV]
+    reached = out.reached[..., a:d:step] = amp[..., a:d:step, :].any(axis=-1)
+    return _span(reached, a, step)
+
+
 def apply_coin(state: WalkerState, program: CoinProgram, t: int) -> WalkerState:
     """Coin the reached positions of step t.
 
@@ -395,56 +436,55 @@ def apply_coin(state: WalkerState, program: CoinProgram, t: int) -> WalkerState:
     sample at its first failing step, and evolve_states raises it after the
     last step: the error running the samples one by one would raise.
     """
-    reached = state.reached
-    rows = np.flatnonzero(reached if reached.ndim == 1 else reached.any(axis=0))
-    amp, failed = state.amp.copy(), state.failed
-    if rows.size:
-        entries, missing = program.entries(t, state.offset + rows)
-        if missing is not None:
-            bad = (reached[..., rows] & missing).reshape(-1, len(rows))  # a row per sample
-            failing = np.flatnonzero(bad.any(axis=1))
-            if failing.size and (failed is None or failing[0] < failed[0]):
-                sample = int(failing[0])
-                failed = (sample, _no_rule(t, int(state.offset + rows[bad[sample]][0])))
-                if reached.ndim == 1:
-                    raise ProgramError(failed[1])
-        coins = program.table.take(entries, axis=-3)
-        amp[..., rows, :] = np.matmul(coins, amp.take(rows, axis=-2)[..., None])[..., 0]
-    return WalkerState(amp, reached, state.offset, failed)
+    n = state.reached.shape[-1]  # unreached positions hold zeros, which the coin keeps
+    coined, failed = _coin(state, program, t, *program.entries(t, state.offset + np.arange(n)), 0, n)
+    return WalkerState(coined, state.reached, state.offset, failed)
 
 
 def apply_step(state: WalkerState) -> WalkerState:
-    a = state.amp
-    if np.count_nonzero(a[..., 0, CH::3]) or np.count_nonzero(a[..., -1, CV : CCH + 1]):  # cH, ccV; cV, ccH
-        raise ValueError("amplitude would leave the window; size it with WalkerState.light_cone")
-    out = np.zeros(a.shape, dtype=complex)
-    out[..., :-1, CCH] = a[..., 1:, CH]
-    out[..., :-1, CV] = a[..., 1:, CCV]
-    out[..., 1:, CH] = a[..., :-1, CCH]
-    out[..., 1:, CCV] = a[..., :-1, CV]
-    return WalkerState(out, out.any(axis=-1), state.offset, state.failed)
+    out = WalkerState(np.zeros_like(state.amp), np.zeros_like(state.reached), state.offset, state.failed)
+    _shift(state.amp, out, 0, state.amp.shape[-2])
+    return out
 
 
-def evolve_states(initial: InitialState, program: CoinProgram, steps: int):
-    """Yield the state after 0, 1, ..., steps time steps, a batch when
-    program.table has a sample axis.  A batch in which a sample reached a
-    position without a coin rule raises that ProgramError after its last
-    state (see apply_coin)."""
-    state = WalkerState.light_cone(initial, steps, program.table.shape[:-3])
-    yield state
+def _walk(state: WalkerState, program: CoinProgram, steps: int):
+    """The stepping kernel: yield (state, lo, hi, step) after 0, 1, ...,
+    steps steps, with lo:hi:step the span any sample reached (see the
+    module docstring).  The states take turns in two buffers, each zeroed
+    on its span once coined, so a yielded state lasts until the next is
+    made.  Coins after the time table are resolved once, over the window."""
+    spare = WalkerState(np.zeros_like(state.amp), np.zeros_like(state.reached), state.offset)
+    window, timed = state.offset + np.arange(state.reached.shape[-1]), len(program._time_entries)
+    resolved = [program.entries(t, window) for t in range(min(steps, timed + 1))]  # the last serves every later step
+    lo, hi = _span(state.reached)
+    step = 2 if np.all(np.diff(state.positions()) % 2 == 0) else 1
+    yield state, lo, hi, step
     for t in range(steps):
-        state = apply_step(apply_coin(state, program, t))
-        yield state
+        coined, spare.failed = _coin(state, program, t, *resolved[min(t, timed)], lo, hi, step)
+        state.amp[..., lo:hi:step, :], state.reached[..., lo:hi:step] = 0.0, False
+        lo, hi = _shift(coined, spare, lo, hi, step)
+        state, spare = spare, state
+        yield state, lo, hi, step
     if state.failed is not None:
         raise ProgramError(state.failed[1])
 
 
+def evolve_states(initial: InitialState, program: CoinProgram, steps: int):
+    """Yield the state after 0, 1, ..., steps time steps, each a fresh
+    WalkerState, a batch when program.table has a sample axis.  A batch in
+    which a sample reached a position without a coin rule raises that
+    ProgramError after its last state (see apply_coin)."""
+    for state, *_ in _walk(WalkerState.light_cone(initial, steps, program.table.shape[:-3]), program, steps):
+        yield WalkerState(state.amp.copy(), state.reached.copy(), state.offset, state.failed)
+
+
 def evolve(initial: InitialState, program: CoinProgram, steps: int) -> IntensityRecord:
-    intensities, reached = [], []
-    for state in evolve_states(initial, program, steps):
-        intensities.append(np.abs(state.amp) ** 2)
-        reached.append(state.reached)
-    return IntensityRecord(np.array(intensities), np.array(reached), state.offset)
+    state = WalkerState.light_cone(initial, steps, program.table.shape[:-3])
+    intensities, reached = np.zeros((steps + 1, *state.amp.shape)), np.zeros((steps + 1, *state.reached.shape), bool)
+    for t, (state, lo, hi, step) in enumerate(_walk(state, program, steps)):  # the record, filled over each span
+        intensities[t, ..., lo:hi:step, :] = np.abs(state.amp[..., lo:hi:step, :]) ** 2
+        reached[t, ..., lo:hi:step] = state.reached[..., lo:hi:step]
+    return IntensityRecord(intensities, reached, state.offset)
 
 
 def final_state(initial: InitialState, program: CoinProgram, steps: int) -> WalkerState:

@@ -21,6 +21,7 @@ from loopwalk.walk_engine import (
     constant_program,
     draw_jitter,
     evolve,
+    evolve_states,
     final_state,
     make_initial,
     trace_intensities,
@@ -137,6 +138,36 @@ def test_coins_resolved_only_at_reached_positions():
         assert rec.positions(t).tolist() == ([0] if t % 2 == 0 else [-1])
 
 
+def test_uncovered_hole_inside_the_span_raises_only_when_reached():
+    # walkers at both ends of the span and no rule for 1 .. 3 between them
+    # (there is no default): a check over the span rather than the reached
+    # positions would raise at step 0
+    identity = RawCoin(np.eye(4))
+    steady = CoinProgram(overrides={-1: identity, 0: identity, 4: identity, 5: identity})
+    init = {0: np.array([1, 0, 0, 0], dtype=complex), 5: np.array([1, 0, 0, 0], dtype=complex)}
+    rec = evolve(init, steady, 8)
+    for t in range(9):
+        assert rec.positions(t).tolist() == ([0, 5] if t % 2 == 0 else [-1, 4])
+
+    # swapping cH and ccH lets the walkers pass on: from 0 to the right and
+    # from 5 to the left, both into the hole at step 2
+    through = RawCoin(np.eye(4)[[CCH, CV, CH, CCV]])
+    passing = CoinProgram(overrides={0: through, 1: through, 4: through, 5: through})
+    init = {0: np.array([1, 0, 0, 0], dtype=complex), 5: np.array([0, 0, 1, 0], dtype=complex)}
+    with pytest.raises(ProgramError) as err:
+        evolve(init, passing, 8)
+    assert str(err.value) == "'no coin rule for step 2 at position 2'"
+
+
+def test_batch_positions_are_those_any_sample_reached():
+    reached = np.zeros((3, 5), dtype=bool)
+    reached[0, 0] = reached[1, 2] = reached[2, [2, 4]] = True
+    batch = WalkerState(np.zeros((3, 5, 4), dtype=complex), reached, -1)
+    assert batch.positions().tolist() == [-1, 1, 3]
+    single = WalkerState(np.zeros((5, 4), dtype=complex), reached[2], -1)
+    assert single.positions().tolist() == [1, 3]
+
+
 def test_apply_step_refuses_to_leave_the_window():
     state = WalkerState.light_cone({0: np.array([1, 0, 0, 0], dtype=complex)}, 0)
     with pytest.raises(ValueError):
@@ -232,6 +263,60 @@ def test_evolve_equals_sitewise_walk_bit_for_bit():
             got = step_table(rec, t)
             for x in want[t]:
                 assert np.array_equal(got[x], want[t][x])
+
+
+def _kind_coin(rng, kind: str) -> RawCoin:
+    """A Haar coin, or a diagonal or permutation coin with random phases,
+    which leave modes empty, so reached sets get holes and spans shrink; a
+    lossy coin is diagonal with some entries zero, so that walkers vanish
+    and spans shrink by more than a site a step."""
+    if kind == "haar":
+        return RawCoin(random_unitary(4, rng))
+    phases = np.diag(np.exp(2j * np.pi * rng.random(4)))
+    if kind == "lossy":
+        phases[np.diag_indices(4)] *= rng.random(4) < 0.5
+    return RawCoin(phases[rng.permutation(4)] if kind == "permutation" else phases)
+
+
+_KINDS = st.sampled_from(("haar", "diagonal", "permutation", "lossy"))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(_KINDS, min_size=1, max_size=6),
+    st.lists(_KINDS, max_size=5),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4, unique=True),
+    st.integers(min_value=0, max_value=12),
+)
+def test_span_kernel_equals_sitewise_walk_bit_for_bit(seed, kinds, timed, starts, steps):
+    # the default coin, overrides at random positions and a time table, on
+    # an initial state with gaps and some empty modes; evolve and three
+    # sampled copies through evolve_states walk as the sitewise oracle does
+    rng = np.random.default_rng(seed)
+    program = CoinProgram(
+        default=_kind_coin(rng, kinds[0]),
+        overrides={int(x): _kind_coin(rng, kind) for x, kind in zip(rng.integers(-9, 10, len(kinds) - 1), kinds[1:])},
+        time_table=[_kind_coin(rng, kind) for kind in timed],
+    )
+    init = {}
+    for x in starts:
+        amp = rng.normal(size=4) + 1j * rng.normal(size=4)
+        amp[rng.random(4) < 0.4] = 0.0
+        amp[rng.integers(4)] = 1.0
+        init[x] = amp / np.linalg.norm(amp)
+    want = oracles.sitewise_evolve(init, program, steps)
+    rec = evolve(init, program, steps)
+    copies = program.sampled(np.zeros((3, 0)))
+    for t, state in enumerate(evolve_states(init, copies, steps)):
+        assert rec.positions(t).tolist() == sorted(want[t])
+        got = step_table(rec, t)
+        for s in range(3):
+            sample = WalkerState(state.amp[s], state.reached[s], state.offset)
+            assert sample.positions().tolist() == sorted(want[t])
+            for x, amp in table(sample).items():
+                assert np.array_equal(got[x], want[t][x])
+                assert np.array_equal(np.abs(amp) ** 2, want[t][x])
 
 
 def test_norm_conservation_long_run():
@@ -585,8 +670,6 @@ def _batch_cases(rng):
 def test_sampled_copies_evolve_like_evolve_bit_for_bit():
     # S contiguous copies of a program's table walk exactly as the program
     # does alone, in every sample
-    from loopwalk.walk_engine import evolve_states
-
     for init, program, steps in _batch_cases(np.random.default_rng(43)):
         copies = program.sampled(np.zeros((5, len(program.angles()))))
         assert copies.table.shape == (5, *program.table.shape)
@@ -601,8 +684,6 @@ def test_sampled_copies_evolve_like_evolve_bit_for_bit():
 def test_sampled_program_walks_each_sample_as_its_own_program():
     # a sample of the batch equals the program rebuilt from its jittered
     # angles; sample 0 is not jittered, so the samples reach different sites
-    from loopwalk.walk_engine import evolve_states
-
     rng = np.random.default_rng(44)
     for init, program, steps in _batch_cases(rng):
         offsets = rng.uniform(-2.0, 2.0, size=(4, len(program.angles())))
@@ -620,8 +701,6 @@ def test_batch_raises_the_lowest_failing_sample_first_failure():
     # Sample 0 mixes on -3..0 and leaves the covered positions at step 4,
     # sample 1 mixes on 1 only and leaves at step 2, sample 2 never leaves.
     # One by one, sample 0 raises first, so the batch must name its failure
-    from loopwalk.walk_engine import evolve_states
-
     covered = (-3, -2, -1, 0, 1)
     specs = [ElementCoin(ArmSetting((), 0.0), ArmSetting((), 0.0), (OpticalElement("hwp", 0.0),)) for _ in covered]
     program = CoinProgram(overrides=dict(zip(covered, specs)))
