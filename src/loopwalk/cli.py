@@ -142,6 +142,8 @@ def _cmd_graph(cfg: RunConfig, args, command: str) -> str:
 
 def _cmd_revivals(cfg: RunConfig, args) -> str:
     _require_kind(cfg, {"circle", "figure_eight"}, "revivals")
+    if not 0.0 <= args.tol < 1.0:  # similarities lie in [0, 1]; NaN fails too
+        raise ConfigError(f"--tol must lie in [0, 1), got {args.tol!r}")
     steps = _steps(cfg, args)
     mapped = _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, steps))
     events = find_revivals(mapped, tol=args.tol)
@@ -194,7 +196,7 @@ def _cmd_decompose(cfg: RunConfig, args) -> str:
     norm = su2_normalize(fact)
     header = ["section", "name", "row", "col", "re", "im"]
     scalars = ["one_trip_pass", "one_trip_rank_m1", "one_trip_rank_m2", "residual", "residual_normalized"]
-    values = [float(passed), witness.rank_m1, witness.rank_m2, fact.residual, norm.recompute_residual()]
+    values = [float(passed), witness.rank_m1, witness.rank_m2, fact.residual, norm.residual]
     scalar = {
         "section": ["scalar"] * 6,
         "name": [*scalars, "global_phase"],
@@ -222,6 +224,8 @@ def _cmd_errorbars(cfg: RunConfig, args) -> str:
     _require_kind(cfg, {"errorbars"}, "errorbars")
     base = cfg.base
     steps = _steps(base, args)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     seed = cfg.seed if args.seed is None else args.seed
     record = evolve(base.initial, base.program, steps)
     if base.site_map is not None:

@@ -17,11 +17,11 @@ layout documented in optics.coin_ab.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg_core import assert_unitary, numerical_rank, svd_2x2
+from .linalg_core import assert_unitary, numerical_rank
 from .optics import coin_ab, coin_ll_independent
 from .walk_engine import CoinProgram, RawCoin
 
@@ -68,17 +68,21 @@ class OneTripWitness:
 
 @dataclass(frozen=True)
 class UniversalFactorization:
-    """Two-round-trip split: compose2 @ compose1 = global_phase * target."""
+    """Two-round-trip split: compose2 @ compose1 = global_phase * target.
+
+    residual, the max-abs miss of that equation, is set on construction.
+    """
 
     factor_1: OneTripFactors
     factor_2: OneTripFactors
     global_phase: complex
-    residual: float
     target: np.ndarray
+    residual: float = field(init=False)
 
-    def recompute_residual(self) -> float:
+    def __post_init__(self):
         prod = self.factor_2.compose() @ self.factor_1.compose()
-        return float(np.max(np.abs(prod - self.global_phase * self.target)))
+        residual = float(np.max(np.abs(prod - self.global_phase * self.target)))
+        object.__setattr__(self, "residual", residual)
 
 
 _CC_SIGN = np.diag([1.0, 1.0, -1.0, -1.0])
@@ -134,8 +138,8 @@ def one_trip_test(c: np.ndarray, rel_tol: float = 1e-9):
         m2=m2,
         singular_values_m1=s1,
         singular_values_m2=s2,
-        rank_m1=numerical_rank(m1, rel_tol),
-        rank_m2=numerical_rank(m2, rel_tol),
+        rank_m1=numerical_rank(s1, rel_tol),
+        rank_m2=numerical_rank(s2, rel_tol),
         rel_tol=rel_tol,
     )
     return witness.passed, witness
@@ -169,8 +173,8 @@ def one_trip_reconstruct(c: np.ndarray, rel_tol: float = 1e-9) -> OneTripFactors
             f"singular values {witness.singular_values_m1} and "
             f"{witness.singular_values_m2}"
         )
-    u1, s1, vh1 = svd_2x2(witness.m1)
-    u2, s2, vh2 = svd_2x2(witness.m2)
+    u1, s1, vh1 = np.linalg.svd(witness.m1, full_matrices=False)
+    u2, s2, vh2 = np.linalg.svd(witness.m2, full_matrices=False)
     beta = s1[0] * u1[:, 0]
     alpha = vh1[0, :].copy()
     delta = s2[0] * u2[:, 0]
@@ -186,6 +190,11 @@ def one_trip_reconstruct(c: np.ndarray, rel_tol: float = 1e-9) -> OneTripFactors
 def _orth_complement(v: np.ndarray) -> np.ndarray:
     # unit vector orthogonal to unit v in C^2
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
+
+
+def _norm_and_unit(w: np.ndarray):
+    n = float(np.linalg.norm(w))
+    return n, w / n
 
 
 def factor_universal(c: np.ndarray, branch_tol: float = DEGENERATE_BRANCH_TOL) -> UniversalFactorization:
@@ -209,7 +218,7 @@ def factor_universal(c: np.ndarray, branch_tol: float = DEGENERATE_BRANCH_TOL) -
     bl = cg[2:, :2]
     br = cg[2:, 2:]
 
-    u, s, vh = svd_2x2(tl)
+    u, s, vh = np.linalg.svd(tl, full_matrices=False)
     s = np.clip(s, 0.0, 1.0)
     s1, s2 = float(s[0]), float(s[1])
     p, q = u[:, 0], u[:, 1]
@@ -219,57 +228,30 @@ def factor_universal(c: np.ndarray, branch_tol: float = DEGENERATE_BRANCH_TOL) -
         # block diagonal: the top-left block is itself unitary
         f1 = OneTripFactors(_EYE2, _EYE2, tl.copy(), br.copy())
         f2 = OneTripFactors(_EYE2, _EYE2, _EYE2, _EYE2)
-    elif 1.0 - s1 <= branch_tol:
+        return UniversalFactorization(factor_1=f1, factor_2=f2, global_phase=1.0 + 0.0j, target=c)
+
+    b_hv, r = _norm_and_unit(bl @ q_ket)
+    b_vh, r_ket = _norm_and_unit(tr.conj().T @ q)
+    b_hh = -s2 * b_hv / b_vh
+    if 1.0 - s1 <= branch_tol:
         # degenerate: the a arm does not mix polarizations
-        w = bl @ q_ket
-        b_hv = float(np.linalg.norm(w))
-        r = w / b_hv
-        w2 = tr.conj().T @ q
-        b_vh = float(np.linalg.norm(w2))
-        r_ket = w2 / b_vh
-        b_hh = -s2 * b_hv / b_vh
+        a_hv = a_vh = 0.0
         s_vec = _orth_complement(r)
         s_ket = _orth_complement(r_ket)
         a_vv = np.conj(s_vec) @ (br @ s_ket)
-        a = np.array([[s1, 0.0], [0.0, a_vv]], dtype=complex)
-        b = np.array([[b_hh, b_hv], [b_vh, s2]], dtype=complex)
-        l1 = vh.copy()  # rows <P|, <Q|
-        l1p = np.array([r_ket.conj(), s_ket.conj()], dtype=complex)  # rows <R|, <S|
-        l2 = u.copy()  # columns |p>, |q>
-        l2p = np.column_stack([r, s_vec])  # columns |r>, |s>
-        f1 = OneTripFactors(a, b, l1, l1p)
-        f2 = OneTripFactors(_EYE2, _EYE2, l2, l2p)
     else:
-        w = bl @ p_ket
-        a_vh = float(np.linalg.norm(w))
-        s_vec = w / a_vh
-        w = bl @ q_ket
-        b_hv = float(np.linalg.norm(w))
-        r = w / b_hv
-        w = tr.conj().T @ p
-        a_hv = float(np.linalg.norm(w))
-        s_ket = w / a_hv
-        w = tr.conj().T @ q
-        b_vh = float(np.linalg.norm(w))
-        r_ket = w / b_vh
-        # coefficients from the block orthogonality relations of the target;
-        # equal to the arm-unitarity completion in exact arithmetic
+        a_vh, s_vec = _norm_and_unit(bl @ p_ket)
+        a_hv, s_ket = _norm_and_unit(tr.conj().T @ p)
+        # from the block orthogonality relations of the target; equal to
+        # the arm-unitarity completion in exact arithmetic
         a_vv = -s1 * a_vh / a_hv
-        b_hh = -s2 * b_hv / b_vh
-        a = np.array([[s1, a_hv], [a_vh, a_vv]], dtype=complex)
-        b = np.array([[b_hh, b_hv], [b_vh, s2]], dtype=complex)
-        l1 = vh.copy()
-        l1p = np.array([r_ket.conj(), s_ket.conj()], dtype=complex)
-        l2 = u.copy()
-        l2p = np.column_stack([r, s_vec])
-        f1 = OneTripFactors(a, b, l1, l1p)
-        f2 = OneTripFactors(_EYE2, _EYE2, l2, l2p)
-
-    prod = f2.compose() @ f1.compose()
-    residual = float(np.max(np.abs(prod - c)))
-    return UniversalFactorization(
-        factor_1=f1, factor_2=f2, global_phase=1.0 + 0.0j, residual=residual, target=c
-    )
+    a = np.array([[s1, a_hv], [a_vh, a_vv]], dtype=complex)
+    b = np.array([[b_hh, b_hv], [b_vh, s2]], dtype=complex)
+    # loop blocks: rows <P|, <Q| and <R|, <S|; columns |p>, |q> and |r>, |s>
+    l1p = np.array([r_ket.conj(), s_ket.conj()], dtype=complex)
+    f1 = OneTripFactors(a, b, vh, l1p)
+    f2 = OneTripFactors(_EYE2, _EYE2, u, np.column_stack([r, s_vec]))
+    return UniversalFactorization(factor_1=f1, factor_2=f2, global_phase=1.0 + 0.0j, target=c)
 
 
 def su2_normalize(fact: UniversalFactorization) -> UniversalFactorization:
@@ -295,54 +277,40 @@ def su2_normalize(fact: UniversalFactorization) -> UniversalFactorization:
     def argdet(m):
         return float(np.angle(np.linalg.det(m)))
 
+    # ket phases th on factor_2's loop columns, bra phases ph on factor_1's loop
+    # rows; pairs share one phase but |p>, |q>, which split the arms' det mismatch
     d1 = argdet(a) - argdet(b)
     sum_pq = -argdet(l2)
-    sum_rs = -argdet(l2p)
-    sum_PQ = -argdet(l1)
-    sum_RS = -argdet(l1p)
     th_p = 0.5 * (sum_pq + d1)
     th_q = 0.5 * (sum_pq - d1)
-    th_r = 0.5 * sum_rs
-    th_s = 0.5 * sum_rs
-    ph_P = 0.5 * sum_PQ
-    ph_Q = 0.5 * sum_PQ
-    ph_R = 0.5 * sum_RS
-    ph_S = 0.5 * sum_RS
+    th_r = -0.5 * argdet(l2p)  # = th_s
+    ph_P = -0.5 * argdet(l1)  # = ph_Q
+    ph_R = -0.5 * argdet(l1p)  # = ph_S
 
     l2[:, 0] *= np.exp(1j * th_p)
     l2[:, 1] *= np.exp(1j * th_q)
-    l2p[:, 0] *= np.exp(1j * th_r)
-    l2p[:, 1] *= np.exp(1j * th_s)
-    l1[0, :] *= np.exp(1j * ph_P)
-    l1[1, :] *= np.exp(1j * ph_Q)
-    l1p[0, :] *= np.exp(1j * ph_R)
-    l1p[1, :] *= np.exp(1j * ph_S)
+    l2p *= np.exp(1j * th_r)
+    l1 *= np.exp(1j * ph_P)
+    l1p *= np.exp(1j * ph_R)
 
     # arm compensations: rows pair with kets, columns with bras
     a[0, :] *= np.exp(-1j * th_p)
-    a[1, :] *= np.exp(-1j * th_s)
+    a[1, :] *= np.exp(-1j * th_r)
     b[0, :] *= np.exp(-1j * th_r)
     b[1, :] *= np.exp(-1j * th_q)
     a[:, 0] *= np.exp(-1j * ph_P)
-    a[:, 1] *= np.exp(-1j * ph_S)
+    a[:, 1] *= np.exp(-1j * ph_R)
     b[:, 0] *= np.exp(-1j * ph_R)
-    b[:, 1] *= np.exp(-1j * ph_Q)
+    b[:, 1] *= np.exp(-1j * ph_P)
 
     # arms now share one determinant e^{2i Phi}; split it off as a scalar
     phi = 0.5 * float(np.angle(np.linalg.det(a)))
     a *= np.exp(-1j * phi)
     b *= np.exp(-1j * phi)
-    global_phase = complex(fact.global_phase * np.exp(-1j * phi))
-
-    f1 = OneTripFactors(a, b, l1, l1p)
-    f2 = OneTripFactors(fact.factor_2.c_a, fact.factor_2.c_b, l2, l2p)
-    prod = f2.compose() @ f1.compose()
-    residual = float(np.max(np.abs(prod - global_phase * fact.target)))
     return UniversalFactorization(
-        factor_1=f1,
-        factor_2=f2,
-        global_phase=global_phase,
-        residual=residual,
+        factor_1=OneTripFactors(a, b, l1, l1p),
+        factor_2=OneTripFactors(fact.factor_2.c_a, fact.factor_2.c_b, l2, l2p),
+        global_phase=complex(fact.global_phase * np.exp(-1j * phi)),
         target=fact.target,
     )
 

@@ -270,6 +270,8 @@ def _parse_errorbars(d: dict) -> RunConfig:
     _reject_unknown(d, "errorbars")
     if n_samples < 1:
         raise ConfigError("errorbars.n_samples: must be positive")
+    if seed < 0:
+        raise ConfigError(f"errorbars.seed: must be nonnegative, got {seed!r}")
     if distribution not in ("uniform", "truncated_normal"):
         raise ConfigError(f"errorbars.distribution: unknown {distribution!r}")
     if not isinstance(renormalize, bool):

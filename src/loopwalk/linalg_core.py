@@ -44,22 +44,8 @@ def wrap_phase(phi):
     return np.mod(np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
-def svd_2x2(m: np.ndarray):
-    """SVD of a (possibly non-square) small matrix: m = u @ diag(s) @ vh.
-
-    Thin wrapper with a frozen convention: singular values descending,
-    u and vh with orthonormal columns/rows.  Kept as a named operation so the
-    synthesis code has a single audited entry point.
-    """
-    m = np.asarray(m, dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return u, s, vh
-
-
-def numerical_rank(m: np.ndarray, rel_tol: float = 1e-9) -> int:
-    """Number of singular values above rel_tol times the largest one."""
-    m = np.asarray(m, dtype=complex)
-    s = np.linalg.svd(m, compute_uv=False)
+def numerical_rank(s: np.ndarray, rel_tol: float = 1e-9) -> int:
+    """Number of descending singular values s above rel_tol times the largest one."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rel_tol * s[0]))

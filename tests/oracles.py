@@ -213,14 +213,6 @@ def rotation_circle_distribution(initial_vector: np.ndarray, t: int) -> np.ndarr
     return np.roll(np.asarray(initial_vector, dtype=float), t)
 
 
-def singular_values_via_gram(m: np.ndarray) -> np.ndarray:
-    """Singular values from the eigenvalues of m^dag m, descending."""
-    g = np.conj(m.T) @ m
-    ev = np.linalg.eigvalsh(g)
-    ev = np.clip(ev, 0.0, None)
-    return np.sqrt(ev)[::-1]
-
-
 def one_trip_test_independent(c: np.ndarray, rel_tol: float = 1e-9) -> bool:
     """One-trip realizability of a 4x4 coin when the loop blocks may differ
     per direction.
@@ -431,7 +423,7 @@ def render_rows(command: str, cfg, args) -> str:
             ["scalar", "one_trip_rank_m1", None, None, float(witness.rank_m1), None],
             ["scalar", "one_trip_rank_m2", None, None, float(witness.rank_m2), None],
             ["scalar", "residual", None, None, fact.residual, None],
-            ["scalar", "residual_normalized", None, None, norm.recompute_residual(), None],
+            ["scalar", "residual_normalized", None, None, norm.residual, None],
             ["scalar", "global_phase", None, None, float(phase.real), float(phase.imag)],
         ]
         _factor_rows(rows, "trip1", fact.factor_1)

@@ -265,7 +265,7 @@ def test_su2_normalize_keeps_unimodular_factors():
     )
     target = f2.compose() @ f1.compose()
     fact = UniversalFactorization(
-        factor_1=f1, factor_2=f2, global_phase=1.0 + 0j, residual=0.0, target=target
+        factor_1=f1, factor_2=f2, global_phase=1.0 + 0j, target=target
     )
     norm = su2_normalize(fact)
     assert abs(norm.global_phase - 1.0) <= 1e-12
@@ -311,17 +311,62 @@ def test_three_step_schedule_equals_single_target_step():
             assert np.max(np.abs(three.amp - one.amp)) <= 1e-9
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_factor_universal_and_su2_normalize_on_haar_coins(seed):
-    c = random_unitary(4, np.random.default_rng(seed))
+def _branch_coin(kind, rng):
+    # generic Haar coin, or one that pins the top-left singular values of
+    # the sign-stripped coin to (1, s) (degenerate) or (1, 1) (block diagonal)
+    if kind == "degenerate":
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
+        return full_coin(np.diag(phases), random_unitary(2, rng), random_unitary(2, rng))
+    if kind == "block_diagonal":
+        c = np.zeros((4, 4), dtype=complex)
+        c[:2, :2] = random_unitary(2, rng)
+        c[2:, 2:] = random_unitary(2, rng)
+        return c
+    return random_unitary(4, rng)
+
+
+def _recomposition_error(fact):
+    def trip(f):
+        return coin_ab(f.c_a, f.c_b) @ coin_ll_independent(f.c_loop_cw, f.c_loop_ccw)
+
+    prod = trip(fact.factor_2) @ trip(fact.factor_1)
+    return float(np.max(np.abs(prod - fact.global_phase * fact.target)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=90)
+@given(
+    st.sampled_from(["haar", "degenerate", "block_diagonal"]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_factor_universal_and_su2_normalize_on_haar_coins(kind, seed):
+    c = _branch_coin(kind, np.random.default_rng(seed))
+    s = np.linalg.svd(c[:2, :2], compute_uv=False)
+    assert (1.0 - s[0] <= 1e-10) == (kind != "haar")
+    assert (1.0 - s[1] <= 1e-10) == (kind == "block_diagonal")
     fact = factor_universal(c)
     assert fact.residual <= 1e-10
+    assert fact.residual == _recomposition_error(fact)
     norm = su2_normalize(fact)
     assert norm.residual <= 1e-10
+    assert norm.residual == _recomposition_error(norm)
     for factors in (norm.factor_1, norm.factor_2):
         for block in (factors.c_a, factors.c_b, factors.c_loop_cw, factors.c_loop_ccw):
             assert abs(np.linalg.det(block) - 1.0) <= 1e-10
+
+
+def test_one_trip_test_decomposes_each_witness_once(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for coin in (oracles.GROVER_4, oracles.BALANCED_FOUR_MODE_COIN):
+        calls.clear()
+        one_trip_test(coin)
+        assert calls == [(4, 2), (4, 2)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -544,10 +544,12 @@ NAN_IDENTITY = {"re": [[NAN if i == j == 0 else float(i == j) for j in range(4)]
         # efficiencies are drawn from [1 - eff_err, 1 + eff_err], so eff_err >= 1 allows zero or less
         ("errorbars", {"kind": "errorbars", "base": line_cfg(), "eff_err": 1.0}, "errorbars.eff_err: must be below 1, got 1.0"),
         ("errorbars", {"kind": "errorbars", "base": line_cfg(), "eff_err": 2.0}, "errorbars.eff_err: must be below 1, got 2.0"),
+        # numpy's default_rng raises its own ValueError on a negative seed
+        ("errorbars", {"kind": "errorbars", "base": line_cfg(), "seed": -5}, "errorbars.seed: must be nonnegative, got -5"),
     ],
     ids=["merge_tol_nan", "angle_err_nan", "line_angle_inf", "dispersion_angle_nan", "matrix_nan",
          "direction_int", "polarization_list", "mixed_unknown_keys", "merge_tol_negative",
-         "gap_tol_negative", "rel_tol_negative", "eff_err_one", "eff_err_two"],
+         "gap_tol_negative", "rel_tol_negative", "eff_err_one", "eff_err_two", "seed_negative"],
 )
 def test_cli_malformed_config_exits_2_without_traceback(tmp_path, command, cfg, message):
     path = tmp_path / "run.yaml"
@@ -705,6 +707,31 @@ def test_cli_errorbars_smoke(tmp_path):
     assert totals
     for r in totals:
         assert float(r[4]) >= 0.0
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["errorbars", "--config", os.path.join(CONFIG_DIR, "errorbars_circle8.yaml"), "--seed", "-1"],
+         "--seed must be nonnegative"),
+        # the allowed shortfall below a similarity of 1 must lie in [0, 1)
+        (["revivals", "--config", os.path.join(CONFIG_DIR, "circle8.yaml"), "--tol", "-1"],
+         "--tol must lie in [0, 1), got -1.0"),
+        (["revivals", "--config", os.path.join(CONFIG_DIR, "circle8.yaml"), "--tol", "nan"],
+         "--tol must lie in [0, 1), got nan"),
+        (["revivals", "--config", os.path.join(CONFIG_DIR, "circle8.yaml"), "--tol", "inf"],
+         "--tol must lie in [0, 1), got inf"),
+        (["revivals", "--config", os.path.join(CONFIG_DIR, "circle8.yaml"), "--tol", "1"],
+         "--tol must lie in [0, 1), got 1.0"),
+    ],
+    ids=["seed_negative", "tol_negative", "tol_nan", "tol_inf", "tol_one"],
+)
+def test_cli_bad_flag_exits_2_without_traceback(args, message):
+    res = run_cli(*args)
+    assert res.returncode == 2, res.stderr
+    assert f"config error: {message}" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_cli_errorbars_negative_steps_exits_2():
