@@ -41,13 +41,15 @@ constant velocity as a single wavefront.
 
 Inflections and interbranch gap minima are both refined off the grid by
 one lockstep Illinois root finder (regula falsi that halves the value of
-an end kept twice in a row) on the analytic derivatives: omega'' for
-inflections, d(gap)/dk for gap minima.
+an end kept twice in a row) on the analytic derivatives: inflections on
+omega'', gap minima on d(gap)/dk, which needs omega' only, so their rounds
+skip the cot sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -150,23 +152,24 @@ def _eigenpairs(u: np.ndarray):
     return w, v, redo, float(np.max(residual, initial=0.0, where=ok))
 
 
-def _derivatives(coin: np.ndarray, vecs: np.ndarray, phases: np.ndarray, redo: np.ndarray):
-    """omega' and omega'' of every eigenpair, batched over samples.
+def _derivatives(coin: np.ndarray, vecs: np.ndarray, phases: np.ndarray, redo: np.ndarray, curvature: bool = True):
+    """omega' and, with curvature, omega'' of every eigenpair, batched over samples.
 
     vecs: (n, d, d) eigenvectors of U(k) as columns, orthonormal except in
     the samples redo (eig's vectors); phases: (n, d) their eigenphases.
-    Returns two (n, d) arrays (see the module docstring).
+    Returns a tuple of (n, d) arrays (see the module docstring).
     """
     w = coin @ vecs
     if len(redo):
         w[redo] = coin @ np.linalg.qr(vecs[redo])[0]  # orthonormal, column order kept
     dm = np.einsum("sin,i,sim->snm", w.conj(), _D, w)
+    first = np.einsum("snn->sn", dm).real
+    if not curvature:
+        return (first,)
     diff = phases[:, :, None] - phases[:, None, :]
     partner = np.abs(wrap_phase(diff)) > _DEGENERATE_PHASE
     cot = np.divide(1.0, np.tan(0.5 * diff), out=np.zeros_like(diff), where=partner)
-    first = np.einsum("snn->sn", dm).real
-    second = np.sum(np.abs(dm) ** 2 * cot, axis=2)
-    return first, second
+    return first, np.sum(np.abs(dm) ** 2 * cot, axis=2)
 
 
 class DispersionSpectrum:
@@ -222,17 +225,19 @@ class DispersionSpectrum:
             self._slopes = (first.T, second.T)
         return self._slopes
 
-    def _follow(self, ks: np.ndarray, *refs: np.ndarray):
+    def _follow(self, ks: np.ndarray, *refs: np.ndarray, curvature: bool):
         """Branches at off-grid momenta from one eigensolve.
 
         For each (n, d) set of reference eigenvectors, the eigenphase per k
         of the eigenpair that continues its branch (maximal overlap) and,
-        when the spectrum has a coin, that branch's omega' and omega''.
+        with a coin, that branch's omega' and, with curvature, its omega''.
+        Inflections are refined on omega'', gap minima on omega' alone (the
+        same bits, read off the same matrix elements).
         """
         w, v, redo, _ = _eigenpairs(self._bloch(ks))
         phases = np.angle(w)
         rows = np.arange(len(ks))
-        per_k = (phases,) if self._coin is None else (phases, *_derivatives(self._coin, v, phases, redo))
+        per_k = (phases,) if self._coin is None else (phases, *_derivatives(self._coin, v, phases, redo, curvature))
         out = []
         for ref in refs:
             col = np.argmax(np.abs(np.einsum("ni,nid->nd", ref.conj(), v)), axis=1)
@@ -272,11 +277,10 @@ def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
         ov[rows, :, j] = -1.0
 
     # cols[s, b]: column of branch b at sample s, branches ordered by phase
-    # at the first sample
-    cols = np.empty((m, d), dtype=int)
-    cols[0] = np.argsort(wrap_phase(np.angle(w[0])), kind="stable")
-    for s in range(1, m):
-        cols[s] = nxt[s - 1, cols[s - 1]]
+    # at the first sample; each branch follows nxt by plain integer lookups
+    table = nxt.tolist()
+    start = np.argsort(wrap_phase(np.angle(w[0])), kind="stable").tolist()
+    cols = np.array([list(accumulate(table, lambda c, row: row[c], initial=c)) for c in start]).T
 
     ph = np.angle(np.take_along_axis(w, cols, axis=1))
     ph[0] = wrap_phase(ph[0])
@@ -387,7 +391,7 @@ def wavefront_speeds(spec: DispersionSpectrum, merge_tol: float = 1e-4) -> Wavef
         ref_vecs = spec._vec_pad[bs, js]
 
         def inflection(ks, live):
-            ((_, speed, curvature),) = spec._follow(ks, ref_vecs[live])
+            ((_, speed, curvature),) = spec._follow(ks, ref_vecs[live], curvature=True)
             return curvature, speed
 
         roots, (curvature, speeds) = _illinois(
@@ -397,18 +401,9 @@ def wavefront_speeds(spec: DispersionSpectrum, merge_tol: float = 1e-4) -> Wavef
             if abs(g) <= _INFLECTION_TOL:
                 fronts.append(Wavefront(branch=int(b), k=float(k), speed=float(s)))
 
-    if fronts:
-        vals = np.sort(np.array([f.speed for f in fronts]))
-        reps = []
-        start = 0
-        for i in range(1, len(vals) + 1):
-            if i == len(vals) or vals[i] - vals[i - 1] > merge_tol:
-                reps.append(float(np.mean(vals[start:i])))
-                start = i
-        speeds_arr = np.array(reps)
-    else:
-        speeds_arr = np.array([])
-    return WavefrontSet(speeds=speeds_arr, fronts=fronts, merge_tol=merge_tol)
+    vals = np.sort([f.speed for f in fronts])
+    clusters = np.split(vals, np.flatnonzero(np.diff(vals) > merge_tol) + 1) if fronts else []
+    return WavefrontSet(speeds=np.array([float(np.mean(c)) for c in clusters]), fronts=fronts, merge_tol=merge_tol)
 
 
 @dataclass(frozen=True)
@@ -449,6 +444,21 @@ def _ternary_minimum(gap_at, lo, hi, sel):
     return k, gap_at(k, sel)[-1]
 
 
+def _grid_minima(d: np.ndarray, n_k: int):
+    """Bracket ends (pad indices lo, hi) and least gap of the grid minima of
+    a padded gap row d, in order.  Steps within _PHASE_NOISE_FLOOR are level,
+    so a minimum is a fall, level steps (possibly none), then a rise at
+    samples lo+1..hi-1; only the period copy with lo+1 on the main grid is kept.
+    """
+    step = np.diff(d)
+    sign = np.sign(step) * (np.abs(step) > _PHASE_NOISE_FLOOR)
+    turns = np.flatnonzero(sign)
+    p, q = turns[:-1], turns[1:]
+    keep = (sign[p] < 0) & (sign[q] > 0) & (p >= _PAD - 1) & (p < _PAD + n_k - 1)
+    lo, hi = p[keep], q[keep] + 1
+    return lo, hi, np.array([np.min(d[a:b + 1]) for a, b in zip(lo.tolist(), hi.tolist())])
+
+
 def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
     """Locate and classify interbranch gap minima.
 
@@ -469,45 +479,27 @@ def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
     whole grid yield a single entry flagged continuum=True.
     """
     out: list[Crossing] = []
-    minima = []  # (branch i, branch j, first sample of the minimum, bracket ends, least grid gap)
+    minima = []  # (branch i, branch j, bracket ends, least grid gap) arrays per pair
     nb = spec.n_branches
-    lo_idx = _PAD - 1
-    hi_idx = _PAD + spec._n_k + 1
     for i in range(nb):
         for j in range(i + 1, nb):
             d = _circle_gap(spec._omega_pad[i], spec._omega_pad[j])
-            window = d[lo_idx:hi_idx]
+            window = d[_PAD - 1:_PAD + spec._n_k + 1]
             if np.max(window) <= gap_tol:
-                out.append(
-                    Crossing(
-                        k=float(spec.k_grid[0]),
-                        branches=(i, j),
-                        gap=float(np.max(window)),
-                        kind="crossing",
-                        continuum=True,
-                    )
-                )
+                out.append(Crossing(k=float(spec.k_grid[0]), branches=(i, j), gap=float(np.max(window)),
+                                    kind="crossing", continuum=True))
                 continue
-            # step signs with a dead zone: a minimum is a fall, then a run
-            # of level steps (possibly none), then a rise
-            step = np.diff(d)
-            sign = np.sign(step) * (np.abs(step) > _PHASE_NOISE_FLOOR)
-            turns = np.flatnonzero(sign)
-            for p, q in zip(turns[:-1], turns[1:]):
-                # samples p+1..q are the minimum; keep the period copy whose
-                # first sample lies on the main grid
-                m = p + 1
-                if sign[p] > 0 or sign[q] < 0 or not _PAD <= m < _PAD + spec._n_k:
-                    continue
-                minima.append((i, j, m, p, q + 1, np.min(d[p:q + 2])))
+            lo, hi, least = _grid_minima(d, spec._n_k)
+            if len(lo):
+                minima.append((np.full(len(lo), i), np.full(len(lo), j), lo, hi, least))
 
     if minima:
-        bi, bj, ms, ps, qs, least = (np.array(col) for col in zip(*minima))
-        vec_i, vec_j = spec._vec_pad[bi, ms], spec._vec_pad[bj, ms]
+        bi, bj, ps, qs, least = (np.concatenate(col) for col in zip(*minima))
+        vec_i, vec_j = spec._vec_pad[bi, ps + 1], spec._vec_pad[bj, ps + 1]
 
         def gap_at(ks, sel):
             # slope (with a coin) and gap of each selected minimum's pair
-            (ph_i, *d_i), (ph_j, *d_j) = spec._follow(ks, vec_i[sel], vec_j[sel])
+            (ph_i, *d_i), (ph_j, *d_j) = spec._follow(ks, vec_i[sel], vec_j[sel], curvature=False)
             return _gap_slope(ph_i, ph_j, d_i[0], d_j[0]) if d_i else (_circle_gap(ph_i, ph_j),)
 
         k_star = spec._k_pad[ps]

@@ -316,6 +316,55 @@ def eig_unitary(u: np.ndarray, cluster_gap: float = 1e-8):
     return phases, v
 
 
+def sequential_branches(w: np.ndarray, v: np.ndarray):
+    """Branch connection sample by sample of eigenpairs (m, d) and (m, d, d):
+    greedy matching on the overlaps with the previous sample's branch
+    vectors, rows in order of phase at the first sample, then unwrapping
+    against the previous sample.  Returns omegas (d, m) and vectors (d, m, d).
+    """
+    m, d = w.shape
+    omega = np.empty((d, m))
+    vecs = np.empty((d, m, d), dtype=complex)
+    first = np.mod(np.angle(w[0]) + np.pi, 2.0 * np.pi) - np.pi
+    cols = np.argsort(first, kind="stable")
+    omega[:, 0] = first[cols]
+    vecs[:, 0] = v[0][:, cols].T
+    for s in range(1, m):
+        weights = np.abs(v[s - 1][:, cols].conj().T @ v[s])
+        nxt = np.full(d, -1)
+        for _ in range(d):
+            i, j = np.unravel_index(np.argmax(weights), weights.shape)
+            nxt[i] = j
+            weights[i, :] = -1.0
+            weights[:, j] = -1.0
+        cols = nxt
+        ph = np.angle(w[s][cols])
+        omega[:, s] = ph + 2.0 * np.pi * np.round((omega[:, s - 1] - ph) / (2.0 * np.pi))
+        vecs[:, s] = v[s][:, cols].T
+    return omega, vecs
+
+
+def grid_minima(d: np.ndarray, n_k: int, pad: int, floor: float) -> list:
+    """Grid minima of a gap row padded by `pad` samples at each end, one
+    sample step at a time.
+
+    A step whose size is at most `floor` is level.  A minimum is a falling
+    step at p, any number of level steps, then a rising step at q; it is
+    kept when its first sample p + 1 lies on the main grid [pad, pad + n_k).
+    Returns (p, q + 1, least gap over samples p..q + 1) per minimum, in order.
+    """
+    out = []
+    fall = None  # the last non-level step, if it fell
+    for s in range(len(d) - 1):
+        step = d[s + 1] - d[s]
+        if abs(step) <= floor:
+            continue
+        if step > 0.0 and fall is not None and pad <= fall + 1 < pad + n_k:
+            out.append((fall, s + 1, min(d[fall:s + 2])))
+        fall = s if step < 0.0 else None
+    return out
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""

@@ -54,12 +54,20 @@ def write_cfg(tmp_path, obj, name="run.yaml"):
 
 
 def run_cli(*args):
+    """The command line in a fresh interpreter, as `python -m loopwalk`."""
     return subprocess.run(
         [sys.executable, "-m", "loopwalk", *args],
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def main_cli(capsys, *args):
+    """cli.main in this process, its exit code and output shaped like run_cli's."""
+    code = cli.main(list(args))
+    out, err = capsys.readouterr()
+    return subprocess.CompletedProcess(args, code, out, err)
 
 
 def csv_rows(text):
@@ -420,6 +428,10 @@ def test_parse_config_uses_libyaml_when_available(monkeypatch):
 
 
 # ------------------------------------------------------------------- cli
+#
+# Runs that check output or exit codes go through cli.main in this process
+# (main_cli); `python -m loopwalk`, --help and the error exits that must
+# print no traceback run in a fresh interpreter (run_cli).
 
 
 def test_cli_help():
@@ -430,9 +442,9 @@ def test_cli_help():
         assert name in res.stdout
 
 
-def test_cli_simulate_csv(tmp_path):
+def test_cli_simulate_csv(tmp_path, capsys):
     path = write_cfg(tmp_path, line_cfg(steps=3))
-    res = run_cli("simulate", "--config", path)
+    res = main_cli(capsys, "simulate", "--config", path)
     assert res.returncode == 0, res.stderr
     header, rows = csv_rows(res.stdout)
     assert header == ["step", "position", "mode", "intensity"]
@@ -444,9 +456,9 @@ def test_cli_simulate_csv(tmp_path):
         assert abs(total - 1.0) < 1e-12
 
 
-def test_cli_simulate_trace_sum_all(tmp_path):
+def test_cli_simulate_trace_sum_all(tmp_path, capsys):
     path = write_cfg(tmp_path, line_cfg(steps=2))
-    res = run_cli("simulate", "--config", path, "--trace", "sum_all")
+    res = main_cli(capsys, "simulate", "--config", path, "--trace", "sum_all")
     assert res.returncode == 0, res.stderr
     header, rows = csv_rows(res.stdout)
     assert header == ["step", "position", "intensity"]
@@ -454,37 +466,37 @@ def test_cli_simulate_trace_sum_all(tmp_path):
     assert abs(sum(final.values()) - 1.0) < 1e-12
 
 
-def test_cli_steps_override_and_out_file(tmp_path):
+def test_cli_steps_override_and_out_file(tmp_path, capsys):
     path = write_cfg(tmp_path, line_cfg(steps=9))
     out = tmp_path / "table.csv"
-    res = run_cli("simulate", "--config", path, "--steps", "1", "--out", str(out))
+    res = main_cli(capsys, "simulate", "--config", path, "--steps", "1", "--out", str(out))
     assert res.returncode == 0, res.stderr
     assert res.stdout == ""
     header, rows = csv_rows(out.read_text())
     assert header[0] == "step"
     assert {r[0] for r in rows} == {"0", "1"}
 
-    res = run_cli("simulate", "--config", path, "--steps", "-1")
+    res = main_cli(capsys, "simulate", "--config", path, "--steps", "-1")
     assert res.returncode == 2
     assert "config error" in res.stderr
 
 
-def test_cli_table_format(tmp_path):
+def test_cli_table_format(tmp_path, capsys):
     path = write_cfg(tmp_path, line_cfg(steps=1))
-    res = run_cli("simulate", "--config", path, "--format", "table")
+    res = main_cli(capsys, "simulate", "--config", path, "--format", "table")
     assert res.returncode == 0
     lines = res.stdout.splitlines()
     assert lines[0].split() == ["step", "position", "mode", "intensity"]
     assert set(lines[1]) <= {"-", " "}
 
 
-def test_cli_bad_config_exits_2(tmp_path):
-    res = run_cli("simulate", "--config", str(tmp_path / "nope.yaml"))
+def test_cli_bad_config_exits_2(tmp_path, capsys):
+    res = main_cli(capsys, "simulate", "--config", str(tmp_path / "nope.yaml"))
     assert res.returncode == 2
     assert "config error" in res.stderr
 
     path = write_cfg(tmp_path, {"kind": "circle", "num_sites": 8})
-    res = run_cli("simulate", "--config", path)
+    res = main_cli(capsys, "simulate", "--config", path)
     assert res.returncode == 2
     assert "simulate" in res.stderr
 
@@ -572,7 +584,7 @@ def test_tracer_wrap_targets_resolve():
         assert callable(getattr(target, attr, None)), f"{owner}.{attr}"
 
 
-def test_cli_circle_smoke(tmp_path):
+def test_cli_circle_smoke(tmp_path, capsys):
     cfg = {
         "kind": "circle",
         "num_sites": 8,
@@ -581,7 +593,7 @@ def test_cli_circle_smoke(tmp_path):
         "steps": 6,
     }
     path = write_cfg(tmp_path, cfg)
-    res = run_cli("circle", "--config", path)
+    res = main_cli(capsys, "circle", "--config", path)
     assert res.returncode == 0, res.stderr
     assert "max off-graph intensity" in res.stderr
     header, rows = csv_rows(res.stdout)
@@ -592,9 +604,9 @@ def test_cli_circle_smoke(tmp_path):
     assert abs(last - 1.0) < 1e-10
 
 
-def test_cli_figure_eight_smoke(tmp_path):
+def test_cli_figure_eight_smoke(tmp_path, capsys):
     path = write_cfg(tmp_path, {"kind": "figure_eight", "steps": 4})
-    res = run_cli("figure-eight", "--config", path)
+    res = main_cli(capsys, "figure-eight", "--config", path)
     assert res.returncode == 0, res.stderr
     header, rows = csv_rows(res.stdout)
     assert header == ["step", "node", "mode", "intensity"]
@@ -602,7 +614,7 @@ def test_cli_figure_eight_smoke(tmp_path):
     assert abs(start - 1.0) < 1e-10
 
 
-def test_cli_revivals(tmp_path):
+def test_cli_revivals(tmp_path, capsys):
     cfg = {
         "kind": "circle",
         "num_sites": 4,
@@ -611,7 +623,7 @@ def test_cli_revivals(tmp_path):
         "steps": 8,
     }
     path = write_cfg(tmp_path, cfg)
-    res = run_cli("revivals", "--config", path)
+    res = main_cli(capsys, "revivals", "--config", path)
     assert res.returncode == 0, res.stderr
     header, rows = csv_rows(res.stdout)
     assert header == ["step", "shift", "kind"]
@@ -620,9 +632,9 @@ def test_cli_revivals(tmp_path):
     assert (8, 0, "perfect") in events
 
 
-def test_cli_dispersion(tmp_path):
+def test_cli_dispersion(tmp_path, capsys):
     path = write_cfg(tmp_path, {"kind": "dispersion", "coin": HADAMARD_COIN, "n_k": 256})
-    res = run_cli("dispersion", "--config", path)
+    res = main_cli(capsys, "dispersion", "--config", path)
     assert res.returncode == 0, res.stderr
     header, rows = csv_rows(res.stdout)
     assert header[0] == "section"
@@ -634,10 +646,10 @@ def test_cli_dispersion(tmp_path):
         assert abs(s - 1.0 / np.sqrt(2.0)) < 1e-6
 
 
-def test_cli_dispersion_crossing_recipe():
+def test_cli_dispersion_crossing_recipe(capsys):
     # the crossing_dispersion recipe of docs/RECIPES.md: four exact touches
     # and four avoided minima, nothing from the constant-gap branch pairs
-    res = run_cli("dispersion", "--config", os.path.join(CONFIG_DIR, "crossing_dispersion.yaml"))
+    res = main_cli(capsys, "dispersion", "--config", os.path.join(CONFIG_DIR, "crossing_dispersion.yaml"))
     assert res.returncode == 0, res.stderr
     _, rows = csv_rows(res.stdout)
     crossings = [r for r in rows if r[0] == "crossing"]
@@ -651,10 +663,10 @@ def test_cli_dispersion_crossing_recipe():
     assert sum(r[8] == "avoided" for r in crossings) == 4
 
 
-def test_cli_decompose_pass(tmp_path):
+def test_cli_decompose_pass(tmp_path, capsys):
     cfg = {"kind": "decompose", "target": matrix_block(oracles.BALANCED_FOUR_MODE_COIN)}
     path = write_cfg(tmp_path, cfg)
-    res = run_cli("decompose", "--config", path)
+    res = main_cli(capsys, "decompose", "--config", path)
     assert res.returncode == 0, res.stderr
     header, rows = csv_rows(res.stdout)
     scalars = {r[1]: r[4] for r in rows if r[0] == "scalar"}
@@ -665,11 +677,11 @@ def test_cli_decompose_pass(tmp_path):
     assert "trip1.arm_a" in names and "trip2_su2.loop_ccw" in names
 
 
-def test_cli_decompose_grover_needs_two_trips(tmp_path):
+def test_cli_decompose_grover_needs_two_trips(tmp_path, capsys):
     """Grover fails the one-trip test but still factors over two trips."""
     cfg = {"kind": "decompose", "target": matrix_block(oracles.GROVER_4)}
     path = write_cfg(tmp_path, cfg)
-    res = run_cli("decompose", "--config", path)
+    res = main_cli(capsys, "decompose", "--config", path)
     assert res.returncode == 0, res.stderr
     _, rows = csv_rows(res.stdout)
     scalars = {r[1]: r[4] for r in rows if r[0] == "scalar"}
@@ -678,20 +690,20 @@ def test_cli_decompose_grover_needs_two_trips(tmp_path):
     assert float(scalars["residual"]) < 1e-9
 
 
-def test_cli_decompose_reject_exits_3(tmp_path):
+def test_cli_decompose_reject_exits_3(tmp_path, capsys):
     cfg = {
         "kind": "decompose",
         "target": matrix_block(oracles.GROVER_4),
         "rel_tol": 1.0e-18,
     }
     path = write_cfg(tmp_path, cfg)
-    res = run_cli("decompose", "--config", path)
+    res = main_cli(capsys, "decompose", "--config", path)
     assert res.returncode == 3
     assert "certification failure" in res.stderr
     assert "residual" in res.stderr
 
 
-def test_cli_errorbars_smoke(tmp_path):
+def test_cli_errorbars_smoke(tmp_path, capsys):
     cfg = {
         "kind": "errorbars",
         "base": line_cfg(steps=3),
@@ -699,7 +711,7 @@ def test_cli_errorbars_smoke(tmp_path):
         "seed": 11,
     }
     path = write_cfg(tmp_path, cfg)
-    res = run_cli("errorbars", "--config", path)
+    res = main_cli(capsys, "errorbars", "--config", path)
     assert res.returncode == 0, res.stderr
     header, rows = csv_rows(res.stdout)
     assert header == ["step", "position", "mode", "reference", "sigma"]
@@ -734,29 +746,29 @@ def test_cli_bad_flag_exits_2_without_traceback(args, message):
     assert res.stdout == ""
 
 
-def test_cli_errorbars_negative_steps_exits_2():
-    res = run_cli("errorbars", "--config", os.path.join(CONFIG_DIR, "errorbars_circle8.yaml"), "--steps", "-1")
+def test_cli_errorbars_negative_steps_exits_2(capsys):
+    res = main_cli(capsys, "errorbars", "--config", os.path.join(CONFIG_DIR, "errorbars_circle8.yaml"), "--steps", "-1")
     assert res.returncode == 2
     assert "config error: --steps must be nonnegative" in res.stderr
 
 
-def test_cli_off_graph_start_and_empty_support_exit_2(tmp_path):
+def test_cli_off_graph_start_and_empty_support_exit_2(tmp_path, capsys):
     circle = {"kind": "circle", "num_sites": 8, "initial": {"position": 40}}
-    res = run_cli("circle", "--config", write_cfg(tmp_path, circle))
+    res = main_cli(capsys, "circle", "--config", write_cfg(tmp_path, circle))
     assert res.returncode == 2
     assert "config error: circle.initial.position: 40 is not on the graph [0, 4]" in res.stderr
     eight = {"kind": "figure_eight", "initial": {"direction": "ccw", "polarization": "V", "position": -4}}
-    res = run_cli("revivals", "--config", write_cfg(tmp_path, eight))
+    res = main_cli(capsys, "revivals", "--config", write_cfg(tmp_path, eight))
     assert res.returncode == 2
     assert "config error: figure_eight.initial: the start at end -4 points off the graph" in res.stderr
     empty = {"kind": "errorbars", "base": {"kind": "circle", "num_sites": 8}, "support": [], "n_samples": 2}
-    res = run_cli("errorbars", "--config", write_cfg(tmp_path, empty))
+    res = main_cli(capsys, "errorbars", "--config", write_cfg(tmp_path, empty))
     assert res.returncode == 2
     assert "config error: errorbars.support: expected a nonempty list of integers" in res.stderr
     assert res.stdout == ""
 
 
-def test_cli_errorbars_zero_noise_zero_sigma(tmp_path):
+def test_cli_errorbars_zero_noise_zero_sigma(tmp_path, capsys):
     cfg = {
         "kind": "errorbars",
         "base": line_cfg(steps=3),
@@ -765,14 +777,14 @@ def test_cli_errorbars_zero_noise_zero_sigma(tmp_path):
         "eff_err": 0.0,
     }
     path = write_cfg(tmp_path, cfg)
-    res = run_cli("errorbars", "--config", path)
+    res = main_cli(capsys, "errorbars", "--config", path)
     assert res.returncode == 0, res.stderr
     _, rows = csv_rows(res.stdout)
     for r in rows:
         assert float(r[4]) == 0.0
 
 
-def test_cli_errorbars_similarity_rows(tmp_path):
+def test_cli_errorbars_similarity_rows(tmp_path, capsys):
     cfg = {
         "kind": "errorbars",
         "base": {
@@ -785,7 +797,7 @@ def test_cli_errorbars_similarity_rows(tmp_path):
         "support": [1, 3, 5, 7],
     }
     path = write_cfg(tmp_path, cfg)
-    res = run_cli("errorbars", "--config", path, "--seed", "3")
+    res = main_cli(capsys, "errorbars", "--config", path, "--seed", "3")
     assert res.returncode == 0, res.stderr
     header, rows = csv_rows(res.stdout)
     assert header[1] == "node"

@@ -2,14 +2,17 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopwalk.config import parse_coin, parse_config
 from loopwalk.dispersion import (
+    _PAD,
+    _PHASE_NOISE_FLOOR,
     SplitStepParams,
     _derivatives,
     _eigenpairs,
+    _grid_minima,
     band_structure,
     bloch_operator,
     classify_crossings,
@@ -24,6 +27,7 @@ from loopwalk.optics import full_coin, hwp_matrix, qwp_matrix
 import oracles
 
 MINUS_IX = -1j * oracles.PAULI_X
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs")
 
 
 def hadamard_spectrum(n_k=1024):
@@ -256,6 +260,37 @@ def test_classify_crossings_minimum_between_samples(kind, half_gap, sample):
     assert abs(found[0].gap - 2.0 * half_gap) < 1e-9
 
 
+# gap rows built from a few levels (runs of one level are plateaus, and a
+# level run at either end of the main grid puts a minimum on its edge), each
+# sample offset by ripple of at most half the noise floor, so two samples of
+# one level differ by at most the floor
+GAP_LEVELS = [0.0, 1e-12, 0.25, 0.5, 2.0]
+RIPPLE = [f * _PHASE_NOISE_FLOOR for f in (0.0, 0.3, -0.3, 0.5, -0.5)]
+
+
+@st.composite
+def gap_rows(draw):
+    n_k = draw(st.integers(min_value=1, max_value=24))
+    size = n_k + 2 * _PAD
+    levels = draw(st.lists(st.sampled_from(GAP_LEVELS), min_size=size, max_size=size))
+    ripple = draw(st.lists(st.sampled_from(RIPPLE), min_size=size, max_size=size))
+    return n_k, np.array(levels) + np.array(ripple)
+
+
+@settings(derandomize=True, deadline=None)
+@given(gap_rows())
+@example((4, np.full(4 + 2 * _PAD, 0.5)))  # a constant row
+@example((4, np.array([2.0, 2.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0, 2.0])))  # minima on both edges
+@example((3, np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0])))  # a plateau over the whole grid
+def test_grid_minima_match_per_sample_scan(row):
+    n_k, d = row
+    lo, hi, least = _grid_minima(d, n_k)
+    expected = oracles.grid_minima(d, n_k, _PAD, _PHASE_NOISE_FLOOR)
+    assert [lo.dtype.kind, hi.dtype.kind, least.dtype] == ["i", "i", np.float64]
+    assert list(zip(lo.tolist(), hi.tolist())) == [(p, q) for p, q, _ in expected]
+    assert np.array_equal(least, np.array([g for _, _, g in expected], dtype=float))
+
+
 def test_classify_crossings_repulsion_all_avoided():
     spec = band_structure(repulsion_coin())
     found = classify_crossings(spec)
@@ -458,39 +493,21 @@ def test_group_velocity_is_band_slope(seed):
             assert abs(wrap_phase(near[1] - near[0]) / (2.0 * h) - v[b, i]) < 1e-6
 
 
-def sequential_branches(w, v):
-    """Branch connection sample by sample of eigenpairs (m, d) and (m, d, d):
-    greedy matching on the overlaps, rows in branch order, then unwrapping
-    against the previous sample."""
-    m, d = w.shape
-    omega = np.empty((d, m))
-    vecs = np.empty((d, m, d), dtype=complex)
-    cols = np.argsort(wrap_phase(np.angle(w[0])), kind="stable")
-    omega[:, 0] = wrap_phase(np.angle(w[0]))[cols]
-    vecs[:, 0] = v[0][:, cols].T
-    for s in range(1, m):
-        weights = np.abs(v[s - 1][:, cols].conj().T @ v[s])
-        nxt = np.full(d, -1)
-        for _ in range(d):
-            i, j = np.unravel_index(np.argmax(weights), weights.shape)
-            nxt[i] = j
-            weights[i, :] = -1.0
-            weights[:, j] = -1.0
-        cols = nxt
-        ph = np.angle(w[s][cols])
-        omega[:, s] = ph + 2.0 * np.pi * np.round((omega[:, s - 1] - ph) / (2.0 * np.pi))
-        vecs[:, s] = v[s][:, cols].T
-    return omega, vecs
-
-
 def test_band_structure_matches_sequential_connection():
+    # bitwise on the same eigenpairs, padding included: a few coins on a
+    # coarse grid, then the reference recipes and seeded Haar coins on the
+    # default one
     rng = np.random.default_rng(81)
     coins = [random_unitary(4, rng), random_element_coin(rng), crossing_coin(), np.eye(4, dtype=complex)]
     coins.append(full_coin(MINUS_IX, MINUS_IX, hwp_matrix(22.5)))
-    for coin in coins:
-        spec = band_structure(coin, n_k=128)
+    runs = [(coin, 128) for coin in coins]
+    for name in ("hadamard", "crossing", "repulsion"):
+        runs.append((parse_config(os.path.join(CONFIG_DIR, f"{name}_dispersion.yaml")).coin_matrix, 1024))
+    runs += [(random_unitary(4, np.random.default_rng([87, seed])), 1024) for seed in range(20)]
+    for coin, n_k in runs:
+        spec = band_structure(coin, n_k=n_k)
         w, v, _, _ = _eigenpairs(shift_bloch(spec._k_pad) @ coin)
-        omega, vecs = sequential_branches(w, v)
+        omega, vecs = oracles.sequential_branches(w, v)
         assert np.array_equal(spec._omega_pad, omega)
         assert np.array_equal(spec._vec_pad, vecs)
 
@@ -589,7 +606,6 @@ def test_near_degenerate_minima_not_above_their_grid_samples():
 # --- the Hermitian eigensolver ----------------------------------------------
 
 RESIDUAL_GATE = 3e-14
-CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs")
 
 
 def residuals(u, w, v):
