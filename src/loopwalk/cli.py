@@ -2,11 +2,13 @@
 
 Every subcommand reads a YAML config (--config), runs the requested
 computation, and writes either CSV or an aligned text table to stdout or
---out, rendered by columns (floats as %.17g).  Exit codes: 0 on success,
-2 for configuration problems (including payload matrices that fail their
-unitarity certificate), 3 when a numerical certification fails at run
-time (decomposition residual above tolerance, intensity leaking off a
-closed graph).
+--out, built by columns in byte arrays.  Floats are exact %.17g from
+longdouble array arithmetic; one near a rounding boundary, an inf, a nan
+and the floats of a short column go through the % operator.  Exit codes:
+0 on success, 2 for configuration problems (including payload matrices
+that fail their unitarity certificate, and an unwritable --out), 3 when a
+numerical certification fails at run time (decomposition residual above
+tolerance, intensity leaking off a closed graph).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import chain
 
 import numpy as np
 
@@ -32,50 +33,149 @@ class CertificationError(RuntimeError):
     """A run-time numerical certificate failed."""
 
 
-def _column(values) -> list:
-    """One output column as strings: integers in decimal, floats as %.17g,
-    and in a sequence holding None, an empty cell for each None.  Each
-    distinct value is formatted once; floats are told apart by their bits,
-    so 0.0 and -0.0 keep their own strings."""
+# "%.17g" prints the digits of rint(|x| * 10**(16 - e)), the product in [1e16, 1e17).
+# In longdouble the product takes two roundings (a correctly rounded power of ten,
+# then the product), about one eps.  A cell within twice that of a half-integer,
+# or whose product rounds outside [1e16, 1e17), goes through "%" (every cell where
+# longdouble is double); an error across 1e16 itself leaves the digits 1 and zeros.
+_BAND = 2 * np.finfo(np.longdouble).eps
+_ARRAY_MIN = 256  # a shorter float column goes through "%" alone
+_SLICE = 4096  # floats formatted at a time, bounding the temporaries
+
+
+@functools.cache
+def _tables():
+    """_float_cells' tables: 10**k at k + 344 (strtold rounds each correctly);
+    the exponent suffix of e at e + 330, empty last; the ASCII of 0..9999 as
+    4-byte words; at j * 10**4 + g, the digits up to the last nonzero one of g
+    as 4-digit group j after the first digit; each layout's gather index."""
+    pow10 = np.array([f"1e{k}" for k in range(-344, 345)]).astype(np.longdouble)
+    suffix = np.array([*(f"e{k:+03d}" for k in range(-330, 331)), ""], dtype="S8")
+    g = np.arange(10_000, dtype=np.int16)  # small integer types keep the build's temporaries small
+    quads = ((g[:, None] // np.int16([1000, 100, 10, 1])) % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
+    upto = np.where(g == 0, 0, np.int8([[4], [8], [12], [16]]) - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0))
+    # a layout: sign, leading zeros, digits before the point, digits and point
+    neg, start, point, stop = (a.astype(np.int8)[..., None] for a in np.ogrid[:2, :5, :18, :23])
+    q = np.arange(24, dtype=np.int8) - neg  # output byte after the sign
+    digit = np.where(q == point, 1, 3 + start + q - (q > point))
+    layouts = np.where(q < 0, 0, np.where(q >= stop, 24 + np.minimum(q - stop, 7), digit))
+    return pow10, suffix, quads, upto.astype(np.uint8).ravel(), layouts.reshape(-1, 24)
+
+
+def _percent(x: np.ndarray) -> list:
+    """'%.17g' % v of each float v in x: the reference every cell matches."""
+    return ["%.17g" % v for v in x.tolist()]
+
+
+def _float_cells(x: np.ndarray) -> np.ndarray:
+    """'%.17g' % v of each float v in x, as an S array as wide as its
+    longest cell."""
+    pow10, suffix, quads, upto, layouts = _tables()
+    n, zero = len(x), x == 0
+    ok = np.isfinite(x) & ~zero
+    a = np.where(ok, np.abs(x), 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow only where longdouble is double
+        y = a * pow10[360 - e]
+        off = np.flatnonzero((y >= 1e17) | (y < 1e16))  # log10 can be one off
+        e[off] += np.where(y[off] >= 1e17, 1, -1)
+        y[off] = a[off] * pow10[360 - e[off]]
+        d = np.rint(y)
+        f, band = np.abs(y - d), _BAND * y
+        safe = ok & (f < 0.5 - band) & (d >= 1e16) & (d < 1e17)
+    d = np.where(safe, d, 0).astype(np.uint64)
+    q = np.stack([0 * d, *(d // 10**k for k in range(16, -1, -4))])
+    groups = (q[1:] - 10**4 * q[:-1]).astype(np.intp)  # the first digit, then fours
+    # source row: "-", ".", NUL, four "0"s, the 17 digits, exponent suffix
+    src = np.tile(np.frombuffer(b"-.\0" + b"0" + b"\0" * 28, np.uint8), (n, 1))
+    src.view(np.uint32)[:, 1:6] = quads.take(groups).T  # "000" and the first digit, then fours
+    fixed = (e >= -4) & (e < 17)
+    src.view(np.uint64)[:, 3] = suffix[np.where(fixed, -1, e + 330)].view(np.uint64)
+    digits = 1 + upto.take(groups[1:] + np.arange(0, 40_000, 10_000)[:, None]).max(axis=0)  # %g drops trailing zeros
+    start = 4 + fixed * np.minimum(e, 0)
+    point = np.where(fixed & (e >= 0), e + 1, 1)
+    stop = np.maximum(digits, point) + 4 - start
+    stop += stop > point
+    length = np.where(safe | zero, np.signbit(x) + stop + np.where(fixed, 0, 4 + (np.abs(e) >= 100)), 0)
+    i = np.flatnonzero(~zero & ~safe)
+    text = _percent(x[i])
+    width = max(1, length.max(), *map(len, text))
+    index = layouts.take(((np.signbit(x) * 5 + start) * 18 + point) * 23 + stop, axis=0)[:, :width]
+    out = np.take(src, index + 32 * np.arange(n)[:, None])
+    out[i] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    return out.view(f"S{width}").ravel()
+
+
+def _column(values) -> np.ndarray:
+    """One output column as an S array of cells: integers in decimal, floats
+    as %.17g, and in a sequence holding None, an empty cell for each None."""
     a = np.asarray(values)
     if a.dtype == object:
-        cells = iter(_column([v for v in values if v is not None]))
-        return ["" if v is None else next(cells) for v in values]
-    keys = a.view(np.int64) if a.dtype.kind == "f" else a
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    distinct = map(str if a.dtype.kind in "iu" else "%.17g".__mod__, a[first].tolist())
-    return np.array(list(distinct), dtype=object)[inverse].tolist()
+        cells = _column([v for v in values if v is not None])
+        out = np.zeros(len(values), cells.dtype)
+        out[np.array([v is not None for v in values], bool)] = cells
+        return out
+    if a.dtype.kind in "iu":
+        distinct, inverse = np.unique(a, return_inverse=True)
+        return np.array(list(map(str, distinct.tolist())), dtype="S")[inverse]
+    if len(a) < _ARRAY_MIN:
+        return np.array(_percent(a), dtype="S")
+    return np.concatenate([_float_cells(a[i : i + _SLICE]) for i in range(0, len(a), _SLICE)])
 
 
 def _blocks(header: list, *blocks) -> list:
     """Columns under `header` of row blocks stacked in order.  A block maps
-    column names to string lists and always holds the first column; any
+    column names to cell columns and always holds the first column; any
     other column it lacks is empty in its rows."""
-    return [list(chain.from_iterable(b.get(h, [""] * len(b[header[0]])) for b in blocks)) for h in header]
+    empty = [np.zeros(len(b[header[0]]), "S1") for b in blocks]
+    return [np.concatenate([np.asarray(b.get(h, z), dtype="S") for b, z in zip(blocks, empty)]) for h in header]
 
 
 def _render(header: list, columns: list, fmt: str) -> str:
-    """CSV or aligned text of equal-length string columns under `header`."""
-    if fmt == "csv":
-        return "\n".join(map(",".join, chain([header], zip(*columns)))) + "\n"
-    widths = [max(map(len, [h, *col])) for h, col in zip(header, columns)]
-    line = "  ".join(f"{{:<{w}}}" for w in widths).format
-    rows = chain([header, ["-" * w for w in widths]], zip(*columns))
-    return "\n".join(line(*row).rstrip() for row in rows) + "\n"
+    """CSV or aligned text of equal-length cell columns (S arrays as wide as
+    their longest cell, or str lists) under `header`, laid side by side in a
+    byte matrix.  A table pads with spaces up to each row's last cell, CSV
+    with NULs; one pass drops the NULs."""
+    cells = [np.asarray(c, dtype="S") for c in columns]
+    n, csv = len(cells[0]), fmt == "csv"
+    if csv:
+        widths, gap, head = [c.itemsize for c in cells], 1, ",".join(header) + "\n"
+    else:
+        widths, gap = [max(len(h), c.itemsize) for h, c in zip(header, cells)], 2
+        line = "  ".join(f"{{:<{w}}}" for w in widths).format
+        head = line(*header).rstrip() + "\n" + line(*("-" * w for w in widths)) + "\n"
+    body = np.zeros((n, sum(widths) + gap * len(widths)), np.uint8)
+    at = np.cumsum([0, *widths]) + gap * np.arange(len(widths) + 1)
+    pad = np.zeros((n, 1), np.uint8)  # a table pads with spaces left of a row's last nonempty cell
+    for c, i, j in reversed(list(zip(cells, at, at[1:]))):
+        c = c.view(np.uint8).reshape(n, c.itemsize)
+        if csv:
+            body[:, i : i + c.shape[1]] = c
+            body[:, j - 1] = 44
+        else:
+            body[:, i:j] = pad
+            np.maximum(c, pad, out=body[:, i : i + c.shape[1]])  # every cell byte exceeds the space
+            pad[c[:, 0] != 0] = 32
+    body[:, -1] = 10
+    return head + body[body != 0].tobytes().decode()
 
 
 def _site_columns(step_index: np.ndarray, site: np.ndarray, labels) -> list:
     """step, site and label columns: one row per label at each reached site."""
+    labels = np.array(labels, "S")
     n = len(labels)
-    return [_column(np.repeat(step_index, n)), _column(np.repeat(site, n)), list(labels) * len(step_index)]
+    return [_column(np.repeat(step_index, n)), _column(np.repeat(site, n)), np.tile(labels, len(step_index))]
 
 
 def _emit(text: str, out_path):
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
 
 
 def _steps(cfg: RunConfig, args) -> int:
@@ -160,7 +260,7 @@ def _cmd_dispersion(cfg: RunConfig, args) -> str:
     header = ["section", "branch", "branch_2", "k", "omega", "v_group", "speed", "gap", "kind"]
     branch, _ = np.indices(spec.omegas.shape)
     band = {
-        "section": ["band"] * branch.size,
+        "section": np.full(branch.size, b"band"),
         "branch": _column(branch.ravel()),
         "k": _column(np.broadcast_to(spec.k_grid, branch.shape).ravel()),
         "omega": _column(spec.omegas.ravel()),
@@ -201,7 +301,7 @@ def _cmd_decompose(cfg: RunConfig, args) -> str:
         "section": ["scalar"] * 6,
         "name": [*scalars, "global_phase"],
         "re": _column([*values, norm.global_phase.real]),
-        "im": [""] * 5 + _column([norm.global_phase.imag]),
+        "im": _column([None] * 5 + [norm.global_phase.imag]),
     }
     # arm and loop blocks of both trips, raw and in the SU(2) gauge, row-major
     trips = ("trip1", "trip2", "trip1_su2", "trip2_su2")
@@ -211,7 +311,7 @@ def _cmd_decompose(cfg: RunConfig, args) -> str:
     row, col = np.indices(mats.shape)[-2:]
     matrix = {
         "section": ["matrix"] * mats.size,
-        "name": np.repeat(names, mats[0, 0].size).tolist(),
+        "name": np.repeat(names, mats[0, 0].size),
         "row": _column(row.ravel()),
         "col": _column(col.ravel()),
         "re": _column(mats.real.ravel()),

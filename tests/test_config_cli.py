@@ -1,11 +1,13 @@
 """Config validation plus end-to-end runs of the command line tool."""
 
+import functools
 import importlib
 import itertools
 import os
 import runpy
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from loopwalk.walk_engine import CoinProgram, make_initial
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs")
+UNWRITABLE = os.path.join(os.sep, "nonexistent", "dir", "x.csv")
 
 QWP45 = {"kind": "qwp", "angle_deg": 45.0}
 HWP225 = {"kind": "hwp", "angle_deg": 22.5}
@@ -735,8 +738,11 @@ def test_cli_errorbars_smoke(tmp_path, capsys):
          "--tol must lie in [0, 1), got inf"),
         (["revivals", "--config", os.path.join(CONFIG_DIR, "circle8.yaml"), "--tol", "1"],
          "--tol must lie in [0, 1), got 1.0"),
+        # the walk runs, then the output has nowhere to go
+        (["simulate", "--config", os.path.join(CONFIG_DIR, "hadamard_line.yaml"), "--out", UNWRITABLE],
+         f"cannot write --out {UNWRITABLE}: No such file or directory"),
     ],
-    ids=["seed_negative", "tol_negative", "tol_nan", "tol_inf", "tol_one"],
+    ids=["seed_negative", "tol_negative", "tol_nan", "tol_inf", "tol_one", "out_unwritable"],
 )
 def test_cli_bad_flag_exits_2_without_traceback(args, message):
     res = run_cli(*args)
@@ -854,6 +860,8 @@ def test_columnar_output_matches_row_oracle(tmp_path, capsys):
         ["circle", "--config", recipe("circle8")],
         ["figure-eight", "--config", recipe("figure_eight")],
         ["revivals", "--config", recipe("figure_eight")],
+        # no revival within zero steps: the header alone
+        ["revivals", "--config", recipe("circle8"), "--steps", "0"],
         ["dispersion", "--config", recipe("crossing_dispersion")],
         ["dispersion", "--config", write_cfg(tmp_path, swap_cfg, "swap.yaml")],
         ["decompose", "--config", recipe("decompose_grover")],
@@ -869,11 +877,32 @@ def test_columnar_output_matches_row_oracle(tmp_path, capsys):
             assert got == oracles.render_rows(args.command, parse_config(args.config), args), argv
 
 
+def cells(values):
+    """cli._column's cells as str."""
+    return cli._column(values).astype(str).tolist()
+
+
+def both_paths(values):
+    """`values` as given and repeated past the size where _column formats
+    floats with array arithmetic instead of "%"."""
+    a = np.asarray(values)
+    return [a, np.resize(a, cli._ARRAY_MIN + len(a))] if len(a) else [a]
+
+
+def count_percent_calls(monkeypatch):
+    """A list that collects how many floats each later call of cli._percent,
+    the "%" path, formats."""
+    counts, percent = [], cli._percent
+    monkeypatch.setattr(cli, "_percent", lambda x: counts.append(len(x)) or percent(x))
+    return counts
+
+
 @settings(derandomize=True, deadline=None)
 @given(st.lists(st.floats(), max_size=40))
 def test_column_formats_floats_round_trip(xs):
     xs = [*xs, 0.0, -0.0, 5e-324, -2.2250738585072e-308, float("nan"), float("inf"), float("-inf")]
-    assert cli._column(np.array(xs)) == [f"{float(x):.17g}" for x in xs]
+    for a in both_paths(xs):
+        assert cells(a) == [f"{float(x):.17g}" for x in a]
 
 
 @settings(derandomize=True, deadline=None)
@@ -881,7 +910,7 @@ def test_column_formats_floats_round_trip(xs):
 def test_column_formats_int64_in_decimal(vs):
     info = np.iinfo(np.int64)
     a = np.array([*vs, info.min, info.max, -1, 0], dtype=np.int64)
-    assert cli._column(a) == [str(int(v)) for v in a]
+    assert cells(a) == [str(int(v)) for v in a]
 
 
 # bit patterns of 0.0, -0.0, NaNs of either sign with different payloads,
@@ -903,18 +932,126 @@ UINT64_POOL = [0, 1, 2**63, 2**64 - 1]
     st.lists(st.sampled_from(UINT64_POOL), max_size=60),
 )
 def test_column_of_repeated_values_formats_each_cell_alike(picks, ints, uints):
-    floats = FLOAT_BITS[np.array(picks, dtype=np.intp)].view(np.float64)
-    assert cli._column(floats) == [f"{x:.17g}" for x in floats.tolist()]
+    for floats in both_paths(FLOAT_BITS[np.array(picks, dtype=np.intp)].view(np.float64)):
+        assert cells(floats) == [f"{x:.17g}" for x in floats.tolist()]
     for values, dtype in ((ints, np.int64), (uints, np.uint64)):
         a = np.array(values, dtype=dtype)
-        assert cli._column(a) == [str(v) for v in a.tolist()]
+        assert cells(a) == [str(v) for v in a.tolist()]
 
 
 def test_column_empty_and_none_cells():
-    assert cli._column([]) == []
-    assert cli._column(np.array([], dtype=np.int64)) == []
-    assert cli._column([None, None]) == ["", ""]
-    assert cli._column([None, 0.5, -0.0, None, 0.5, 0.0]) == ["", "0.5", "-0", "", "0.5", "0"]
+    assert cells([]) == []
+    assert cells(np.array([], dtype=np.int64)) == []
+    assert cells([None, None]) == ["", ""]
+    assert cells([None, 0.5, -0.0, None, 0.5, 0.0]) == ["", "0.5", "-0", "", "0.5", "0"]
+    assert cells([None, 0.5, -0.0, None, 0.5, 0.0] * 70) == ["", "0.5", "-0", "", "0.5", "0"] * 70  # 280 floats
+
+
+# doubles whose product |x| * 10**(16 - e), taken in x87 extended precision,
+# lies nearer a half-integer than its own rounding error: without the error
+# band around rounding boundaries each prints with its last digit off by one
+NEAR_HALF = [float.fromhex(h) for h in (
+    "-0x1.c75287e8d49e3p-420", "0x1.9f630a886a2e0p+848", "0x1.9781a0da9c267p-988",
+    "0x1.780bb0c9991a1p+197", "-0x1.d673604fdebccp+476", "-0x1.c36ca86098f5cp+354",
+    "0x1.584e1bf27aa28p+933", "0x1.e0c51ebf9ca16p+362", "-0x1.2753826f459e3p-983",
+    "-0x1.b60dca5ccb98bp+693", "-0x1.523d8fbe9d2c9p+876", "-0x1.3b349cd02025ep-225",
+    "-0x1.a6a3cb5a73232p+158", "-0x1.813bb8a117381p+712", "-0x1.852f3d96c5822p-807",
+    "-0x1.9a48f6d8fa9ebp+364", "-0x1.8c190cce21d4ap+158", "-0x1.5bc3d258b46e0p-702",
+    "0x1.7609b6a7a43e7p-938", "0x1.d0e10a00be006p-204", "-0x1.4acd594268228p+711",
+    "-0x1.5817472709af0p-805", "0x1.ec42888c7680fp-709", "0x1.32f2e7f916906p+145",
+    "0x1.6d1b580b3bad6p+859", "-0x1.ce802133c64bfp-234", "-0x1.6f46f12eb6131p-915",
+    "0x1.4a9530e2f356ep-561", "-0x1.bf5b96cf7aeffp-709", "-0x1.19e6d6da12f59p+993",
+    "0x1.6121fa07e053ep+691", "0x1.d706935c32e61p-206", "-0x1.9bd8c3266b0c7p+919",
+    "-0x1.aa61d78293991p-380", "0x1.c16d81821a25dp+570", "0x1.88eb77cecea9ep+145",
+    "0x1.41858505b7a13p-987", "0x1.a057088f2ab91p-174", "0x1.21d89cef5a5c0p+694",
+    "0x1.5b5b960ba1668p+570", "0x1.5144885f5a078p-586", "0x1.32bca679fbcbbp+199",
+    "0x1.963174beae2f6p+143", "0x1.b47168bd32bb3p+178", "0x1.3d085bd1cedc1p+132",
+    "0x1.76247388d41e3p-224", "0x1.b6f5927035a9ap+198", "0x1.3efa8889b9bcep-466",
+)]
+
+
+def exact_ties(rng, per_scale):
+    """Doubles m * 2**-s with m odd whose decimal expansion m * 5**s / 10**s
+    has 18 significant digits, the last a 5: exact ties at 17 digits."""
+    ties = []
+    for s in range(2, 70):
+        lo, hi = -(-(10**17) // 5**s), min(10**18 // 5**s, 2**53)
+        if lo < hi:
+            ties.append(np.ldexp((rng.integers(lo, hi, per_scale) | 1).astype(np.float64), -s))
+    return np.concatenate(ties)
+
+
+@functools.cache
+def adversarial_floats():
+    rng = np.random.default_rng(17)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)]).view(np.int64)
+    return {
+        "bit_patterns": rng.integers(0, 2**64, 40_000, dtype=np.uint64, endpoint=False).view(np.float64),
+        "subnormals": rng.integers(1, 2**52, 10_000, dtype=np.uint64).view(np.float64),
+        "exact_ties": exact_ties(rng, 100),
+        "power_of_ten_neighbours": (powers[:, None] + np.arange(-5, 6)).ravel().view(np.float64),
+        "integers": rng.integers(0, 10**17, 20_000).astype(np.float64),
+        "uniform": rng.uniform(size=20_000),
+        "scaled": rng.uniform(size=20_000) * 10.0 ** rng.integers(-300, 300, 20_000),
+        "near_half": np.array(NEAR_HALF),
+        "specials": np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0, 1e16, 1e17, 1e-305, 1e-176]),
+    }
+
+
+@pytest.mark.parametrize("name", list(adversarial_floats()))
+def test_float_cells_match_percent_on_adversarial_sets(name):
+    x = adversarial_floats()[name]
+    x = np.resize(np.concatenate([x, -x]), max(2 * len(x), cli._ARRAY_MIN))
+    assert cells(x) == ["%.17g" % v for v in x.tolist()]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.integers(10**16, 10**17 - 1), st.integers(-340, 290), st.integers(-2, 2)), min_size=1))
+def test_float_cells_match_percent_next_to_decimal_midpoints(draws):
+    # the doubles nearest the midpoint between two 17-digit decimals, and
+    # their neighbours up to two steps away
+    midpoints = np.array([float(f"{digits}5e{exponent}") for digits, exponent, _ in draws])
+    x = (midpoints.view(np.int64) + [step for *_, step in draws]).view(np.float64)
+    x = np.resize(x, cli._ARRAY_MIN + len(x))
+    assert cells(x) == ["%.17g" % v for v in x.tolist()]
+
+
+def test_error_band_decides_near_half_products(monkeypatch):
+    x = np.resize(np.array(NEAR_HALF), cli._ARRAY_MIN)
+    expected = ["%.17g" % v for v in x.tolist()]
+    assert cells(x) == expected
+    if np.finfo(np.longdouble).nmant == 63:  # the set was found with x87 extended precision
+        monkeypatch.setattr(cli, "_BAND", 0.0)
+        assert all(g != e for g, e in zip(cells(x)[: len(NEAR_HALF)], expected))
+
+
+def test_float_cells_fall_back_everywhere_without_extended_precision(monkeypatch):
+    # where longdouble is plain double, the powers of ten and the products are
+    # doubles and the band covers every product: only zeros skip "%"
+    pow10, *tables = cli._tables()
+    with np.errstate(over="ignore"):
+        tables = (pow10.astype(np.float64), *tables)
+    monkeypatch.setattr(cli, "_tables", lambda: tables)
+    monkeypatch.setattr(cli, "_BAND", 2 * np.finfo(np.float64).eps)
+    counts = count_percent_calls(monkeypatch)
+    x = np.concatenate(list(adversarial_floats().values()))
+    assert cells(x) == ["%.17g" % v for v in x.tolist()]
+    assert sum(counts) == np.count_nonzero(x)
+
+
+def test_float_cells_send_few_uniform_values_through_percent(monkeypatch):
+    # a guard that sent every cell to "%" would keep the bytes and lose the speed
+    counts = count_percent_calls(monkeypatch)
+    x = np.random.default_rng(5).uniform(size=10_000)
+    assert cells(x) == ["%.17g" % v for v in x.tolist()]
+    assert sum(counts) < 1_000
+
+
+def test_powers_of_ten_are_correctly_rounded():
+    for k, p in zip(range(-344, 345), cli._tables()[0]):
+        if np.isfinite(p) and p != 0:
+            error = abs(Fraction(*p.as_integer_ratio()) - Fraction(10) ** k)
+            assert error <= Fraction(*np.spacing(p).as_integer_ratio()) / 2, k
 
 
 def test_package_all_lists_every_public_name():
