@@ -20,19 +20,18 @@ w_n = C v_n, eigenphase perturbation theory gives
 
 and |omega'| <= 1 since ||D|| = 1.  Partners whose phase lies within 1e-7
 on the circle are left out of the cot sum (a band that stays degenerate has
-the same derivatives in every basis of its eigenspace).  A spectrum built
-from a callable Bloch operator has no coin C and therefore no derivatives.
+the same derivatives in every basis of its eigenspace).
 
 Eigenpairs come from a Hermitian solver.  A unitary U is normal, so it
 shares its eigenvectors with A = (U + U^H)/2 + a (U - U^H)/(2i) for real a,
 whose eigenvalues are cos(omega) + a sin(omega); eigh(A) gives orthonormal
 vectors, and the eigenvalues of U are their Rayleigh quotients v^H U v.
 Where two eigenvalues of A collide (omega_i + omega_j = 2 atan(a) mod 2pi)
-eigh mixes their vectors, and a non-normal callable has no such vectors at
-all, so every matrix whose largest residual ||Uv - lambda v|| exceeds
-3e-14 is solved again by eig.  eig returns non-orthogonal vectors inside a
-degenerate eigenspace, so those matrices' vectors are orthonormalised
-before the derivatives are taken.
+eigh mixes their vectors, so every matrix that fails the residual gate
+(its largest ||Uv - lambda v|| exceeds 3e-14, or is NaN) is solved again
+by eig.  eig returns non-orthogonal vectors inside a degenerate
+eigenspace, so those matrices' vectors are orthonormalised before the
+derivatives are taken.
 
 Wavefront speeds are the group velocities at inflection points of a band
 (zeros of omega'').  Bands with numerically constant slope (flat or
@@ -50,11 +49,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .linalg_core import assert_unitary, wrap_phase
+from .linalg_core import wrap_phase
+from .optics import certified_coin
 from .walk_engine import CH, CV, CCH, CCV
 
 _PAD = 3  # grid samples kept beyond each end, so searches see across the seam
@@ -99,37 +99,7 @@ def shift_bloch(k) -> np.ndarray:
 
 def bloch_operator(coin: np.ndarray, k) -> np.ndarray:
     """U(k) = S(k) . coin for a position-independent 4x4 coin."""
-    coin = assert_unitary(np.asarray(coin, dtype=complex), name="bloch coin")
-    if coin.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 coin, got {coin.shape}")
-    return shift_bloch(k) @ coin
-
-
-def _as_batched_bloch(coin_or_fn) -> tuple[Callable[[np.ndarray], np.ndarray], Optional[np.ndarray]]:
-    """A callable mapping a 1-D k array to (n, d, d), and the coin (None for
-    a callable, which must map a 1-D k array to (n, d, d) itself)."""
-    if callable(coin_or_fn):
-        fn = coin_or_fn
-
-        def batched(ks: np.ndarray) -> np.ndarray:
-            ks = np.atleast_1d(np.asarray(ks, dtype=float))
-            out = np.asarray(fn(ks), dtype=complex)
-            if out.ndim != 3 or out.shape[0] != len(ks) or out.shape[1] != out.shape[2]:
-                raise ValueError(
-                    f"a Bloch callable must map {len(ks)} momenta to shape "
-                    f"({len(ks)}, d, d), got shape {out.shape}"
-                )
-            return out
-
-        return batched, None
-    coin = assert_unitary(np.asarray(coin_or_fn, dtype=complex), name="band coin")
-    if coin.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 coin or a callable, got {coin.shape}")
-
-    def batched_coin(ks: np.ndarray) -> np.ndarray:
-        return shift_bloch(np.atleast_1d(ks)) @ coin
-
-    return batched_coin, coin
+    return shift_bloch(k) @ certified_coin(coin)
 
 
 def _eigenpairs(u: np.ndarray):
@@ -182,11 +152,10 @@ class DispersionSpectrum:
     vectors : (n_branches, n_k, dim) matching eigenvectors
     """
 
-    def __init__(self, k_pad, omega_pad, vec_pad, bloch_fn, n_k, coin, redo, residual):
+    def __init__(self, k_pad, omega_pad, vec_pad, n_k, coin, redo, residual):
         self._k_pad = k_pad
         self._omega_pad = omega_pad
         self._vec_pad = vec_pad
-        self._bloch = bloch_fn
         self._n_k = n_k
         self._coin = coin
         self._slopes = None
@@ -217,8 +186,6 @@ class DispersionSpectrum:
 
     def _grid_derivatives(self):
         """(omega', omega'') of every branch on the padded grid, computed once."""
-        if self._coin is None:
-            raise ValueError("a spectrum built from a Bloch callable has no coin, hence no band derivatives")
         if self._slopes is None:
             vecs = self._vec_pad.transpose(1, 2, 0)
             first, second = _derivatives(self._coin, vecs, self._omega_pad.T, self._redo)
@@ -229,15 +196,15 @@ class DispersionSpectrum:
         """Branches at off-grid momenta from one eigensolve.
 
         For each (n, d) set of reference eigenvectors, the eigenphase per k
-        of the eigenpair that continues its branch (maximal overlap) and,
-        with a coin, that branch's omega' and, with curvature, its omega''.
+        of the eigenpair that continues its branch (maximal overlap), that
+        branch's omega' and, with curvature, its omega''.
         Inflections are refined on omega'', gap minima on omega' alone (the
         same bits, read off the same matrix elements).
         """
-        w, v, redo, _ = _eigenpairs(self._bloch(ks))
+        w, v, redo, _ = _eigenpairs(shift_bloch(ks) @ self._coin)
         phases = np.angle(w)
         rows = np.arange(len(ks))
-        per_k = (phases,) if self._coin is None else (phases, *_derivatives(self._coin, v, phases, redo, curvature))
+        per_k = (phases, *_derivatives(self._coin, v, phases, redo, curvature))
         out = []
         for ref in refs:
             col = np.argmax(np.abs(np.einsum("ni,nid->nd", ref.conj(), v)), axis=1)
@@ -246,7 +213,8 @@ class DispersionSpectrum:
 
 
 def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
-    """Eigenphase branches of U(k) on n_k uniform samples of [-pi, pi).
+    """Eigenphase branches of U(k) = S(k) . coin, for a 4x4 unitary coin, on
+    n_k uniform samples of [-pi, pi).
 
     Branches are connected sample-to-sample by maximal eigenvector overlap
     and unwrapped to be continuous.  Extra samples beyond both ends of the
@@ -255,12 +223,12 @@ def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
     """
     if n_k < 64:
         raise ValueError(f"n_k must be at least 64, got {n_k}")
-    bloch_fn, coin = _as_batched_bloch(coin)
+    coin = certified_coin(coin)
     h = 2.0 * np.pi / n_k
     idx = np.arange(-_PAD, n_k + _PAD)
     k_pad = -np.pi + h * idx
 
-    w, v, redo, residual = _eigenpairs(bloch_fn(k_pad))
+    w, v, redo, residual = _eigenpairs(shift_bloch(k_pad) @ coin)
     m, d = w.shape
 
     # greedy maximum matching of each sample's columns to the next sample's
@@ -288,7 +256,7 @@ def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
     turns[1:] = np.cumsum(np.round((ph[:-1] - ph[1:]) / (2.0 * np.pi)), axis=0)
     omega_pad = (ph + 2.0 * np.pi * turns).T
     vec_pad = np.take_along_axis(v, cols[:, None, :], axis=2).transpose(2, 0, 1)
-    return DispersionSpectrum(k_pad, omega_pad, vec_pad, bloch_fn, n_k, coin, redo, residual)
+    return DispersionSpectrum(k_pad, omega_pad, vec_pad, n_k, coin, redo, residual)
 
 
 def group_velocities(spec: DispersionSpectrum) -> np.ndarray:
@@ -467,10 +435,9 @@ def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
     d(gap)/dk = sign(omega_i - omega_j) (omega'_i - omega'_j) by the
     Illinois method, one eigensolve per round, to about 1e-12; the gap is
     read at the last iterate.  Minima with refined gap at most gap_tol are
-    crossings, the rest avoided.  A spectrum without a coin, a bracket
-    whose slope keeps its sign, and a minimum that refined to a wider gap
-    than the grid saw are searched on the gap itself by a ternary search
-    instead.  A grid minimum must sit below both neighbours by more than
+    crossings, the rest avoided.  A bracket whose slope keeps its sign and
+    a minimum that refined to a wider gap than the grid saw are searched on
+    the gap itself by a ternary search instead.  A grid minimum must sit below both neighbours by more than
     the eigenphase noise floor (a small multiple of eps * pi); a run of
     samples equal within that floor, such as a minimum midway between two
     samples, counts as one minimum and is refined over the whole run.  Each
@@ -498,25 +465,24 @@ def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
         vec_i, vec_j = spec._vec_pad[bi, ps + 1], spec._vec_pad[bj, ps + 1]
 
         def gap_at(ks, sel):
-            # slope (with a coin) and gap of each selected minimum's pair
-            (ph_i, *d_i), (ph_j, *d_j) = spec._follow(ks, vec_i[sel], vec_j[sel], curvature=False)
-            return _gap_slope(ph_i, ph_j, d_i[0], d_j[0]) if d_i else (_circle_gap(ph_i, ph_j),)
+            # slope and gap of each selected minimum's pair
+            (ph_i, v_i), (ph_j, v_j) = spec._follow(ks, vec_i[sel], vec_j[sel], curvature=False)
+            return _gap_slope(ph_i, ph_j, v_i, v_j)
 
         k_star = spec._k_pad[ps]
         gaps = np.full(len(ps), np.inf)
-        if spec._coin is not None:
-            om, first = spec._omega_pad, spec._grid_derivatives()[0]
-            f_lo, f_hi = (_gap_slope(om[bi, s], om[bj, s], first[bi, s], first[bj, s])[0] for s in (ps, qs))
-            sel = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
-            if len(sel):
-                k_star[sel], (_, gaps[sel]) = _illinois(
-                    lambda ks, live: gap_at(ks, sel[live]),
-                    spec._k_pad[ps[sel]], spec._k_pad[qs[sel]], f_lo[sel], f_hi[sel], _MINIMUM_WIDTH,
-                )
-        # the ternary search on the gap itself serves a spectrum without a
-        # coin, a bracket whose slope keeps its sign (branch tracking passed
-        # diabatically through a narrower avoided crossing) and a minimum
-        # that refined to a wider gap than the grid saw
+        om, first = spec._omega_pad, spec._grid_derivatives()[0]
+        f_lo, f_hi = (_gap_slope(om[bi, s], om[bj, s], first[bi, s], first[bj, s])[0] for s in (ps, qs))
+        sel = np.flatnonzero((f_lo < 0.0) & (f_hi > 0.0))
+        if len(sel):
+            k_star[sel], (_, gaps[sel]) = _illinois(
+                lambda ks, live: gap_at(ks, sel[live]),
+                spec._k_pad[ps[sel]], spec._k_pad[qs[sel]], f_lo[sel], f_hi[sel], _MINIMUM_WIDTH,
+            )
+        # the ternary search on the gap itself serves a bracket whose slope
+        # keeps its sign (branch tracking passed diabatically through a
+        # narrower avoided crossing) and a minimum that refined to a wider
+        # gap than the grid saw
         redo = np.flatnonzero(gaps > least + _PHASE_NOISE_FLOOR)
         if len(redo):
             lo, hi = spec._k_pad[ps[redo]], spec._k_pad[qs[redo]]
@@ -527,112 +493,3 @@ def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
     out.sort(key=lambda c: (c.k, c.branches))
     return out
 
-
-@dataclass(frozen=True)
-class SplitStepParams:
-    """Two SU(2) coins of a split-step two-mode walk.
-
-    The step operator is U(k) = diag(e^{ik}, 1) . coin_2 . diag(1, e^{-ik}) . coin_1
-    with both coins of the form [[u, v], [-conj(v), conj(u)]].
-    """
-
-    coin_1: np.ndarray
-    coin_2: np.ndarray
-
-    def __post_init__(self):
-        for name in ("coin_1", "coin_2"):
-            c = np.asarray(getattr(self, name), dtype=complex)
-            if c.shape != (2, 2):
-                raise ValueError(f"{name} must be 2x2")
-            assert_unitary(c, tol=1e-9, name=name)
-            det = np.linalg.det(c)
-            if abs(det - 1.0) > 1e-9:
-                raise ValueError(f"{name} must have determinant 1, got {det}")
-            object.__setattr__(self, name, c)
-
-
-@dataclass
-class SplitStepBands:
-    """Closed-form dispersion of a split-step walk.
-
-    cos(omega(k)) = u_tilde * cos(k + phi) - v_tilde, the positive branch in
-    [0, pi] and its mirror.  Exactly two wavefront speeds {+s, -s}.
-    """
-
-    params: SplitStepParams
-    u_tilde: float
-    v_tilde: float
-    phi: float
-    speeds: WavefrontSet
-    k_inflection: np.ndarray
-
-    def cos_omega(self, k):
-        return np.clip(self.u_tilde * np.cos(np.asarray(k) + self.phi) - self.v_tilde, -1.0, 1.0)
-
-    def omega_plus(self, k):
-        return np.arccos(self.cos_omega(k))
-
-    def omega_minus(self, k):
-        return -self.omega_plus(k)
-
-    def group_velocity_plus(self, k):
-        k = np.asarray(k, dtype=float)
-        s_om = np.sqrt(np.maximum(1.0 - self.cos_omega(k) ** 2, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = self.u_tilde * np.sin(k + self.phi) / s_om
-        return v
-
-    def bloch(self, k):
-        """Operator form, batched over k, for cross-checks against band_structure."""
-        k = np.atleast_1d(np.asarray(k, dtype=float))
-        n = len(k)
-        s_plus = np.zeros((n, 2, 2), dtype=complex)
-        s_minus = np.zeros((n, 2, 2), dtype=complex)
-        s_plus[:, 0, 0] = np.exp(1j * k)
-        s_plus[:, 1, 1] = 1.0
-        s_minus[:, 0, 0] = 1.0
-        s_minus[:, 1, 1] = np.exp(-1j * k)
-        return s_plus @ self.params.coin_2 @ s_minus @ self.params.coin_1
-
-
-def split_step_bands(params: SplitStepParams) -> SplitStepBands:
-    """Closed-form band structure and wavefront speeds of a split-step walk."""
-    u1, v1 = params.coin_1[0, 0], params.coin_1[0, 1]
-    u2, v2 = params.coin_2[0, 0], params.coin_2[0, 1]
-    prod = u1 * u2
-    u_t = float(np.abs(prod))
-    phi = float(np.angle(prod)) if u_t > 0.0 else 0.0
-    v_t = float(np.real(v1 * np.conj(v2)))
-
-    eps = 1e-12
-    if u_t <= eps:
-        # flat band: cos(omega) constant
-        fronts = [Wavefront(branch=0, k=None, speed=0.0), Wavefront(branch=1, k=None, speed=0.0)]
-        speeds = WavefrontSet(speeds=np.array([0.0]), fronts=fronts, merge_tol=1e-4)
-        k_inf = np.array([])
-    elif u_t >= 1.0 - eps:
-        # strictly linear bands omega = +-(k + phi)
-        fronts = [Wavefront(branch=0, k=None, speed=1.0), Wavefront(branch=1, k=None, speed=-1.0)]
-        speeds = WavefrontSet(speeds=np.array([-1.0, 1.0]), fronts=fronts, merge_tol=1e-4)
-        k_inf = np.array([])
-    else:
-        if abs(v_t) <= eps:
-            c_star = 0.0
-        else:
-            a = (u_t * u_t + v_t * v_t - 1.0) / (2.0 * u_t * v_t)
-            root = np.sqrt(max(a * a - 1.0, 0.0))
-            c_star = a - root if a >= 0.0 else a + root
-            c_star = float(np.clip(c_star, -1.0, 1.0))
-        theta = float(np.arccos(c_star))
-        cos_om = u_t * c_star - v_t
-        sin_om = np.sqrt(max(1.0 - cos_om * cos_om, 0.0))
-        s = float(u_t * np.sin(theta) / sin_om)
-        k_inf = wrap_phase(np.array([theta - phi, -theta - phi]))
-        fronts = [
-            Wavefront(branch=0, k=float(k_inf[0]), speed=s),
-            Wavefront(branch=0, k=float(k_inf[1]), speed=-s),
-        ]
-        speeds = WavefrontSet(speeds=np.array([-s, s]), fronts=fronts, merge_tol=1e-4)
-    return SplitStepBands(
-        params=params, u_tilde=u_t, v_tilde=v_t, phi=phi, speeds=speeds, k_inflection=k_inf
-    )

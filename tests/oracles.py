@@ -293,6 +293,107 @@ def hellmann_feynman_velocities(coin: np.ndarray, k: float, cluster_tol: float =
     return phases, velocities
 
 
+def translated(coin: np.ndarray, k0: float) -> np.ndarray:
+    """The coin exp(i k0 D) C, whose Bloch operator at k is that of C at
+    k + k0 (S(k) = S(0) exp(ikD)): every band moves by -k0 in momentum."""
+    return np.exp(1j * k0 * np.diag(SHIFT_GENERATOR))[:, None] * np.asarray(coin, dtype=complex)
+
+
+# --- the split-step two-mode walk, in closed form ----------------------------
+
+
+class SplitStepParams:
+    """Two SU(2) coins of a split-step two-mode walk.
+
+    The step operator is U(k) = diag(e^{ik}, 1) . coin_2 . diag(1, e^{-ik}) . coin_1
+    with both coins of the form [[u, v], [-conj(v), conj(u)]].
+    """
+
+    def __init__(self, coin_1, coin_2):
+        for name, c in (("coin_1", coin_1), ("coin_2", coin_2)):
+            c = np.asarray(c, dtype=complex)
+            if c.shape != (2, 2):
+                raise ValueError(f"{name} must be 2x2")
+            if np.max(np.abs(c.conj().T @ c - np.eye(2))) > 1e-9:
+                raise ValueError(f"{name} is not unitary")
+            det = np.linalg.det(c)
+            if abs(det - 1.0) > 1e-9:
+                raise ValueError(f"{name} must have determinant 1, got {det}")
+            setattr(self, name, c)
+
+
+class SplitStepBands:
+    """Closed-form dispersion of a split-step walk.
+
+    cos(omega(k)) = u_tilde * cos(k + phi) - v_tilde, the positive branch in
+    [0, pi] and its mirror.  Exactly two wavefront speeds, speeds = [-s, +s]
+    (one speed 0 for flat bands, [-1, 1] for strictly linear ones).
+    """
+
+    def __init__(self, params: SplitStepParams):
+        self.params = params
+        u1, v1 = params.coin_1[0, 0], params.coin_1[0, 1]
+        u2, v2 = params.coin_2[0, 0], params.coin_2[0, 1]
+        prod = u1 * u2
+        self.u_tilde = u_t = float(np.abs(prod))
+        self.phi = float(np.angle(prod)) if u_t > 0.0 else 0.0
+        self.v_tilde = v_t = float(np.real(v1 * np.conj(v2)))
+        eps = 1e-12
+        if u_t <= eps:
+            self.speeds = np.array([0.0])
+        elif u_t >= 1.0 - eps:
+            self.speeds = np.array([-1.0, 1.0])
+        else:
+            if abs(v_t) <= eps:
+                c_star = 0.0
+            else:
+                a = (u_t * u_t + v_t * v_t - 1.0) / (2.0 * u_t * v_t)
+                root = np.sqrt(max(a * a - 1.0, 0.0))
+                c_star = float(np.clip(a - root if a >= 0.0 else a + root, -1.0, 1.0))
+            theta = float(np.arccos(c_star))
+            cos_om = u_t * c_star - v_t
+            s = float(u_t * np.sin(theta) / np.sqrt(max(1.0 - cos_om * cos_om, 0.0)))
+            self.speeds = np.array([-s, s])
+
+    def cos_omega(self, k):
+        return np.clip(self.u_tilde * np.cos(np.asarray(k) + self.phi) - self.v_tilde, -1.0, 1.0)
+
+    def omega_plus(self, k):
+        return np.arccos(self.cos_omega(k))
+
+    def omega_minus(self, k):
+        return -self.omega_plus(k)
+
+    def group_velocity_plus(self, k):
+        k = np.asarray(k, dtype=float)
+        s_om = np.sqrt(np.maximum(1.0 - self.cos_omega(k) ** 2, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.u_tilde * np.sin(k + self.phi) / s_om
+
+    def bloch(self, k):
+        """The step operator, batched over k: shape (len(k), 2, 2)."""
+        k = np.atleast_1d(np.asarray(k, dtype=float))
+        s_plus = np.zeros((len(k), 2, 2), dtype=complex)
+        s_minus = np.zeros((len(k), 2, 2), dtype=complex)
+        s_plus[:, 0, 0] = np.exp(1j * k)
+        s_plus[:, 1, 1] = 1.0
+        s_minus[:, 0, 0] = 1.0
+        s_minus[:, 1, 1] = np.exp(-1j * k)
+        return s_plus @ self.params.coin_2 @ s_minus @ self.params.coin_1
+
+
+def split_step_coin(params: SplitStepParams) -> np.ndarray:
+    """The four-mode coin diag(X coin_1, coin_2 X), blocks over (cH, cV) and
+    (ccH, ccV), X the Pauli flip.  Two four-mode steps at k/2 take the c
+    block to itself by the split-step operator at k, so the split-step
+    eigenphases at k are 2 omega(k/2) of this coin, and the two walks have
+    the same front speeds."""
+    c = np.zeros((MODES, MODES), dtype=complex)
+    c[np.ix_([CH, CV], [CH, CV])] = PAULI_X @ params.coin_1
+    c[np.ix_([CCH, CCV], [CCH, CCV])] = params.coin_2 @ PAULI_X
+    return c
+
+
 def eig_unitary(u: np.ndarray, cluster_gap: float = 1e-8):
     """Eigenphases and orthonormal eigenvectors of a unitary matrix.
 

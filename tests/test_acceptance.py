@@ -27,13 +27,7 @@ from loopwalk.coin_synthesis import (
     one_trip_test,
     three_step_schedule,
 )
-from loopwalk.dispersion import (
-    SplitStepParams,
-    band_structure,
-    classify_crossings,
-    split_step_bands,
-    wavefront_speeds,
-)
+from loopwalk.dispersion import band_structure, classify_crossings, wavefront_speeds
 from loopwalk.graph_programs import CircleSpec, map_sites, ring_chain
 from loopwalk.linalg_core import random_su2, random_unitary, unitarity_defect, wrap_phase
 from loopwalk.optics import (
@@ -297,17 +291,21 @@ def test_criterion_12_split_step_two_speeds():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1212)
     for _ in range(200):
-        params = SplitStepParams(random_su2(rng), random_su2(rng))
-        bands = split_step_bands(params)
-        speeds = bands.speeds.speeds
+        params = oracles.SplitStepParams(random_su2(rng), random_su2(rng))
+        bands = oracles.SplitStepBands(params)
+        speeds = bands.speeds
         assert len(speeds) == 2
         assert abs(speeds[0] + speeds[1]) <= 1e-9
-        spec = band_structure(bands.bloch, n_k=256)
-        ks = spec.k_grid
-        closed = np.stack([bands.omega_plus(ks), bands.omega_minus(ks)], axis=0)
-        got = np.sort(wrap_phase(spec.omegas), axis=0)
+        # the split-step eigenphases at k are twice the embedded coin's at k/2
+        spec = band_structure(oracles.split_step_coin(params), n_k=256)
+        ks = 2.0 * spec.k_grid
+        closed = np.stack([bands.omega_plus(ks), bands.omega_minus(ks)] * 2, axis=0)
+        got = np.sort(wrap_phase(2.0 * spec.omegas), axis=0)
         want = np.sort(wrap_phase(closed), axis=0)
         assert np.max(np.abs(got - want)) <= 1e-9
+        found = wavefront_speeds(spec).speeds
+        assert len(found) == 2
+        assert np.max(np.abs(found - speeds)) <= 1e-9
     report(12, "200 walks: two mirrored speeds, closed form matches operator", t0, 30.0)
 
 

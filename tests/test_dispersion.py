@@ -9,7 +9,6 @@ from loopwalk.config import parse_coin, parse_config
 from loopwalk.dispersion import (
     _PAD,
     _PHASE_NOISE_FLOOR,
-    SplitStepParams,
     _derivatives,
     _eigenpairs,
     _grid_minima,
@@ -18,7 +17,6 @@ from loopwalk.dispersion import (
     classify_crossings,
     group_velocities,
     shift_bloch,
-    split_step_bands,
     wavefront_speeds,
 )
 from loopwalk.linalg_core import random_su2, random_unitary, unitarity_defect, wrap_phase
@@ -43,6 +41,20 @@ def crossing_coin():
 def repulsion_coin():
     arm = qwp_matrix(27.0) @ qwp_matrix(0.0) @ qwp_matrix(0.0) @ qwp_matrix(27.0)
     return full_coin(arm, arm, hwp_matrix(20.0))
+
+
+def rotation_coin(half_gap):
+    # S(0)^H diag(R, e^{3i} R) with R the real rotation by half_gap: U(k) is
+    # diag(e^{ik}, e^{-ik}) R on (cH, cV) and e^{3i} diag(e^{-ik}, e^{ik}) R on
+    # (ccH, ccV), so each block has eigenphases +-omega(k) (plus 3) with
+    # cos(omega) = cos(k) cos(half_gap): bands +-k that cross exactly at k = 0
+    # for half_gap 0, else repelled there to a gap of 2 half_gap; the offset 3
+    # leaves the pairs across the blocks without a minimum at k = 0
+    c, s = np.cos(half_gap), np.sin(half_gap)
+    m = np.zeros((4, 4), dtype=complex)
+    m[:2, :2] = [[c, -s], [s, c]]
+    m[2:, 2:] = np.exp(3j) * m[:2, :2]
+    return shift_bloch(0.0).conj().T @ m
 
 
 def test_shift_bloch_at_zero_is_mode_permutation():
@@ -239,25 +251,19 @@ def test_classify_crossings_exact_touches():
 @pytest.mark.parametrize("kind, half_gap", [("avoided", 0.3), ("crossing", 0.0)])
 @pytest.mark.parametrize("sample", [20, -1, 0])
 def test_classify_crossings_minimum_between_samples(kind, half_gap, sample):
-    # eigenphases +-phi(k) with the gap minimum exactly midway between grid
-    # samples `sample` and `sample + 1`, so the two nearest samples tie up to
-    # float ripple; sample -1 puts the minimum half a step left of -pi
+    # two pairs of the rotation coin have a gap minimum at k = 0, symmetric
+    # under k -> -k; the translated coin puts both exactly midway between
+    # grid samples `sample` and `sample + 1`, so the two nearest samples tie
+    # up to float ripple; sample -1 puts them half a step left of -pi
     n_k = 64
     h = 2.0 * np.pi / n_k
     k0 = -np.pi + h * (sample + 0.5)
-
-    def bloch(ks):
-        phi = half_gap + 0.5 * (1.0 - np.cos(ks - k0))
-        out = np.zeros((len(ks), 2, 2), dtype=complex)
-        out[:, 0, 0] = np.exp(1j * phi)
-        out[:, 1, 1] = np.exp(-1j * phi)
-        return out
-
-    found = classify_crossings(band_structure(bloch, n_k=n_k))
-    assert len(found) == 1
-    assert found[0].kind == kind
-    assert abs(wrap_phase(found[0].k - k0)) < 1e-6
-    assert abs(found[0].gap - 2.0 * half_gap) < 1e-9
+    found = classify_crossings(band_structure(oracles.translated(rotation_coin(half_gap), -k0), n_k=n_k))
+    at = [c for c in found if abs(wrap_phase(c.k - k0)) < 1e-6]
+    assert len(at) == len({c.branches for c in at}) == 2
+    for c in at:
+        assert c.kind == kind
+        assert abs(c.gap - 2.0 * half_gap) < 1e-9
 
 
 # gap rows built from a few levels (runs of one level are plateaus, and a
@@ -307,13 +313,13 @@ def test_classify_crossings_flat_degeneracy_flagged():
 
 def test_split_step_params_validation():
     good = np.array([[0.8, 0.6], [-0.6, 0.8]], dtype=complex)
-    SplitStepParams(good, good)
+    oracles.SplitStepParams(good, good)
     with pytest.raises(ValueError):
-        SplitStepParams(np.eye(3), good)
+        oracles.SplitStepParams(np.eye(3), good)
     with pytest.raises(ValueError):
-        SplitStepParams(good * 1.01, good)
+        oracles.SplitStepParams(good * 1.01, good)
     with pytest.raises(ValueError):
-        SplitStepParams(np.diag([1j, 1j]), good)
+        oracles.SplitStepParams(np.diag([1j, 1j]), good)
 
 
 def test_split_step_vanishing_mixRatio_gives_pm_u():
@@ -323,9 +329,9 @@ def test_split_step_vanishing_mixRatio_gives_pm_u():
         c1 = random_su2(rng)
         phase = np.exp(1j * rng.uniform(-np.pi, np.pi))
         c2 = np.diag([phase, np.conj(phase)])
-        bands = split_step_bands(SplitStepParams(c1, c2))
+        bands = oracles.SplitStepBands(oracles.SplitStepParams(c1, c2))
         u = abs(bands.u_tilde)
-        s = np.sort(np.asarray(bands.speeds.speeds))
+        s = np.sort(bands.speeds)
         assert abs(bands.v_tilde) < 1e-12
         assert np.max(np.abs(s - np.array([-u, u]))) < 1e-9
 
@@ -333,9 +339,8 @@ def test_split_step_vanishing_mixRatio_gives_pm_u():
 def test_split_step_exactly_two_speeds():
     rng = np.random.default_rng(75)
     for _ in range(50):
-        params = SplitStepParams(random_su2(rng), random_su2(rng))
-        bands = split_step_bands(params)
-        s = np.asarray(bands.speeds.speeds)
+        bands = oracles.SplitStepBands(oracles.SplitStepParams(random_su2(rng), random_su2(rng)))
+        s = bands.speeds
         assert s.shape == (2,)
         assert abs(s[0] + s[1]) < 1e-9
 
@@ -343,20 +348,24 @@ def test_split_step_exactly_two_speeds():
 def test_split_step_closed_form_matches_operator_bands():
     rng = np.random.default_rng(76)
     for _ in range(10):
-        params = SplitStepParams(random_su2(rng), random_su2(rng))
-        bands = split_step_bands(params)
-        spec = band_structure(bands.bloch, n_k=256)
-        ks = spec.k_grid
-        closed = np.stack([bands.omega_plus(ks), bands.omega_minus(ks)], axis=0)
-        got = np.sort(wrap_phase(spec.omegas), axis=0)
+        params = oracles.SplitStepParams(random_su2(rng), random_su2(rng))
+        bands = oracles.SplitStepBands(params)
+        coin = oracles.split_step_coin(params)
+        spec = band_structure(coin, n_k=256)
+        ks = 2.0 * spec.k_grid
+        # two steps of the embedded coin at k/2 act on the c modes as one
+        # split step at k
+        u = bloch_operator(coin, spec.k_grid)
+        assert np.max(np.abs((u @ u)[:, :2, :2] - bands.bloch(ks))) < 1e-14
+        closed = np.stack([bands.omega_plus(ks), bands.omega_minus(ks)] * 2, axis=0)
+        got = np.sort(wrap_phase(2.0 * spec.omegas), axis=0)
         want = np.sort(wrap_phase(closed), axis=0)
         assert np.max(np.abs(got - want)) < 1e-9
 
 
 def test_split_step_group_velocity_derivative():
     rng = np.random.default_rng(77)
-    params = SplitStepParams(random_su2(rng), random_su2(rng))
-    bands = split_step_bands(params)
+    bands = oracles.SplitStepBands(oracles.SplitStepParams(random_su2(rng), random_su2(rng)))
     ks = np.linspace(-3.0, 3.0, 11)
     h = 1e-6
     for k in ks:
@@ -450,30 +459,34 @@ def test_balanced_coin_speeds_exact():
     assert np.max(np.abs(ws.speeds - np.array([-1.0, 1.0]) / np.sqrt(2.0))) < 1e-12
 
 
-def test_callable_spectrum_has_no_derivatives():
-    coin = np.array([[0.8, 0.6], [-0.6, 0.8]], dtype=complex)
-    spec = band_structure(split_step_bands(SplitStepParams(coin, coin)).bloch, n_k=64)
-    assert spec.omegas.shape == (2, 64)
-    with pytest.raises(ValueError, match="no band derivatives"):
-        group_velocities(spec)
-    with pytest.raises(ValueError, match="no band derivatives"):
-        wavefront_speeds(spec)
+MALFORMED_COINS = [np.ones(4), np.ones((4, 3)), np.stack([np.eye(4)] * 2), np.eye(2), "eye", np.full((4, 4), np.nan)]
 
 
-def test_bloch_callable_must_be_batched():
-    def scalar_only(k):
-        return np.diag([np.exp(1j * k), np.exp(-1j * k)])
+@pytest.mark.parametrize("coin", MALFORMED_COINS, ids=["4", "4x3", "2x4x4", "2x2", "string", "nan"])
+@pytest.mark.parametrize("build", [lambda c: bloch_operator(c, 0.3), lambda c: band_structure(c, n_k=64)],
+                         ids=["bloch_operator", "band_structure"])
+def test_malformed_coins_rejected(build, coin):
+    with pytest.raises(ValueError):
+        build(coin)
 
-    with pytest.raises(ValueError, match=r"got shape \(2,\)"):
-        band_structure(scalar_only, n_k=64)
 
-
-def test_bloch_callable_wrong_shape():
-    def momenta_last(ks):
-        return np.array([[np.exp(1j * ks), 0.0 * ks], [0.0 * ks, np.exp(-1j * ks)]])
-
-    with pytest.raises(ValueError, match=r"got shape \(2, 2, 70\)"):
-        band_structure(momenta_last, n_k=64)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=-np.pi, max_value=np.pi))
+def test_translated_coin_moves_fronts_and_minima(seed, k0):
+    # the translated coin's bands are the coin's moved by -k0 in momentum
+    coin = random_unitary(4, np.random.default_rng(seed))
+    spec, moved = band_structure(coin, n_k=512), band_structure(oracles.translated(coin, k0), n_k=512)
+    ws, ws_moved = wavefront_speeds(spec), wavefront_speeds(moved)
+    assert len(ws.speeds) == len(ws_moved.speeds)
+    assert np.max(np.abs(ws.speeds - ws_moved.speeds), initial=0.0) <= 1e-9
+    found, found_moved = classify_crossings(spec), classify_crossings(moved)
+    assert len(found) == len(found_moved)
+    assert sorted(c.kind for c in found) == sorted(c.kind for c in found_moved)
+    for a in found:
+        b = min(found_moved, key=lambda c: abs(wrap_phase(c.k - a.k + k0)) + abs(c.gap - a.gap))
+        assert a.kind == b.kind
+        assert abs(wrap_phase(b.k - a.k + k0)) <= 1e-7
+        assert abs(b.gap - a.gap) <= 1e-12
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)
@@ -650,16 +663,17 @@ def test_eigenpairs_of_non_normal_callable_are_eigs():
     assert accepted == 0.0
     assert np.array_equal(w, w_eig)
     assert np.array_equal(v, v_eig)
-    spec = band_structure(bloch, n_k=64)
-    assert np.array_equal(spec._redo, np.arange(len(ks)))
 
 
 def test_symmetric_walk_needs_no_fallback():
     # the split-step Hadamard walk's eigenphases come in +-omega pairs, which
-    # a Hermitian part (U + U^H)/2 alone would collide at every k
+    # a Hermitian part (U + U^H)/2 alone would collide at every k; solved on
+    # the padded grid of n_k = 64 (its four-mode embedding has the spectrum
+    # {+-omega/2, +-omega/2 + pi}, whose pairs the mix collides at isolated k)
     coin = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / np.sqrt(2.0)
-    spec = band_structure(split_step_bands(SplitStepParams(coin, coin)).bloch, n_k=64)
-    assert len(spec._redo) == 0
+    ks = -np.pi + 2.0 * np.pi / 64 * np.arange(-_PAD, 64 + _PAD)
+    _, _, redo, _ = _eigenpairs(oracles.SplitStepBands(oracles.SplitStepParams(coin, coin)).bloch(ks))
+    assert len(redo) == 0
 
 
 def test_derivatives_orthonormalise_fallback_vectors():
