@@ -262,7 +262,7 @@ def _cmd_dispersion(cfg: RunConfig, args) -> str:
     band = {
         "section": np.full(branch.size, b"band"),
         "branch": _column(branch.ravel()),
-        "k": _column(np.broadcast_to(spec.k_grid, branch.shape).ravel()),
+        "k": np.tile(_column(spec.k_grid), spec.n_branches),
         "omega": _column(spec.omegas.ravel()),
         "v_group": _column(vg.ravel()),
     }

@@ -332,6 +332,8 @@ def parse_config(path: str) -> RunConfig:
             data = yaml.load(fh, Loader=_YAML_LOADER)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
     if data is None:

@@ -33,6 +33,12 @@ by eig.  eig returns non-orthogonal vectors inside a degenerate
 eigenspace, so those matrices' vectors are orthonormalised before the
 derivatives are taken.
 
+Every non-zero entry of S(k) is e^{+-ik}, so U(k + pi) = -U(k): a sample
+n_k/2 after another on an even grid has its eigenvectors and negated
+eigenvalues.  band_structure solves the first n_k/2 + 6 padded samples and
+copies the rest from their twins; an odd n_k has no twins and solves every
+sample.
+
 Wavefront speeds are the group velocities at inflection points of a band
 (zeros of omega'').  Bands with numerically constant slope (flat or
 strictly linear) have no isolated inflections and contribute their
@@ -122,6 +128,22 @@ def _eigenpairs(u: np.ndarray):
     return w, v, redo, float(np.max(residual, initial=0.0, where=ok))
 
 
+def _grid_eigenpairs(coin: np.ndarray, k_pad: np.ndarray, n_k: int):
+    """_eigenpairs of U(k) on the padded grid k_pad of n_k samples per period.
+
+    On an even grid each sample from n_k/2 + 2 _PAD on is the twin of the
+    sample n_k/2 before it, k + pi apart: it takes that sample's vectors and
+    negated eigenvalues (and its place in redo) without a solve.  An odd
+    grid has no twins.
+    """
+    half = 0 if n_k % 2 else n_k // 2
+    solved = len(k_pad) - half
+    w, v, redo, residual = _eigenpairs(shift_bloch(k_pad[:solved]) @ coin)
+    twins = slice(solved - half, solved)
+    redo = np.concatenate([redo, redo[redo >= solved - half] + half])
+    return np.concatenate([w, -w[twins]]), np.concatenate([v, v[twins]]), redo, residual
+
+
 def _derivatives(coin: np.ndarray, vecs: np.ndarray, phases: np.ndarray, redo: np.ndarray, curvature: bool = True):
     """omega' and, with curvature, omega'' of every eigenpair, batched over samples.
 
@@ -159,8 +181,8 @@ class DispersionSpectrum:
         self._n_k = n_k
         self._coin = coin
         self._slopes = None
-        # certificate of the grid solve: padded samples solved by eig, and
-        # the largest eigh residual accepted
+        # certificate of the grid solve: padded samples whose vectors came
+        # from eig, and the largest eigh residual accepted
         self._redo = redo
         self._residual = residual
 
@@ -228,7 +250,7 @@ def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
     idx = np.arange(-_PAD, n_k + _PAD)
     k_pad = -np.pi + h * idx
 
-    w, v, redo, residual = _eigenpairs(shift_bloch(k_pad) @ coin)
+    w, v, redo, residual = _grid_eigenpairs(coin, k_pad, n_k)
     m, d = w.shape
 
     # greedy maximum matching of each sample's columns to the next sample's

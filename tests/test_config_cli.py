@@ -498,6 +498,14 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert res.returncode == 2
     assert "config error" in res.stderr
 
+    # a directory and a file that is not UTF-8 name their path
+    latin = tmp_path / "latin1.yaml"
+    latin.write_bytes("kind: line  # Fran\xe7ais\n".encode("latin-1"))
+    for bad in (str(tmp_path), str(latin)):
+        res = main_cli(capsys, "simulate", "--config", bad)
+        assert res.returncode == 2
+        assert "config error" in res.stderr and bad in res.stderr
+
     path = write_cfg(tmp_path, {"kind": "circle", "num_sites": 8})
     res = main_cli(capsys, "simulate", "--config", path)
     assert res.returncode == 2

@@ -11,6 +11,7 @@ from loopwalk.dispersion import (
     _PHASE_NOISE_FLOOR,
     _derivatives,
     _eigenpairs,
+    _grid_eigenpairs,
     _grid_minima,
     band_structure,
     bloch_operator,
@@ -513,13 +514,13 @@ def test_band_structure_matches_sequential_connection():
     rng = np.random.default_rng(81)
     coins = [random_unitary(4, rng), random_element_coin(rng), crossing_coin(), np.eye(4, dtype=complex)]
     coins.append(full_coin(MINUS_IX, MINUS_IX, hwp_matrix(22.5)))
-    runs = [(coin, 128) for coin in coins]
+    runs = [(coin, n_k) for coin in coins for n_k in (128, 129)]
     for name in ("hadamard", "crossing", "repulsion"):
         runs.append((parse_config(os.path.join(CONFIG_DIR, f"{name}_dispersion.yaml")).coin_matrix, 1024))
     runs += [(random_unitary(4, np.random.default_rng([87, seed])), 1024) for seed in range(20)]
     for coin, n_k in runs:
         spec = band_structure(coin, n_k=n_k)
-        w, v, _, _ = _eigenpairs(shift_bloch(spec._k_pad) @ coin)
+        w, v, _, _ = _grid_eigenpairs(coin, spec._k_pad, n_k)
         omega, vecs = oracles.sequential_branches(w, v)
         assert np.array_equal(spec._omega_pad, omega)
         assert np.array_equal(spec._vec_pad, vecs)
@@ -706,3 +707,46 @@ def test_recipe_grid_solves_certified(recipe):
     v = spec._vec_pad.transpose(1, 2, 0)[kept]
     w = np.einsum("nij,nij->nj", v.conj(), u[kept] @ v)
     assert np.max(residuals(u[kept], w, v)) <= RESIDUAL_GATE
+
+
+# --- the half grid: U(k + pi) = -U(k) ---------------------------------------
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+       st.one_of(st.integers(min_value=64, max_value=512), st.sampled_from([65, 257])))
+@example(seed=0, haar=True, n_k=257).via("an odd grid")
+@example(seed=1, haar=False, n_k=65).via("an odd grid")
+def test_twin_samples_are_eigenpairs(seed, haar, n_k):
+    rng = np.random.default_rng(seed)
+    coin = random_unitary(4, rng) if haar else random_element_coin(rng)
+    spec = band_structure(coin, n_k=n_k)
+    # every band on the circle is an eigenphase of U(k), padding included
+    exact = np.angle(np.linalg.eigvals(shift_bloch(spec._k_pad) @ coin))
+    dist = np.abs(wrap_phase(spec._omega_pad.T[:, :, None] - exact[:, None, :]))
+    assert np.max(np.min(dist, axis=2)) <= 1e-12
+    assert np.max(np.min(dist, axis=1)) <= 1e-12
+    # an even grid solves n_k/2 + 2 _PAD samples; each later one holds the
+    # vectors and negated eigenvalues of the sample n_k/2 before it, and
+    # falls back with it
+    m, half = spec._k_pad.size, (0 if n_k % 2 else n_k // 2)
+    w, v, redo, _ = _grid_eigenpairs(coin, spec._k_pad, n_k)
+    twin = np.arange(m - half, m)
+    assert np.array_equal(v[twin], v[twin - half])
+    assert np.array_equal(w[twin], -w[twin - half])
+    assert np.array_equal(redo[redo >= m - half], np.intersect1d(redo, twin - half) + half)
+    assert np.array_equal(spec._redo, redo)
+    assert np.max(np.abs(group_velocities(spec))) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("n_k, solved", [(64, 38), (65, 71), (1024, 518), (1025, 1031)])
+def test_band_structure_solves_half_an_even_grid(monkeypatch, n_k, solved):
+    eigh, matrices = np.linalg.eigh, []
+
+    def counted(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2], dtype=int)))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    band_structure(random_unitary(4, np.random.default_rng(88)), n_k=n_k)
+    assert sum(matrices) == solved
