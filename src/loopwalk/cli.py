@@ -6,9 +6,10 @@ computation, and writes either CSV or an aligned text table to stdout or
 longdouble array arithmetic; one near a rounding boundary, an inf, a nan
 and the floats of a short column go through the % operator.  Exit codes:
 0 on success, 2 for configuration problems (including payload matrices
-that fail their unitarity certificate, and an unwritable --out), 3 when a
-numerical certification fails at run time (decomposition residual above
-tolerance, intensity leaking off a closed graph).
+that fail their unitarity certificate, an unwritable --out, and a run too
+large to allocate), 3 when a numerical certification fails at run time
+(decomposition residual above tolerance, intensity leaking off a closed
+graph).
 """
 
 from __future__ import annotations
@@ -116,6 +117,10 @@ def _column(values) -> np.ndarray:
         out[np.array([v is not None for v in values], bool)] = cells
         return out
     if a.dtype.kind in "iu":
+        lo, hi = (int(a.min()), int(a.max())) if a.size else (0, -1)
+        if hi - lo < 4 * a.size:  # a cell per integer of the range
+            cells = np.array(list(map(str, range(lo, hi + 1))), dtype="S")
+            return cells[(a - lo).view(f"u{a.itemsize}")]  # a - lo may wrap, but read unsigned it is exact
         distinct, inverse = np.unique(a, return_inverse=True)
         return np.array(list(map(str, distinct.tolist())), dtype="S")[inverse]
     if len(a) < _ARRAY_MIN:
@@ -204,9 +209,8 @@ def _cmd_simulate(cfg: RunConfig, args) -> str:
     _require_kind(cfg, {"line"}, "simulate")
     steps = _steps(cfg, args)
     record = evolve(cfg.initial, cfg.program, steps)
-    traced = trace_intensities(record, mode=args.trace)
     step_index, site = np.nonzero(record.reached)
-    values = _column(traced[step_index, site].ravel())
+    values = _column(trace_intensities(record.intensities[step_index, site], mode=args.trace).ravel())
     if args.trace == "sum_all":
         header = ["step", "position", "intensity"]
         columns = [_column(step_index), _column(record.offset + site), values]
@@ -231,7 +235,7 @@ def _cmd_graph(cfg: RunConfig, args, command: str) -> str:
     kind = {"circle": "circle", "figure-eight": "figure_eight"}[command]
     _require_kind(cfg, {kind}, command)
     steps = _steps(cfg, args)
-    mapped = _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, steps))
+    mapped = _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, steps, cfg.site_map.span))
     header = ["step", "node", "mode", "intensity"]
     step_index, node = np.nonzero(mapped.reached)
     intensity = _column(mapped.intensities[step_index, node].ravel())
@@ -245,7 +249,7 @@ def _cmd_revivals(cfg: RunConfig, args) -> str:
     if not 0.0 <= args.tol < 1.0:  # similarities lie in [0, 1]; NaN fails too
         raise ConfigError(f"--tol must lie in [0, 1), got {args.tol!r}")
     steps = _steps(cfg, args)
-    mapped = _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, steps))
+    mapped = _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, steps, cfg.site_map.span))
     events = find_revivals(mapped, tol=args.tol)
     step, shift, kind = map(list, zip(*events)) if events else ([], [], [])
     return _render(["step", "shift", "kind"], [_column(step), _column(shift), kind], args.format)
@@ -440,6 +444,9 @@ def main(argv=None) -> int:
         _emit(text, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"config error: run too large for memory: {exc}", file=sys.stderr)
         return 2
     except CertificationError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)

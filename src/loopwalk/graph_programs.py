@@ -24,6 +24,10 @@ K = 1, with
 so both subspaces agree at the ends (m = 1 and m = N + 1).  The
 figure-eight with center C is K = 2: 2(C - L) + 2(R - C) - 1 nodes, the
 center being node 2(C - L) - 1.
+
+A chain's walk runs on the window [L, R] (SiteMap.span) with a drain site
+on each side (see walk_engine); map_sites counts the drained intensity,
+and any intensity in the window that feeds no node, as leakage.
 """
 
 from __future__ import annotations
@@ -153,6 +157,12 @@ class SiteMap:
         (m,) = np.flatnonzero(self.node_positions[("c", "cc").index(subspace)] == x)
         return int(m)
 
+    @property
+    def span(self) -> tuple:
+        """(L, R): the least and the greatest position feeding a node."""
+        fed = self.node_positions[self.node_positions != NO_POSITION]
+        return int(fed.min()), int(fed.max())
+
 
 def ring_chain(stops, flavor: str):
     """(CoinProgram, SiteMap) of the chain of rings between ascending stops.
@@ -188,9 +198,10 @@ def ring_chain(stops, flavor: str):
 class MappedRecord(IntensityRecord):
     """Intensity record on the nodes 0 .. num_nodes - 1 of a closed graph.
 
-    `leakage[t]` is the total intensity found outside the mapped support at
-    step t; `flagged` is set when its maximum exceeds the mapping's
-    tolerance.
+    `leakage[t]` is the intensity that left the graph in the first t steps:
+    drained off the walk's window, or found in it outside the mapped
+    support at step t; `flagged` is set when its maximum exceeds the
+    mapping's tolerance.
     """
 
     def __init__(self, intensities: np.ndarray, reached: np.ndarray, leakage: np.ndarray, flagged: bool):
@@ -210,15 +221,16 @@ class MappedRecord(IntensityRecord):
 def map_sites(site_map: SiteMap, record: IntensityRecord, leak_tol: float = 1e-9) -> MappedRecord:
     """Gather a line record onto graph nodes, tracking off-graph intensity.
 
-    Intensity in a direction subspace at a position that feeds no node
-    counts as leakage; MappedRecord.max_leakage above leak_tol means the
-    program failed to confine the walker (the caller decides whether that
-    is fatal).
+    The record's drained intensity (IntensityRecord.drained) and intensity
+    in a direction subspace at a window position that feeds no node count
+    as leakage; MappedRecord.max_leakage above leak_tol means the program
+    failed to confine the walker (the caller decides whether that is
+    fatal).
     """
     n_steps, n_sites = record.reached.shape
     intensities = np.zeros((n_steps, site_map.num_nodes, 4))
     reached = np.zeros((n_steps, site_map.num_nodes), dtype=bool)
-    leakage = np.zeros(n_steps)
+    leakage = np.array(record.drained, dtype=float)
     for sub, modes in enumerate((slice(CH, CV + 1), slice(CCH, CCV + 1))):
         positions = site_map.node_positions[sub]
         inside = (positions >= record.offset) & (positions < record.offset + n_sites)

@@ -6,10 +6,16 @@ order
 
     0: cH   1: cV   2: ccH   3: ccV
 
-plus a boolean mask of the positions the walker has reached.  A walk of T
-steps runs on the light-cone window [min(initial) - T, max(initial) + T],
-so no amplitude can leave it, but each step coins and shifts only the
-span of the reached positions, and records are filled over that span.
+plus a boolean mask of the positions the walker has reached.  A walk runs
+on a window [L, R] with one drain site on each side, L - 1 and R + 1.  A
+drain site is never coined or shifted: light that a shift lands on it
+stays there until the next step, and a record, which covers the window
+alone, adds it to its drained totals (per sample in a batch).  A
+closed graph's window is its positions; a line's is the light cone
+[min(initial) - T, max(initial) + T] of T steps, whose drains nothing
+reaches.  Each step coins and shifts only the span of the reached
+positions, and records are filled over that span, so a graph walk costs
+O(T (R - L)) whatever the light cone.
 
 One time step applies the position/time dependent coin first and the
 flip-flop shift second.  The shift exchanges direction subspaces:
@@ -280,13 +286,15 @@ class IntensityRecord:
     after t steps (index 0 is the initial state) and `reached[t, i]` marks
     the sites reached at step t; every other site holds zeros.  The sites
     of a line walk are positions; a MappedRecord uses the same layout for
-    graph nodes.
+    graph nodes.  `drained[t]` is the intensity the walk lost through its
+    drain sites in its first t steps (zeros when not given).
     """
 
-    def __init__(self, intensities: np.ndarray, reached: np.ndarray, offset: int = 0):
+    def __init__(self, intensities: np.ndarray, reached: np.ndarray, offset: int = 0, drained=None):
         self.intensities = intensities
         self.reached = reached
         self.offset = offset
+        self.drained = np.zeros(len(intensities)) if drained is None else drained
 
     def __len__(self) -> int:
         return len(self.intensities)
@@ -338,19 +346,22 @@ class WalkerState:
     failed: Optional[tuple] = None
 
     @classmethod
-    def light_cone(cls, initial: InitialState, steps: int, samples: tuple = ()) -> "WalkerState":
-        """`initial` placed on the window that `steps` steps cannot leave,
-        once per sample when `samples` is (S,)."""
+    def on(cls, initial: InitialState, lo: int, hi: int, samples: tuple = ()) -> "WalkerState":
+        """`initial` placed on the window of positions lo .. hi, once per
+        sample when `samples` is (S,)."""
         if not initial:
             raise ValueError("initial state has no positions")
-        lo = min(initial) - steps
-        n = max(initial) + steps - lo + 1
-        amp = np.zeros((*samples, n, 4), dtype=complex)
-        reached = np.zeros((*samples, n), dtype=bool)
+        amp = np.zeros((*samples, hi - lo + 1, 4), dtype=complex)
+        reached = np.zeros((*samples, hi - lo + 1), dtype=bool)
         for x, a in initial.items():
             amp[..., x - lo, :] = a
             reached[..., x - lo] = True
         return cls(amp, reached, int(lo))
+
+    @classmethod
+    def light_cone(cls, initial: InitialState, steps: int, samples: tuple = ()) -> "WalkerState":
+        """`initial` placed on the window that `steps` steps cannot leave."""
+        return cls.on(initial, min(initial, default=0) - steps, max(initial, default=0) + steps, samples)
 
     def positions(self) -> np.ndarray:
         """Positions reached by any sample, ascending."""
@@ -409,19 +420,16 @@ def _coin(state: WalkerState, program: CoinProgram, t: int, entries, uncovered, 
 
 
 def _shift(coined: np.ndarray, out: WalkerState, lo: int, hi: int, step: int = 1) -> tuple:
-    """Shift the coined span lo:hi:step into `out`, zero from a site below it
-    to a site above it; mark the positions reached there, return their span."""
-    amp, n = out.amp, out.amp.shape[-2]
-    if lo == 0 and coined[..., :1, CH::3].any() or hi == n and coined[..., -1:, CV : CCH + 1].any():  # cH, ccV; cV, ccH
-        raise ValueError("amplitude would leave the window; size it with WalkerState.light_cone")
-    a, d = (lo or step) - 1, min(hi + 1, n)  # the shifted span is a:d:step
-    first, last = int(lo == 0), coined.shape[-2] - int(hi == n)  # the rows that stay in the window
-    amp[..., a : hi - 1 : step, CCH] = coined[..., first:, CH]
-    amp[..., a : hi - 1 : step, CV] = coined[..., first:, CCV]
-    amp[..., lo + 1 : d : step, CH] = coined[..., :last, CCH]
-    amp[..., lo + 1 : d : step, CCV] = coined[..., :last, CV]
-    reached = out.reached[..., a:d:step] = amp[..., a:d:step, :].any(axis=-1)
-    return _span(reached, a, step)
+    """Shift the coined span lo:hi:step, which holds neither window end, into
+    `out`, zero from a site below it to a site above it; mark the positions
+    reached there, return their span."""
+    amp = out.amp
+    amp[..., lo - 1 : hi - 1 : step, CCH] = coined[..., CH]
+    amp[..., lo - 1 : hi - 1 : step, CV] = coined[..., CCV]
+    amp[..., lo + 1 : hi + 1 : step, CH] = coined[..., CCH]
+    amp[..., lo + 1 : hi + 1 : step, CCV] = coined[..., CV]
+    reached = out.reached[..., lo - 1 : hi + 1 : step] = amp[..., lo - 1 : hi + 1 : step, :].any(axis=-1)
+    return _span(reached, lo - 1, step)
 
 
 def apply_coin(state: WalkerState, program: CoinProgram, t: int) -> WalkerState:
@@ -442,27 +450,36 @@ def apply_coin(state: WalkerState, program: CoinProgram, t: int) -> WalkerState:
 
 
 def apply_step(state: WalkerState) -> WalkerState:
-    out = WalkerState(np.zeros_like(state.amp), np.zeros_like(state.reached), state.offset, state.failed)
-    _shift(state.amp, out, 0, state.amp.shape[-2])
-    return out
+    """The shift of every position of the window; raises ValueError when
+    amplitude would leave it (size it with WalkerState.light_cone)."""
+    shape = (*state.reached.shape[:-1], state.reached.shape[-1] + 2)  # a site beyond each end
+    out = WalkerState(np.zeros((*shape, 4), state.amp.dtype), np.zeros(shape, bool), state.offset - 1)
+    _shift(state.amp, out, 1, shape[-1] - 1)
+    if out.reached[..., :: shape[-1] - 1].any():
+        raise ValueError("amplitude would leave the window; size it with WalkerState.light_cone")
+    return WalkerState(out.amp[..., 1:-1, :], out.reached[..., 1:-1], state.offset, state.failed)
 
 
 def _walk(state: WalkerState, program: CoinProgram, steps: int):
     """The stepping kernel: yield (state, lo, hi, step) after 0, 1, ...,
-    steps steps, with lo:hi:step the span any sample reached (see the
-    module docstring).  The states take turns in two buffers, each zeroed
-    on its span once coined, so a yielded state lasts until the next is
-    made.  Coins after the time table are resolved once, over the window."""
+    steps steps, with lo:hi:step the span of the positions any sample
+    reached and of the drain sites, the window's ends, that light landed on
+    (see the module docstring).  The states take turns in two buffers, each
+    zeroed on its span once coined, so a yielded state lasts until the next
+    is made.  Coins after the time table are resolved once, over the window."""
+    n = state.reached.shape[-1]
     spare = WalkerState(np.zeros_like(state.amp), np.zeros_like(state.reached), state.offset)
-    window, timed = state.offset + np.arange(state.reached.shape[-1]), len(program._time_entries)
+    window, timed = state.offset + np.arange(n), len(program._time_entries)
     resolved = [program.entries(t, window) for t in range(min(steps, timed + 1))]  # the last serves every later step
     lo, hi = _span(state.reached)
     step = 2 if np.all(np.diff(state.positions()) % 2 == 0) else 1
     yield state, lo, hi, step
     for t in range(steps):
-        coined, spare.failed = _coin(state, program, t, *resolved[min(t, timed)], lo, hi, step)
+        a = lo + step * (lo == 0)  # the span without its drain sites
+        b = max(a, hi - step * (hi == n))
+        coined, spare.failed = _coin(state, program, t, *resolved[min(t, timed)], a, b, step)
         state.amp[..., lo:hi:step, :], state.reached[..., lo:hi:step] = 0.0, False
-        lo, hi = _shift(coined, spare, lo, hi, step)
+        lo, hi = _shift(coined, spare, a, b, step)
         state, spare = spare, state
         yield state, lo, hi, step
     if state.failed is not None:
@@ -470,21 +487,30 @@ def _walk(state: WalkerState, program: CoinProgram, steps: int):
 
 
 def evolve_states(initial: InitialState, program: CoinProgram, steps: int):
-    """Yield the state after 0, 1, ..., steps time steps, each a fresh
-    WalkerState, a batch when program.table has a sample axis.  A batch in
-    which a sample reached a position without a coin rule raises that
-    ProgramError after its last state (see apply_coin)."""
-    for state, *_ in _walk(WalkerState.light_cone(initial, steps, program.table.shape[:-3]), program, steps):
-        yield WalkerState(state.amp.copy(), state.reached.copy(), state.offset, state.failed)
+    """Yield the state after 0, 1, ..., steps time steps on the light cone,
+    each a fresh WalkerState, a batch when program.table has a sample axis.
+    A batch in which a sample reached a position without a coin rule raises
+    that ProgramError after its last state (see apply_coin)."""
+    cone = WalkerState.light_cone(initial, steps + 1, program.table.shape[:-3])  # that of `steps`, and its drains
+    for state, *_ in _walk(cone, program, steps):
+        yield WalkerState(state.amp[..., 1:-1, :].copy(), state.reached[..., 1:-1].copy(), state.offset + 1, state.failed)
 
 
-def evolve(initial: InitialState, program: CoinProgram, steps: int) -> IntensityRecord:
-    state = WalkerState.light_cone(initial, steps, program.table.shape[:-3])
+def evolve(initial: InitialState, program: CoinProgram, steps: int, window=None) -> IntensityRecord:
+    """The walk's record on `window` = (L, R), a closed graph's positions,
+    walked with a drain site on each side: (steps + 1, R - L + 1, 4)
+    intensities and the drained totals.  The default window is the light
+    cone."""
+    left, right = window or (min(initial, default=0) - steps, max(initial, default=0) + steps)
+    if initial and not left <= min(initial) <= max(initial) <= right:
+        raise ValueError(f"initial state outside the window [{left}, {right}]")
+    state = WalkerState.on(initial, left - 1, right + 1, program.table.shape[:-3])
     intensities, reached = np.zeros((steps + 1, *state.amp.shape)), np.zeros((steps + 1, *state.reached.shape), bool)
     for t, (state, lo, hi, step) in enumerate(_walk(state, program, steps)):  # the record, filled over each span
         intensities[t, ..., lo:hi:step, :] = np.abs(state.amp[..., lo:hi:step, :]) ** 2
         reached[t, ..., lo:hi:step] = state.reached[..., lo:hi:step]
-    return IntensityRecord(intensities, reached, state.offset)
+    drained = np.cumsum(intensities[..., :: intensities.shape[-2] - 1, :].sum(axis=(-2, -1)), axis=0)
+    return IntensityRecord(intensities[..., 1:-1, :], reached[..., 1:-1], state.offset + 1, drained)
 
 
 def final_state(initial: InitialState, program: CoinProgram, steps: int) -> WalkerState:
@@ -501,8 +527,9 @@ TRACE_LABELS = {
 _TRACE_MODES = (*TRACE_LABELS, "sum_all")
 
 
-def trace_intensities(record: IntensityRecord, mode: str = "full") -> np.ndarray:
-    """Collapse the mode axis of a record's (T+1, n, 4) intensities.
+def trace_intensities(record, mode: str = "full") -> np.ndarray:
+    """Collapse the mode axis of a record's (T+1, n, 4) intensities, or of
+    an (..., 4) array of intensities such as a record's reached cells.
 
     full, sum_polarization and sum_direction give (T+1, n, L) over the
     labels TRACE_LABELS[mode]; sum_all gives (T+1, n).  Sites and the
@@ -510,7 +537,7 @@ def trace_intensities(record: IntensityRecord, mode: str = "full") -> np.ndarray
     """
     if mode not in _TRACE_MODES:
         raise ValueError(f"unknown trace mode {mode!r}; expected one of {_TRACE_MODES}")
-    v = record.intensities
+    v = record.intensities if isinstance(record, IntensityRecord) else record
     if mode == "full":
         return v.copy()
     if mode == "sum_polarization":

@@ -535,7 +535,7 @@ def render_rows(command: str, cfg, args) -> str:
             labels = walk_engine.TRACE_LABELS[args.trace]
             rows = [[t, x, label, v] for t, x, vals in cells for label, v in zip(labels, vals)]
     elif command in ("circle", "figure-eight", "revivals"):
-        record = walk_engine.evolve(cfg.initial, cfg.program, steps)
+        record = walk_engine.evolve(cfg.initial, cfg.program, steps, cfg.site_map.span)
         mapped = graph_programs.map_sites(cfg.site_map, record)
         if command == "revivals":
             header = ["step", "shift", "kind"]

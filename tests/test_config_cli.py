@@ -369,6 +369,32 @@ def test_errorbars_leaking_program_exits_3_before_sampling(monkeypatch, capsys):
     assert "walker left the graph" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["circle", "revivals"])
+def test_ring_with_inner_coin_ends_leaks_and_exits_3(monkeypatch, capsys, command):
+    # the end coins replaced by the inner coin: the walk leaves the graph window
+    cfg = parse_config(os.path.join(CONFIG_DIR, "circle8.yaml"))
+    cfg.program = CoinProgram(default=cfg.program.default)
+    monkeypatch.setattr(cli, "parse_config", lambda path: cfg)
+    result = main_cli(capsys, command, "--config", "unused.yaml")
+    assert result.returncode == 3
+    assert "walker left the graph" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command, recipe",
+    [("simulate", "hadamard_line"), ("circle", "circle8"), ("revivals", "figure_eight"), ("errorbars", "errorbars_circle8")],
+)
+def test_run_too_large_to_allocate_exits_2_without_traceback(capsys, command, recipe):
+    # 10**13 steps need petabytes: the allocation fails at once, touching no memory
+    config = os.path.join(CONFIG_DIR, f"{recipe}.yaml")
+    result = main_cli(capsys, command, "--config", config, "--steps", str(10**13))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("config error: ") and "too large" in result.stderr
+    assert result.stderr.count("\n") == 1
+
+
 def test_parse_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(str(tmp_path / "missing.yaml"))
@@ -919,6 +945,21 @@ def test_column_formats_int64_in_decimal(vs):
     info = np.iinfo(np.int64)
     a = np.array([*vs, info.min, info.max, -1, 0], dtype=np.int64)
     assert cells(a) == [str(int(v)) for v in a]
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.lists(st.integers(min_value=-300, max_value=300), min_size=1, max_size=80), st.integers(-(2**62), 2**62))
+def test_column_formats_narrow_integer_ranges_in_decimal(vs, base):
+    # columns whose range is a few times their length go through a table of the range
+    for dtype in (np.int64, np.int32, np.int16):
+        a = np.array(vs, dtype=dtype)
+        assert cells(a) == [str(v) for v in vs]
+    a = np.array(vs, dtype=np.int64) // 3  # -100 .. 100, a range that overflows int8
+    assert cells(a.astype(np.int8)) == [str(v) for v in a.tolist()]
+    a = np.array(vs, dtype=np.int64) + base
+    assert cells(a) == [str(v) for v in a.tolist()]
+    a = np.array(vs, dtype=np.int64) - min(vs)
+    assert cells(a.astype(np.uint64)) == [str(v) for v in a.tolist()]
 
 
 # bit patterns of 0.0, -0.0, NaNs of either sign with different payloads,

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from loopwalk.analysis import find_revivals
 from loopwalk.graph_programs import NO_POSITION, CircleSpec, FigureEightSpec, map_sites, ring_chain
 from loopwalk.optics import coin_ab, coin_ll, full_coin
-from loopwalk.walk_engine import constant_program, evolve, make_initial
+from loopwalk.walk_engine import CoinProgram, constant_program, evolve, make_initial
 
 import oracles
 
@@ -249,3 +249,61 @@ def test_ring_chain_properties(lobes, left_end, flavor, start, direction, polari
     assert np.max(np.abs(totals - 1.0)) <= 1e-12
     if flavor == "non_mixing":
         assert (2 * (right - left), 0, "perfect") in find_revivals(mapped)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+    st.integers(min_value=-10, max_value=10),
+    st.sampled_from(("non_mixing", "hadamard_like")),
+    st.integers(min_value=0, max_value=30),
+    st.sampled_from(("cw", "ccw")),
+    st.sampled_from("HVDA"),
+    st.integers(min_value=0, max_value=60),
+)
+def test_graph_window_walk_matches_light_cone_walk(lobes, left_end, flavor, start, direction, polarization, steps):
+    # the window walk drops only the float dust that the end coins send off
+    # the graph, which the light-cone walk carries and may bring back
+    stops = tuple(int(s) for s in np.cumsum([left_end, *lobes]))
+    left, right = stops[0], stops[-1]
+    assume(right - left >= 2)
+    x0 = left + 1 + start % (right - left - 1)
+    program, smap = ring_chain(stops, flavor)
+    initial = make_initial(direction, polarization, x0)
+    record = evolve(initial, program, steps, smap.span)
+    window, cone = map_sites(smap, record), map_sites(smap, evolve(initial, program, steps))
+    assert np.array_equal(window.reached, cone.reached)
+    assert np.max(np.abs(window.intensities - cone.intensities)) <= 1e-28
+    assert find_revivals(window) == find_revivals(cone)
+    in_graph = record.intensities.sum(axis=(1, 2))
+    assert np.max(np.abs(in_graph + record.drained - 1.0)) <= 1e-12
+    assert record.drained.max() <= 1e-28
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7, 40, 301])
+def test_graph_window_record_is_as_wide_as_the_graph(steps):
+    for stops in ((0, 4), (-3, 0, 5), (2, 4, 5, 9)):
+        program, smap = ring_chain(stops, "hadamard_like")
+        left, right = smap.span
+        assert (left, right) == (stops[0], stops[-1])
+        record = evolve(make_initial("ccw", "D", left + 1), program, steps, smap.span)
+        assert record.intensities.shape == (steps + 1, right - left + 1, 4)
+        assert record.reached.shape == (steps + 1, right - left + 1)
+        assert record.drained.shape == (steps + 1,)
+        assert record.offset == left
+
+
+def test_window_walk_drains_a_leaking_ring():
+    # with the inner coin at its ends the ring is an open segment of the line
+    program, smap = ring_chain((0, 4), "hadamard_like")
+    leaky = CoinProgram(default=program.default)
+    record = evolve(make_initial("ccw", "V", 1), leaky, 24, smap.span)
+    mapped = map_sites(smap, record)
+    assert mapped.max_leakage > 1e-9
+    assert mapped.flagged
+    in_graph = record.intensities.sum(axis=(1, 2))
+    assert np.max(np.abs(in_graph + record.drained - 1.0)) <= 1e-12
+    assert np.array_equal(mapped.leakage, record.drained)
+    for x in (-2, -1, 5):
+        with pytest.raises(ValueError, match=r"outside the window \[0, 4\]"):
+            evolve(make_initial("ccw", "V", x), program, 4, smap.span)
