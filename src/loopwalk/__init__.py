@@ -10,14 +10,11 @@ or given directly as four-by-four unitaries.
 
 from .analysis import (
     ErrorBarReport,
-    SimilarityReport,
     WalkSetup,
-    average_similarity,
     equidistribution_similarity,
     find_revivals,
     monte_carlo_error_bars,
     similarity,
-    similarity_report,
 )
 from .coin_synthesis import (
     OneTripFactors,
@@ -52,26 +49,19 @@ from .graph_programs import (
 )
 from .linalg_core import (
     assert_unitary,
-    equal_up_to_global_phase,
-    is_unitary,
-    random_su2,
-    random_unitary,
     unitarity_defect,
     wrap_phase,
 )
 from .optics import (
     ArmSetting,
     OpticalElement,
-    arm_operator,
     certified_coin,
     coin_ab,
     coin_ll,
     coin_ll_independent,
     eom_matrix,
     full_coin,
-    full_coin_independent,
     hwp_matrix,
-    loop_operator,
     qwp_matrix,
 )
 from .walk_engine import (
@@ -89,7 +79,6 @@ from .walk_engine import (
     constant_program,
     evolve,
     evolve_states,
-    final_state,
     make_initial,
     trace_intensities,
 )
@@ -118,7 +107,6 @@ __all__ = [
     "ProgramError",
     "RawCoin",
     "RunConfig",
-    "SimilarityReport",
     "SiteMap",
     "OneTripWitness",
     "UniversalFactorization",
@@ -126,9 +114,7 @@ __all__ = [
     "Wavefront",
     "WalkerState",
     "WavefrontSet",
-    "arm_operator",
     "assert_unitary",
-    "average_similarity",
     "band_structure",
     "bloch_operator",
     "certified_coin",
@@ -138,19 +124,14 @@ __all__ = [
     "coin_ll_independent",
     "constant_program",
     "eom_matrix",
-    "equal_up_to_global_phase",
     "equidistribution_similarity",
     "evolve",
     "evolve_states",
     "factor_universal",
-    "final_state",
     "find_revivals",
     "full_coin",
-    "full_coin_independent",
     "group_velocities",
     "hwp_matrix",
-    "is_unitary",
-    "loop_operator",
     "make_initial",
     "map_sites",
     "monte_carlo_error_bars",
@@ -159,12 +140,9 @@ __all__ = [
     "parse_config",
     "parse_config_dict",
     "qwp_matrix",
-    "random_su2",
-    "random_unitary",
     "ring_chain",
     "shift_bloch",
     "similarity",
-    "similarity_report",
     "su2_normalize",
     "three_step_schedule",
     "trace_intensities",

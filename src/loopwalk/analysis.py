@@ -51,51 +51,6 @@ def similarity(p, q) -> float:
     return amp * amp
 
 
-@dataclass
-class SimilarityReport:
-    per_step: list
-    mean: float
-    resolved: bool
-
-
-def average_similarity(per_step, t: Optional[int] = None) -> float:
-    """Arithmetic mean of the first t per-step similarity values.
-
-    `per_step` is a list of floats or of (step, value) pairs (as stored in
-    a SimilarityReport); t defaults to the full length and must be positive.
-    """
-    vals = [v[1] if isinstance(v, tuple) else float(v) for v in per_step]
-    if t is None:
-        t = len(vals)
-    if t <= 0 or t > len(vals):
-        raise ValueError(f"need 1 <= t <= {len(vals)}, got {t}")
-    return float(np.mean(vals[:t]))
-
-
-def similarity_report(
-    record_p: IntensityRecord, record_q: IntensityRecord, resolved: bool = False, steps=None
-) -> SimilarityReport:
-    """Per-step similarity of two records with their mean.
-
-    The records' windows are aligned by position.  resolved=True compares
-    mode-resolved intensities; otherwise positions.  `steps` restricts to a
-    subset of step indices (default: all shared).
-    """
-    n = min(len(record_p), len(record_q))
-    lo = min(record_p.offset, record_q.offset)
-    hi = max(r.offset + r.intensities.shape[1] for r in (record_p, record_q))
-
-    def aligned(record):
-        out = np.zeros((n, hi - lo, 4))
-        out[:, record.offset - lo : record.offset - lo + record.intensities.shape[1]] = record.intensities[:n]
-        return out if resolved else out.sum(axis=2)
-
-    amp = _overlap(aligned(record_p).reshape(n, -1), aligned(record_q).reshape(n, -1))
-    per_step = [(t, float(amp[t] * amp[t])) for t in (range(n) if steps is None else steps)]
-    mean = average_similarity(per_step) if per_step else 0.0
-    return SimilarityReport(per_step=per_step, mean=mean, resolved=resolved)
-
-
 def _at_support(values: np.ndarray, offset: int, support) -> np.ndarray:
     """values[..., m - offset] for each support site m, 0.0 outside the window."""
     if len(support) == 0:
@@ -136,12 +91,9 @@ def find_revivals(record: MappedRecord, tol: float = 1e-6) -> list:
     nodes = np.arange(record.num_nodes)
     # rolls[s] is step 0 moved by +s nodes
     rolls = record.distribution_vector(0)[(nodes[None, :] - nodes[:, None]) % record.num_nodes]
-    out = []
-    for t in range(1, len(record)):
-        overlap = _overlap(rolls, record.distribution_vector(t)) ** 2
-        for s in np.flatnonzero(overlap >= 1.0 - tol).tolist():
-            out.append((t, s, "perfect" if s == 0 else "shifted"))
-    return out
+    dists = record.intensities[1:].sum(axis=2)
+    hits = np.stack([_overlap(roll, dists) ** 2 >= 1.0 - tol for roll in rolls], axis=1)  # (step - 1, shift)
+    return [(t + 1, s, "perfect" if s == 0 else "shifted") for t, s in np.argwhere(hits).tolist()]
 
 
 @dataclass

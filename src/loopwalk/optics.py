@@ -135,17 +135,6 @@ def loop_stack(kinds: Sequence[str], angles) -> np.ndarray:
     return out
 
 
-def arm_operator(setting: ArmSetting, eom_first: bool = False) -> np.ndarray:
-    """2x2 polarization operator of one arm over a full round trip."""
-    angles = [el.parameter_deg for el in setting.waveplates] + [setting.eom_phase_deg]
-    return arm_stack([el.kind for el in setting.waveplates], angles, eom_first)
-
-
-def loop_operator(elements: Sequence[OpticalElement]) -> np.ndarray:
-    """2x2 operator of a single ordered pass through the loop elements."""
-    return loop_stack([el.kind for el in elements], [el.parameter_deg for el in elements])
-
-
 def coin_ll(c_l: np.ndarray) -> np.ndarray:
     """Loop contribution acting identically on both directions: diag(C_L, C_L)."""
     return coin_ll_independent(c_l, c_l)
@@ -196,11 +185,6 @@ def coin_ab(c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
 def full_coin(c_a: np.ndarray, c_b: np.ndarray, c_l: np.ndarray) -> np.ndarray:
     """Composite coin of one round trip: arms after the loop, C = C_AB . C_LL."""
     return coin_ab(c_a, c_b) @ coin_ll(c_l)
-
-
-def full_coin_independent(c_a, c_b, c_cw, c_ccw) -> np.ndarray:
-    """Composite coin with direction-dependent loop blocks."""
-    return coin_ab(c_a, c_b) @ coin_ll_independent(c_cw, c_ccw)
 
 
 def certified_coin(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:

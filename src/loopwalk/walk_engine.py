@@ -34,6 +34,7 @@ only reached positions.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -337,7 +338,7 @@ class WalkerState:
     for the samples of a sampled program (CoinProgram.sampled), each walked
     on its own; `failed` is then the (sample, message) of the lowest-index
     sample that reached a position without a coin rule, at the first step
-    it did (see apply_coin).
+    it did (see _coin).
     """
 
     amp: np.ndarray
@@ -351,17 +352,12 @@ class WalkerState:
         sample when `samples` is (S,)."""
         if not initial:
             raise ValueError("initial state has no positions")
-        amp = np.zeros((*samples, hi - lo + 1, 4), dtype=complex)
-        reached = np.zeros((*samples, hi - lo + 1), dtype=bool)
+        amp = _zeros((*samples, hi - lo + 1, 4), complex)
+        reached = _zeros((*samples, hi - lo + 1), bool)
         for x, a in initial.items():
             amp[..., x - lo, :] = a
             reached[..., x - lo] = True
         return cls(amp, reached, int(lo))
-
-    @classmethod
-    def light_cone(cls, initial: InitialState, steps: int, samples: tuple = ()) -> "WalkerState":
-        """`initial` placed on the window that `steps` steps cannot leave."""
-        return cls.on(initial, min(initial, default=0) - steps, max(initial, default=0) + steps, samples)
 
     def positions(self) -> np.ndarray:
         """Positions reached by any sample, ascending."""
@@ -398,6 +394,16 @@ def make_initial(direction: str, polarization: str, position: int = 0) -> Initia
     return {int(position): amp}
 
 
+def _zeros(shape: tuple, dtype) -> np.ndarray:
+    """np.zeros(shape, dtype), raising MemoryError, as for any size that
+    cannot be allocated, when the byte count, counted in Python ints, passes
+    the largest array numpy can address (numpy raises ValueError there)."""
+    nbytes = math.prod(int(n) for n in shape) * np.dtype(dtype).itemsize
+    if nbytes > np.iinfo(np.intp).max:
+        raise MemoryError(f"Unable to allocate {nbytes} bytes for an array with shape {shape}")
+    return np.zeros(shape, dtype)
+
+
 def _span(reached: np.ndarray, start: int = 0, step: int = 1) -> tuple:
     """[lo, hi) of the indices start, start + step, ... any sample reached in `reached`; (start, start) if none."""
     hit = np.flatnonzero(reached if reached.ndim == 1 else reached.any(axis=0))
@@ -406,7 +412,14 @@ def _span(reached: np.ndarray, start: int = 0, step: int = 1) -> tuple:
 
 def _coin(state: WalkerState, program: CoinProgram, t: int, entries, uncovered, lo: int, hi: int, step: int = 1):
     """Coined amplitudes (..., k, 4) of the k positions lo:hi:step at step t, with (entries, uncovered)
-    the program.entries(t, ...) of the window, and the failure (see apply_coin) of a reached position."""
+    the program.entries(t, ...) of the window, and the failure of a reached position.
+
+    A batch state (S, n, 4) takes a program whose table is (S, len(specs), 4, 4), and each sample is
+    coined from its own row; a position reached by any sample is coined in every sample (zero
+    amplitudes stay zero).  A reached position without a rule raises ProgramError naming the step
+    and the lowest such position.  In a batch the failure is kept in `failed` instead, for the
+    lowest-index failing sample at its first failing step, and _walk raises it after the last step:
+    the error running the samples one by one would raise."""
     failed = state.failed
     if uncovered is not None:
         bad = np.atleast_2d(state.reached[..., lo:hi:step] & uncovered[lo:hi:step])  # a row per sample
@@ -430,34 +443,6 @@ def _shift(coined: np.ndarray, out: WalkerState, lo: int, hi: int, step: int = 1
     amp[..., lo + 1 : hi + 1 : step, CCV] = coined[..., CV]
     reached = out.reached[..., lo - 1 : hi + 1 : step] = amp[..., lo - 1 : hi + 1 : step, :].any(axis=-1)
     return _span(reached, lo - 1, step)
-
-
-def apply_coin(state: WalkerState, program: CoinProgram, t: int) -> WalkerState:
-    """Coin the reached positions of step t.
-
-    A batch state (S, n, 4) takes a program whose table is
-    (S, len(specs), 4, 4), and each sample is coined from its own row; a
-    position reached by any sample is coined in every sample (zero
-    amplitudes stay zero).  A reached position without a rule raises
-    ProgramError naming the step and the lowest such position.  In a batch
-    the failure is kept in `failed` instead, for the lowest-index failing
-    sample at its first failing step, and evolve_states raises it after the
-    last step: the error running the samples one by one would raise.
-    """
-    n = state.reached.shape[-1]  # unreached positions hold zeros, which the coin keeps
-    coined, failed = _coin(state, program, t, *program.entries(t, state.offset + np.arange(n)), 0, n)
-    return WalkerState(coined, state.reached, state.offset, failed)
-
-
-def apply_step(state: WalkerState) -> WalkerState:
-    """The shift of every position of the window; raises ValueError when
-    amplitude would leave it (size it with WalkerState.light_cone)."""
-    shape = (*state.reached.shape[:-1], state.reached.shape[-1] + 2)  # a site beyond each end
-    out = WalkerState(np.zeros((*shape, 4), state.amp.dtype), np.zeros(shape, bool), state.offset - 1)
-    _shift(state.amp, out, 1, shape[-1] - 1)
-    if out.reached[..., :: shape[-1] - 1].any():
-        raise ValueError("amplitude would leave the window; size it with WalkerState.light_cone")
-    return WalkerState(out.amp[..., 1:-1, :], out.reached[..., 1:-1], state.offset, state.failed)
 
 
 def _walk(state: WalkerState, program: CoinProgram, steps: int):
@@ -490,9 +475,9 @@ def evolve_states(initial: InitialState, program: CoinProgram, steps: int):
     """Yield the state after 0, 1, ..., steps time steps on the light cone,
     each a fresh WalkerState, a batch when program.table has a sample axis.
     A batch in which a sample reached a position without a coin rule raises
-    that ProgramError after its last state (see apply_coin)."""
-    cone = WalkerState.light_cone(initial, steps + 1, program.table.shape[:-3])  # that of `steps`, and its drains
-    for state, *_ in _walk(cone, program, steps):
+    that ProgramError after its last state (see _coin)."""
+    left, right = min(initial, default=0) - steps - 1, max(initial, default=0) + steps + 1  # the cone's drain sites
+    for state, *_ in _walk(WalkerState.on(initial, left, right, program.table.shape[:-3]), program, steps):
         yield WalkerState(state.amp[..., 1:-1, :].copy(), state.reached[..., 1:-1].copy(), state.offset + 1, state.failed)
 
 
@@ -505,18 +490,12 @@ def evolve(initial: InitialState, program: CoinProgram, steps: int, window=None)
     if initial and not left <= min(initial) <= max(initial) <= right:
         raise ValueError(f"initial state outside the window [{left}, {right}]")
     state = WalkerState.on(initial, left - 1, right + 1, program.table.shape[:-3])
-    intensities, reached = np.zeros((steps + 1, *state.amp.shape)), np.zeros((steps + 1, *state.reached.shape), bool)
+    intensities, reached = _zeros((steps + 1, *state.amp.shape), float), _zeros((steps + 1, *state.reached.shape), bool)
     for t, (state, lo, hi, step) in enumerate(_walk(state, program, steps)):  # the record, filled over each span
         intensities[t, ..., lo:hi:step, :] = np.abs(state.amp[..., lo:hi:step, :]) ** 2
         reached[t, ..., lo:hi:step] = state.reached[..., lo:hi:step]
     drained = np.cumsum(intensities[..., :: intensities.shape[-2] - 1, :].sum(axis=(-2, -1)), axis=0)
     return IntensityRecord(intensities[..., 1:-1, :], reached[..., 1:-1], state.offset + 1, drained)
-
-
-def final_state(initial: InitialState, program: CoinProgram, steps: int) -> WalkerState:
-    for state in evolve_states(initial, program, steps):
-        pass
-    return state
 
 
 TRACE_LABELS = {

@@ -37,6 +37,43 @@ FOURIER_4 = np.array(
 )
 
 
+def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Gaussian matrix.
+
+    The R diagonal phases are divided out so the distribution is exactly
+    Haar rather than QR-convention dependent.
+    """
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    q = q * (d / np.abs(d)).conj()
+    return q
+
+
+def random_su2(rng: np.random.Generator) -> np.ndarray:
+    """Haar SU(2) element [[u, v], [-conj(v), conj(u)]]."""
+    g = random_unitary(2, rng)
+    det = np.linalg.det(g)
+    return g / np.sqrt(det)
+
+
+def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    """True when a = e^{i phi} b for some real phi, within max-abs tol."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.shape != b.shape:
+        return False
+    idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
+    if abs(b[idx]) == 0.0:
+        return bool(np.max(np.abs(a)) <= tol)
+    phase = a[idx] / b[idx]
+    mag = abs(phase)
+    if abs(mag - 1.0) > tol:
+        return False
+    phase /= mag
+    return bool(np.max(np.abs(a - phase * b)) <= tol)
+
+
 def dense_step_matrix(coin: np.ndarray, half_width: int) -> np.ndarray:
     """One walk step (shift after coin) as a dense matrix.
 
@@ -211,6 +248,21 @@ def rotation_circle_distribution(initial_vector: np.ndarray, t: int) -> np.ndarr
     shift of the initial one.
     """
     return np.roll(np.asarray(initial_vector, dtype=float), t)
+
+
+def stepwise_revivals(record, tol: float = 1e-6) -> list:
+    """Revivals of a record on graph nodes one step at a time: at each step
+    t >= 1, the overlap sum_m sqrt(P_0(m - s) P_t(m)), added left to
+    right, of step 0 moved by every cyclic shift s, and a (t, s, kind)
+    event for each shift whose squared overlap is at least 1 - tol."""
+    nodes = np.arange(record.num_nodes)
+    rolls = record.distribution_vector(0)[(nodes[None, :] - nodes[:, None]) % record.num_nodes]
+    out = []
+    for t in range(1, len(record)):
+        overlap = np.cumsum(np.sqrt(rolls * record.distribution_vector(t)), axis=-1)[:, -1] ** 2
+        for s in np.flatnonzero(overlap >= 1.0 - tol).tolist():
+            out.append((t, s, "perfect" if s == 0 else "shifted"))
+    return out
 
 
 def one_trip_test_independent(c: np.ndarray, rel_tol: float = 1e-9) -> bool:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,16 +7,14 @@ from hypothesis import strategies as st
 
 from loopwalk.analysis import (
     WalkSetup,
-    average_similarity,
     equidistribution_similarity,
     find_revivals,
     monte_carlo_error_bars,
     similarity,
-    similarity_report,
 )
+from loopwalk.config import parse_config
 from loopwalk.graph_programs import CircleSpec, FigureEightSpec, map_sites, ring_chain
 from loopwalk.optics import ArmSetting, OpticalElement
-from loopwalk.linalg_core import random_unitary
 from loopwalk.walk_engine import (
     CoinProgram,
     ElementCoin,
@@ -26,6 +26,7 @@ from loopwalk.walk_engine import (
 )
 
 import oracles
+from oracles import random_unitary
 
 
 def test_similarity_hand_values():
@@ -64,47 +65,6 @@ def test_similarity_resolved_flag():
     assert abs(similarity(p.sum(axis=1), q.sum(axis=1)) - 1.0) < 1e-12
     # mode-resolved view: orthogonal
     assert similarity(p, q) == 0.0
-
-
-def test_average_similarity():
-    vals = [1.0, 0.5, 0.25]
-    assert abs(average_similarity(vals) - (1.75 / 3)) < 1e-15
-    assert abs(average_similarity(vals, t=2) - 0.75) < 1e-15
-    assert abs(average_similarity([(0, 1.0), (1, 0.5)]) - 0.75) < 1e-15
-    with pytest.raises(ValueError):
-        average_similarity(vals, t=0)
-    with pytest.raises(ValueError):
-        average_similarity(vals, t=4)
-    with pytest.raises(ValueError):
-        average_similarity([])
-
-
-def test_similarity_report_self_is_one():
-    coin = oracles.BALANCED_FOUR_MODE_COIN
-    rec = evolve(make_initial("ccw", "D", 0), constant_program(coin), 10)
-    report = similarity_report(rec, rec)
-    assert len(report.per_step) == 11
-    assert all(abs(s - 1.0) < 1e-12 for _, s in report.per_step)
-    assert abs(report.mean - 1.0) < 1e-12
-
-
-def test_similarity_report_aligns_windows_by_position():
-    # two walks on different windows, compared against a per-position sum
-    coin = oracles.BALANCED_FOUR_MODE_COIN
-    rec_p = evolve(make_initial("ccw", "D", 0), constant_program(coin), 7)
-    rec_q = evolve(make_initial("cw", "H", 2), constant_program(coin), 5)
-    for resolved in (False, True):
-        report = similarity_report(rec_p, rec_q, resolved=resolved)
-        assert [t for t, _ in report.per_step] == list(range(6))
-        for t, s in report.per_step:
-            p = dict(zip(rec_p.positions(t).tolist(), rec_p.intensity(t)))
-            q = dict(zip(rec_q.positions(t).tolist(), rec_q.intensity(t)))
-            if not resolved:
-                p = {x: v.sum() for x, v in p.items()}
-                q = {x: v.sum() for x, v in q.items()}
-            amp = sum(np.sum(np.sqrt(p[x] * q[x])) for x in set(p) & set(q))
-            assert abs(s - amp * amp) < 1e-12
-        assert 0.0 < report.mean < 1.0
 
 
 def test_equidistribution_similarity():
@@ -161,6 +121,8 @@ def test_find_revivals_non_mixing_period():
 
 
 def test_find_revivals_matches_shift_by_shift_search():
+    # small rings against one similarity call per step and shift, and the
+    # recipe rings over 2,000 steps against the step-by-step search
     specs = [
         CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like"),
         CircleSpec(num_sites=10, left_end=-1, flavor="non_mixing"),
@@ -180,6 +142,14 @@ def test_find_revivals_matches_shift_by_shift_search():
         ]
         assert want
         assert find_revivals(mapped) == want
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs")
+    for recipe in ("circle8", "figure_eight", "circle10_nonmixing"):
+        cfg = parse_config(os.path.join(configs, f"{recipe}.yaml"))
+        mapped = map_sites(cfg.site_map, evolve(cfg.initial, cfg.program, 2000, cfg.site_map.span))
+        for tol in (1e-6, 1e-3, 0.5):
+            want = oracles.stepwise_revivals(mapped, tol)
+            assert want
+            assert find_revivals(mapped, tol) == want
 
 
 def test_monte_carlo_zero_error_is_exactly_zero():

@@ -20,10 +20,11 @@ from loopwalk.dispersion import (
     shift_bloch,
     wavefront_speeds,
 )
-from loopwalk.linalg_core import random_su2, random_unitary, unitarity_defect, wrap_phase
+from loopwalk.linalg_core import unitarity_defect, wrap_phase
 from loopwalk.optics import full_coin, hwp_matrix, qwp_matrix
 
 import oracles
+from oracles import random_su2, random_unitary
 
 MINUS_IX = -1j * oracles.PAULI_X
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs")

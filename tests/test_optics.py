@@ -1,24 +1,25 @@
 import numpy as np
 import pytest
 
-from loopwalk.linalg_core import equal_up_to_global_phase, unitarity_defect
+from loopwalk.coin_synthesis import OneTripFactors
+from loopwalk.linalg_core import unitarity_defect
 from loopwalk.optics import (
     ArmSetting,
     OpticalElement,
-    arm_operator,
+    arm_stack,
     certified_coin,
     coin_ab,
     coin_ll,
     coin_ll_independent,
     eom_matrix,
     full_coin,
-    full_coin_independent,
     hwp_matrix,
-    loop_operator,
+    loop_stack,
     qwp_matrix,
 )
 
 import oracles
+from oracles import equal_up_to_global_phase, random_unitary
 
 MINUS_IX = -1j * oracles.PAULI_X
 
@@ -91,63 +92,47 @@ def test_arm_setting_rejects_eom_in_stack():
 
 def test_arm_operator_single_plate_squares():
     # light passes every arm element twice, so one plate contributes its square
-    arm = ArmSetting(waveplates=(OpticalElement("qwp", 45.0),))
-    assert np.max(np.abs(arm_operator(arm) - MINUS_IX)) < 1e-15
-
-    arm_h = ArmSetting(waveplates=(OpticalElement("hwp", 17.0),))
-    assert np.max(np.abs(arm_operator(arm_h) - np.eye(2))) < 1e-12
+    assert np.max(np.abs(arm_stack(["qwp"], [45.0, 0.0]) - MINUS_IX)) < 1e-15
+    assert np.max(np.abs(arm_stack(["hwp"], [17.0, 0.0]) - np.eye(2))) < 1e-12
 
 
 def test_arm_operator_eom_placement():
-    arm = ArmSetting(
-        waveplates=(OpticalElement("qwp", 45.0),),
-        eom_phase_deg=-90.0,
-    )
+    # a quarter-wave plate at 45 degrees and modulator phase -90: the
     # double-passed plate gives -iX, modulator iX applied before it: identity
-    assert np.max(np.abs(arm_operator(arm) - np.eye(2))) < 1e-14
-    flipped = arm_operator(arm, eom_first=True)
+    assert np.max(np.abs(arm_stack(["qwp"], [45.0, -90.0]) - np.eye(2))) < 1e-14
+    flipped = arm_stack(["qwp"], [45.0, -90.0], eom_first=True)
     assert np.max(np.abs(flipped - (1j * oracles.PAULI_X) @ MINUS_IX)) < 1e-14
 
 
 def test_arm_operator_balanced_mixer():
-    arm = ArmSetting(
-        waveplates=(OpticalElement("qwp", 45.0),),
-        eom_phase_deg=-45.0,
-    )
-    assert np.max(np.abs(arm_operator(arm) - oracles.BALANCED_PHASED_2)) < 1e-14
+    assert np.max(np.abs(arm_stack(["qwp"], [45.0, -45.0]) - oracles.BALANCED_PHASED_2)) < 1e-14
 
 
 def test_arm_operator_palindrome_order():
     q27 = qwp_matrix(27.0)
     q0 = qwp_matrix(0.0)
-    arm = ArmSetting(
-        waveplates=(OpticalElement("qwp", 27.0), OpticalElement("qwp", 0.0)),
-        eom_phase_deg=30.0,
-    )
+    # plates at 27 and 0 degrees in the order the light meets them, then the modulator phase
+    angles = [27.0, 0.0, 30.0]
     expected = q27 @ q0 @ q0 @ q27 @ eom_matrix(30.0)
-    assert np.max(np.abs(arm_operator(arm) - expected)) < 1e-14
+    assert np.max(np.abs(arm_stack(["qwp", "qwp"], angles) - expected)) < 1e-14
     expected_first = eom_matrix(30.0) @ q27 @ q0 @ q0 @ q27
-    assert np.max(np.abs(arm_operator(arm, eom_first=True) - expected_first)) < 1e-14
+    assert np.max(np.abs(arm_stack(["qwp", "qwp"], angles, eom_first=True) - expected_first)) < 1e-14
 
 
 def test_loop_operator_order_and_identity():
     # first listed element acts first on the state
-    a = OpticalElement("hwp", 45.0)
-    b = OpticalElement("eom", -90.0)
     expected = eom_matrix(-90.0) @ hwp_matrix(45.0)
-    assert np.max(np.abs(loop_operator([a, b]) - expected)) < 1e-15
+    assert np.max(np.abs(loop_stack(["hwp", "eom"], [45.0, -90.0]) - expected)) < 1e-15
 
-    assert np.max(np.abs(loop_operator([OpticalElement("hwp", 22.5)]) - oracles.HADAMARD_2)) < 1e-15
+    assert np.max(np.abs(loop_stack(["hwp"], [22.5]) - oracles.HADAMARD_2)) < 1e-15
     # quarter-wave at 45 followed by modulator at -45 cancels
-    cancel = loop_operator([OpticalElement("qwp", 45.0), OpticalElement("eom", -45.0)])
+    cancel = loop_stack(["qwp", "eom"], [45.0, -45.0])
     assert np.max(np.abs(cancel - np.eye(2))) < 1e-15
-    assert np.max(np.abs(loop_operator([]) - np.eye(2))) == 0.0
+    assert np.max(np.abs(loop_stack([], []) - np.eye(2))) == 0.0
 
 
 def test_coin_ll_sparsity():
     rng = np.random.default_rng(23)
-    from loopwalk.linalg_core import random_unitary
-
     l = random_unitary(2, rng)
     c = coin_ll(l)
     # both direction sectors see the same loop element, cross blocks stay zero
@@ -185,8 +170,6 @@ def test_coin_ab_identity_and_swap():
 
 def test_coin_ab_block_structure():
     rng = np.random.default_rng(24)
-    from loopwalk.linalg_core import random_unitary
-
     a = random_unitary(2, rng)
     b = random_unitary(2, rng)
     c = coin_ab(a, b)
@@ -211,12 +194,10 @@ def test_full_coin_hadamard_like():
 
 def test_full_coin_independent_matches_shared():
     rng = np.random.default_rng(25)
-    from loopwalk.linalg_core import random_unitary
-
     a, b, l = (random_unitary(2, rng) for _ in range(3))
-    assert np.max(np.abs(full_coin_independent(a, b, l, l) - full_coin(a, b, l))) == 0.0
+    assert np.max(np.abs(OneTripFactors(a, b, l, l).compose() - full_coin(a, b, l))) == 0.0
     l2 = random_unitary(2, rng)
-    c = full_coin_independent(a, b, l, l2)
+    c = OneTripFactors(a, b, l, l2).compose()
     assert unitarity_defect(c) < 1e-12
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopwalk.linalg_core import random_unitary
 from loopwalk.optics import ArmSetting, OpticalElement, full_coin, hwp_matrix, qwp_matrix
 from loopwalk.walk_engine import (
     CCH,
@@ -16,18 +15,16 @@ from loopwalk.walk_engine import (
     ProgramError,
     RawCoin,
     WalkerState,
-    apply_coin,
-    apply_step,
     constant_program,
     draw_jitter,
     evolve,
     evolve_states,
-    final_state,
     make_initial,
     trace_intensities,
 )
 
 import oracles
+from oracles import random_unitary
 
 MINUS_IX = -1j * oracles.PAULI_X
 
@@ -39,6 +36,11 @@ def norm(state):
 def table(state):
     """A dense state as {position: amplitudes} over its reached positions."""
     return dict(zip(state.positions().tolist(), state.amp[state.reached]))
+
+
+def walk(state, coin, steps):
+    """The states after 0 .. steps steps of one coin everywhere, through the kernel."""
+    return list(evolve_states(state, constant_program(coin), steps))
 
 
 def step_table(rec, t):
@@ -77,19 +79,20 @@ def test_make_initial_rejects_bad_labels():
 
 
 def test_apply_step_single_modes():
-    moved = table(apply_step(WalkerState.light_cone({0: np.array([1, 0, 0, 0], dtype=complex)}, 1)))
+    # under the identity coin a step is the shift alone
+    moved = table(walk({0: np.array([1, 0, 0, 0], dtype=complex)}, np.eye(4), 1)[1])
     assert set(moved) == {-1}
     assert np.array_equal(moved[-1], np.array([0, 0, 1, 0], dtype=complex))
 
-    moved = table(apply_step(WalkerState.light_cone({5: np.array([0, 0, 0, 1], dtype=complex)}, 1)))
+    moved = table(walk({5: np.array([0, 0, 0, 1], dtype=complex)}, np.eye(4), 1)[1])
     assert set(moved) == {4}
     assert np.array_equal(moved[4], np.array([0, 1, 0, 0], dtype=complex))
 
-    moved = table(apply_step(WalkerState.light_cone({2: np.array([0, 1, 0, 0], dtype=complex)}, 1)))
+    moved = table(walk({2: np.array([0, 1, 0, 0], dtype=complex)}, np.eye(4), 1)[1])
     assert set(moved) == {3}
     assert np.array_equal(moved[3], np.array([0, 0, 0, 1], dtype=complex))
 
-    moved = table(apply_step(WalkerState.light_cone({0: np.array([0, 0, 1, 0], dtype=complex)}, 1)))
+    moved = table(walk({0: np.array([0, 0, 1, 0], dtype=complex)}, np.eye(4), 1)[1])
     assert set(moved) == {1}
     assert np.array_equal(moved[1], np.array([1, 0, 0, 0], dtype=complex))
 
@@ -98,32 +101,39 @@ def test_apply_step_is_involution():
     rng = np.random.default_rng(30)
     for _ in range(100):
         state = random_state(rng)
-        back = table(apply_step(apply_step(WalkerState.light_cone(state, 2))))
+        back = table(walk(state, np.eye(4), 2)[2])
         assert set(back) == set(state)
         for x in state:
             assert np.max(np.abs(back[x] - state[x])) == 0.0
 
 
 def test_apply_coin_identity_and_translation_invariance():
+    # one step coins every position alike, then shifts: with the identity
+    # coin it is the dense step, and with u the identity step of u @ state
     rng = np.random.default_rng(31)
     state = random_state(rng)
-    dense = WalkerState.light_cone(state, 0)
-    same = table(apply_coin(dense, constant_program(np.eye(4)), 0))
-    for x in state:
-        assert np.max(np.abs(same[x] - state[x])) == 0.0
+    same = table(walk(state, np.eye(4), 1)[1])
+    shifted = oracles.dense_evolve(state, np.eye(4), 1)
+    assert set(same) == set(shifted)
+    for x in shifted:
+        assert np.max(np.abs(same[x] - shifted[x])) == 0.0
 
     u = random_unitary(4, rng)
-    coined = table(apply_coin(dense, constant_program(u), 7))
-    for x in state:
-        assert np.max(np.abs(coined[x] - u @ state[x])) < 1e-15
+    coined = table(walk(state, u, 1)[1])
+    want = table(walk({x: u @ v for x, v in state.items()}, np.eye(4), 1)[1])
+    assert set(coined) == set(want)
+    for x in want:
+        assert np.max(np.abs(coined[x] - want[x])) < 1e-15
 
 
 def test_apply_coin_unresolvable_names_position():
-    program = CoinProgram(default=None, overrides={0: RawCoin(np.eye(4))})
+    # two identity steps bring the walkers back to 0 and 4, where step 2 has a rule for 0 only
+    identity = RawCoin(np.eye(4))
+    program = CoinProgram(default=None, overrides={0: identity}, time_table=[identity, identity])
     state = {0: np.array([1, 0, 0, 0], dtype=complex) / np.sqrt(2),
              4: np.array([1, 0, 0, 0], dtype=complex) / np.sqrt(2)}
     with pytest.raises(ProgramError) as err:
-        apply_coin(WalkerState.light_cone(state, 0), program, 2)
+        list(evolve_states(state, program, 3))
     assert "4" in str(err.value)
     assert "2" in str(err.value)
 
@@ -166,12 +176,6 @@ def test_batch_positions_are_those_any_sample_reached():
     assert batch.positions().tolist() == [-1, 1, 3]
     single = WalkerState(np.zeros((5, 4), dtype=complex), reached[2], -1)
     assert single.positions().tolist() == [1, 3]
-
-
-def test_apply_step_refuses_to_leave_the_window():
-    state = WalkerState.light_cone({0: np.array([1, 0, 0, 0], dtype=complex)}, 0)
-    with pytest.raises(ValueError):
-        apply_step(state)
 
 
 def test_evolve_zero_steps():
@@ -440,7 +444,7 @@ def test_final_state_consistent_with_record():
     coin = random_unitary(4, rng)
     init = make_initial("ccw", "D", 0)
     rec = evolve(init, constant_program(coin), 9)
-    last = final_state(init, constant_program(coin), 9)
+    last = walk(init, coin, 9)[-1]
     for x, v in table(last).items():
         assert np.max(np.abs(np.abs(v) ** 2 - step_table(rec, 9).get(x, np.zeros(4)))) < 1e-13
 
@@ -585,16 +589,14 @@ def test_coin_program_perturbation_distributions():
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=12))
 def test_apply_step_twice_is_identity_on_random_states(seed, n):
     rng = np.random.default_rng(seed)
-    # rows of Haar-coined amplitudes, some rows empty, nothing pointing off the window
+    # rows of Haar-coined amplitudes, some rows empty
     amp = np.array([random_unitary(4, rng)[:, 0] for _ in range(n + 2)])
     amp[rng.random(n + 2) < 0.3] = 0.0
-    amp[0, [CH, CCV]] = 0.0
-    amp[-1, [CV, CCH]] = 0.0
-    state = WalkerState(amp, np.any(amp != 0.0, axis=1), int(rng.integers(-5, 6)))
-    back = apply_step(apply_step(state))
-    assert np.array_equal(back.amp, state.amp)
-    assert np.array_equal(back.reached, state.reached)
-    assert back.offset == state.offset
+    state = dict(enumerate(amp, start=int(rng.integers(-5, 6))))
+    back = table(walk(state, np.eye(4), 2)[2])
+    assert set(back) == {x for x, a in state.items() if a.any()}
+    for x in back:
+        assert np.array_equal(back[x], state[x])
 
 
 def _element_coin(rng) -> ElementCoin:
