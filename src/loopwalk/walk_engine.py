@@ -9,13 +9,11 @@ order
 plus a boolean mask of the positions the walker has reached.  A walk runs
 on a window [L, R] with one drain site on each side, L - 1 and R + 1.  A
 drain site is never coined or shifted: light that a shift lands on it
-stays there until the next step, and a record, which covers the window
-alone, adds it to its drained totals (per sample in a batch).  A
-closed graph's window is its positions; a line's is the light cone
+stays there for one step, and a record, which covers the window alone,
+adds it to its drained totals (per sample in a batch).  A closed graph's
+window is its positions; a line's is the light cone
 [min(initial) - T, max(initial) + T] of T steps, whose drains nothing
-reaches.  Each step coins and shifts only the span of the reached
-positions, and records are filled over that span, so a graph walk costs
-O(T (R - L)) whatever the light cone.
+reaches.
 
 One time step applies the position/time dependent coin first and the
 flip-flop shift second.  The shift exchanges direction subspaces:
@@ -24,11 +22,18 @@ flip-flop shift second.  The shift exchanges direction subspaces:
     cV @ x  -> ccV @ x+1        ccV @ x -> cV @ x-1
 
 so applying it twice is the identity, and it flips each position's
-parity: when the reached positions share one, the span is every second
-position.  At step 0 the reached positions are those of the initial
-state; after a step, a position is reached when a nonzero coined amplitude
-shifts onto it.  Only reached positions need a coin rule, and records list
-only reached positions.
+parity.  A step coins and shifts a span of the window, computed and never
+searched: at step 0 from the lowest to the highest initial position, then
+[a - 1, b + 1) of the coined span [a, b), which leaves out the drain sites;
+every second position when the initial positions share a parity.  A graph
+walk thus costs O(T (R - L)) whatever the light cone.  Coining a position
+of zero amplitude gives zeros, so the span may hold unreached positions.
+
+At step 0 the reached positions are those the initial state lists; after
+a step, a position is reached when it holds a nonzero amplitude (not
+intensity, which underflows to zero below about 1e-162), that is when a
+nonzero coined amplitude shifted onto it.  Only reached positions need a
+coin rule, and records list only reached positions.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ from .optics import ArmSetting, OpticalElement, arm_stack, full_coin, loop_stack
 
 CH, CV, CCH, CCV = 0, 1, 2, 3
 MODE_NAMES = ("cH", "cV", "ccH", "ccV")
+_SHIFT_ORDER = [CCH, CCV, CH, CV]  # coin rows as the kernel stores them
+BLOCK_BYTES = 2**17  # bound of one block of the kernel's amplitude rows
 
 InitialState = dict  # position -> complex (4,) amplitudes, as make_initial builds it
 
@@ -332,32 +339,14 @@ class IntensityRecord:
 @dataclass
 class WalkerState:
     """Amplitudes `amp` (n, 4) on the positions offset .. offset + n - 1,
-    with `reached` (n,) marking the positions the walker has reached.
-
-    A batch has a leading sample axis, amp (S, n, 4) and reached (S, n),
-    for the samples of a sampled program (CoinProgram.sampled), each walked
-    on its own; `failed` is then the (sample, message) of the lowest-index
-    sample that reached a position without a coin rule, at the first step
-    it did (see _coin).
-    """
+    with `reached` (n,) marking the positions the walker has reached (see
+    the module docstring).  A batch has a leading sample axis, amp (S, n, 4)
+    and reached (S, n), for the samples of a sampled program
+    (CoinProgram.sampled), each walked on its own."""
 
     amp: np.ndarray
     reached: np.ndarray
     offset: int
-    failed: Optional[tuple] = None
-
-    @classmethod
-    def on(cls, initial: InitialState, lo: int, hi: int, samples: tuple = ()) -> "WalkerState":
-        """`initial` placed on the window of positions lo .. hi, once per
-        sample when `samples` is (S,)."""
-        if not initial:
-            raise ValueError("initial state has no positions")
-        amp = _zeros((*samples, hi - lo + 1, 4), complex)
-        reached = _zeros((*samples, hi - lo + 1), bool)
-        for x, a in initial.items():
-            amp[..., x - lo, :] = a
-            reached[..., x - lo] = True
-        return cls(amp, reached, int(lo))
 
     def positions(self) -> np.ndarray:
         """Positions reached by any sample, ascending."""
@@ -404,98 +393,108 @@ def _zeros(shape: tuple, dtype) -> np.ndarray:
     return np.zeros(shape, dtype)
 
 
-def _span(reached: np.ndarray, start: int = 0, step: int = 1) -> tuple:
-    """[lo, hi) of the indices start, start + step, ... any sample reached in `reached`; (start, start) if none."""
-    hit = np.flatnonzero(reached if reached.ndim == 1 else reached.any(axis=0))
-    return (start + step * int(hit[0]), start + step * int(hit[-1]) + 1) if hit.size else (start, start)
+def _start(initial: InitialState, lo: int, hi: int, samples: tuple) -> tuple:
+    """`initial` placed on the positions lo .. hi, (..., hi - lo + 1, 4),
+    once per sample when `samples` is (S,), and the indices it lists."""
+    if not initial:
+        raise ValueError("initial state has no positions")
+    amp = _zeros((*samples, hi - lo + 1, 4), complex)
+    for x, a in initial.items():
+        amp[..., x - lo, :] = a
+    return amp, np.subtract(list(initial), lo)
 
 
-def _coin(state: WalkerState, program: CoinProgram, t: int, entries, uncovered, lo: int, hi: int, step: int = 1):
-    """Coined amplitudes (..., k, 4) of the k positions lo:hi:step at step t, with (entries, uncovered)
-    the program.entries(t, ...) of the window, and the failure of a reached position.
+def _walk(start: np.ndarray, listed: np.ndarray, program: CoinProgram, lo: int, steps: int):
+    """The stepping kernel: walk `start`, listing `listed` (see _start), on
+    the positions lo, lo + 1, ... whose first and last are drain sites, and
+    yield the states after 0, 1, ..., steps steps as blocks (rows, ..., n, 4)
+    of amplitude rows, a sample axis after the row axis for a batch: `start`
+    alone, then blocks of at most BLOCK_BYTES (one row when a row is
+    larger), none used again once yielded.
 
-    A batch state (S, n, 4) takes a program whose table is (S, len(specs), 4, 4), and each sample is
-    coined from its own row; a position reached by any sample is coined in every sample (zero
-    amplitudes stay zero).  A reached position without a rule raises ProgramError naming the step
-    and the lowest such position.  In a batch the failure is kept in `failed` instead, for the
-    lowest-index failing sample at its first failing step, and _walk raises it after the last step:
-    the error running the samples one by one would raise."""
-    failed = state.failed
-    if uncovered is not None:
-        bad = np.atleast_2d(state.reached[..., lo:hi:step] & uncovered[lo:hi:step])  # a row per sample
-        failing = np.flatnonzero(bad.any(axis=1))
-        if failing.size and (failed is None or failing[0] < failed[0]):
-            failed = (int(failing[0]), _no_rule(t, state.offset + lo + step * int(np.argmax(bad[failing[0]]))))
-            if state.reached.ndim == 1:
-                raise ProgramError(failed[1])
-    coins = program.table.take(entries if len(entries) == 1 else entries[lo:hi:step], axis=-3)
-    return np.matmul(coins, state.amp[..., lo:hi:step, :, None])[..., 0], failed
+    A step coins the span (see the module docstring) with one matmul, every
+    sample at every position (zero amplitudes stay zero), and writes the
+    shifted amplitudes into a zeroed row with two strided copies: the coins,
+    resolved once over the window for each time table entry and the rule
+    after it, hold their rows in the order [ccH, ccV, cH, cV], so modes 1:3
+    move a site down and ::3 a site up.
 
-
-def _shift(coined: np.ndarray, out: WalkerState, lo: int, hi: int, step: int = 1) -> tuple:
-    """Shift the coined span lo:hi:step, which holds neither window end, into
-    `out`, zero from a site below it to a site above it; mark the positions
-    reached there, return their span."""
-    amp = out.amp
-    amp[..., lo - 1 : hi - 1 : step, CCH] = coined[..., CH]
-    amp[..., lo - 1 : hi - 1 : step, CV] = coined[..., CCV]
-    amp[..., lo + 1 : hi + 1 : step, CH] = coined[..., CCH]
-    amp[..., lo + 1 : hi + 1 : step, CCV] = coined[..., CV]
-    reached = out.reached[..., lo - 1 : hi + 1 : step] = amp[..., lo - 1 : hi + 1 : step, :].any(axis=-1)
-    return _span(reached, lo - 1, step)
-
-
-def _walk(state: WalkerState, program: CoinProgram, steps: int):
-    """The stepping kernel: yield (state, lo, hi, step) after 0, 1, ...,
-    steps steps, with lo:hi:step the span of the positions any sample
-    reached and of the drain sites, the window's ends, that light landed on
-    (see the module docstring).  The states take turns in two buffers, each
-    zeroed on its span once coined, so a yielded state lasts until the next
-    is made.  Coins after the time table are resolved once, over the window."""
-    n = state.reached.shape[-1]
-    spare = WalkerState(np.zeros_like(state.amp), np.zeros_like(state.reached), state.offset)
-    window, timed = state.offset + np.arange(n), len(program._time_entries)
-    resolved = [program.entries(t, window) for t in range(min(steps, timed + 1))]  # the last serves every later step
-    lo, hi = _span(state.reached)
-    step = 2 if np.all(np.diff(state.positions()) % 2 == 0) else 1
-    yield state, lo, hi, step
+    A reached position without a coin rule raises ProgramError naming the
+    step and the lowest such position; a batch keeps the error of the
+    lowest-index failing sample at its first failing step and raises it
+    after the last block, as running the samples one by one would."""
+    samples, n = program.table.shape[:-3], start.shape[-2]
+    rows = max(1, BLOCK_BYTES // start.nbytes)
+    block, r = start[None], 0
+    a, b = int(listed.min()), int(listed.max()) + 1
+    step = 2 if np.ptp(listed % 2) == 0 else 1  # the parity the span keeps
+    timed = len(program._time_entries)
+    interior = np.arange(lo + 1, lo + n - 1)  # the hole check runs only if one of these has no rule
+    rules = [program.entries(t, interior) for t in range(min(steps, timed + 1))]  # the last serves every later step
+    coins, failed = [], None
     for t in range(steps):
-        a = lo + step * (lo == 0)  # the span without its drain sites
-        b = max(a, hi - step * (hi == n))
-        coined, spare.failed = _coin(state, program, t, *resolved[min(t, timed)], a, b, step)
-        state.amp[..., lo:hi:step, :], state.reached[..., lo:hi:step] = 0.0, False
-        lo, hi = _shift(coined, spare, a, b, step)
-        state, spare = spare, state
-        yield state, lo, hi, step
-    if state.failed is not None:
-        raise ProgramError(state.failed[1])
+        entries, uncovered = rules[min(t, timed)]
+        a, b = a + step * (a == 0), b - step * (b == n)
+        if uncovered is not None:
+            held = np.isin(np.arange(a, b, step), listed) if t == 0 else block[r, ..., a:b:step, :].any(axis=-1)
+            bad = np.atleast_2d(held & uncovered[a - 1 : b - 1 : step])  # a row per sample
+            failing = np.flatnonzero(bad.any(axis=1))
+            if failing.size and (failed is None or failing[0] < failed[0]):
+                failed = (int(failing[0]), _no_rule(t, lo + a + step * int(np.argmax(bad[failing[0]]))))
+                if not samples:
+                    raise ProgramError(failed[1])
+        if t < len(rules):
+            coins.append(program.table[..., entries[:, None], _SHIFT_ORDER, :])
+        coin = coins[min(t, timed)]
+        coin = coin if len(entries) == 1 else coin[..., a - 1 : b - 1 : step, :, :]
+        coined = np.matmul(coin, block[r, ..., a:b:step, :, None])
+        r += 1
+        if r == len(block):
+            yield block
+            block, r = _zeros((min(rows, steps - t), *start.shape), complex), 0
+        block[r, ..., a - 1 : b - 1 : step, 1:3] = coined[..., 1:3, 0]
+        block[r, ..., a + 1 : b + 1 : step, ::3] = coined[..., ::3, 0]
+        a, b = a - 1, b + 1
+    yield block
+    if failed is not None:
+        raise ProgramError(failed[1])
 
 
 def evolve_states(initial: InitialState, program: CoinProgram, steps: int):
     """Yield the state after 0, 1, ..., steps time steps on the light cone,
-    each a fresh WalkerState, a batch when program.table has a sample axis.
-    A batch in which a sample reached a position without a coin rule raises
-    that ProgramError after its last state (see _coin)."""
-    left, right = min(initial, default=0) - steps - 1, max(initial, default=0) + steps + 1  # the cone's drain sites
-    for state, *_ in _walk(WalkerState.on(initial, left, right, program.table.shape[:-3]), program, steps):
-        yield WalkerState(state.amp[..., 1:-1, :].copy(), state.reached[..., 1:-1].copy(), state.offset + 1, state.failed)
+    rows of the kernel's blocks, a batch when program.table has a sample
+    axis.  A batch in which a sample reached a position without a coin rule
+    raises that ProgramError after its last state (see _walk)."""
+    left, right = min(initial, default=0) - steps, max(initial, default=0) + steps
+    start, listed = _start(initial, left - 1, right + 1, program.table.shape[:-3])
+    for i, block in enumerate(_walk(start, listed, program, left - 1, steps)):
+        reached = block[..., 1:-1, :].any(axis=-1)
+        if i == 0:
+            reached[..., listed - 1] = True
+        for amp, mask in zip(block[..., 1:-1, :], reached):
+            yield WalkerState(amp, mask, left)
 
 
 def evolve(initial: InitialState, program: CoinProgram, steps: int, window=None) -> IntensityRecord:
     """The walk's record on `window` = (L, R), a closed graph's positions,
     walked with a drain site on each side: (steps + 1, R - L + 1, 4)
     intensities and the drained totals.  The default window is the light
-    cone."""
+    cone.  Each block of the kernel becomes intensities and reached masks
+    with one abs, one square and one any."""
     left, right = window or (min(initial, default=0) - steps, max(initial, default=0) + steps)
     if initial and not left <= min(initial) <= max(initial) <= right:
         raise ValueError(f"initial state outside the window [{left}, {right}]")
-    state = WalkerState.on(initial, left - 1, right + 1, program.table.shape[:-3])
-    intensities, reached = _zeros((steps + 1, *state.amp.shape), float), _zeros((steps + 1, *state.reached.shape), bool)
-    for t, (state, lo, hi, step) in enumerate(_walk(state, program, steps)):  # the record, filled over each span
-        intensities[t, ..., lo:hi:step, :] = np.abs(state.amp[..., lo:hi:step, :]) ** 2
-        reached[t, ..., lo:hi:step] = state.reached[..., lo:hi:step]
-    drained = np.cumsum(intensities[..., :: intensities.shape[-2] - 1, :].sum(axis=(-2, -1)), axis=0)
-    return IntensityRecord(intensities[..., 1:-1, :], reached[..., 1:-1], state.offset + 1, drained)
+    start, listed = _start(initial, left - 1, right + 1, program.table.shape[:-3])
+    intensities, reached = _zeros((steps + 1, *start.shape), float), _zeros((steps + 1, *start.shape[:-1]), bool)
+    t = 0
+    for block in _walk(start, listed, program, left - 1, steps):
+        cells = intensities[t : t + len(block)]
+        np.square(np.abs(block, out=cells), out=cells)
+        np.any(block, axis=-1, out=reached[t : t + len(block)])
+        t += len(block)
+    reached[0, ..., listed] = True
+    drained = np.cumsum(intensities[..., :: start.shape[-2] - 1, :].sum(axis=(-2, -1)), axis=0)
+    return IntensityRecord(intensities[..., 1:-1, :], reached[..., 1:-1], left, drained)
 
 
 TRACE_LABELS = {

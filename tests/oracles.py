@@ -126,27 +126,35 @@ def dense_evolve(initial: dict, coin: np.ndarray, steps: int) -> dict:
     return out
 
 
-def sitewise_evolve(initial: dict, program, steps: int) -> list:
+def sitewise_evolve(initial: dict, program, steps: int, window=None) -> tuple:
     """The walk one position at a time, with a {position: amplitudes} state.
 
     Each position present is coined with program.coin_at(t, x) @ amplitude
     and each nonzero coined amplitude is moved on its own, so a position is
     present after a step exactly when a nonzero amplitude landed on it.
-    Returns, per step, {position: (4,) intensities}.
+    With a window (L, R), an amplitude that lands outside it adds its
+    intensity to the drained total and is dropped.  Returns, per step,
+    {position: (4,) intensities} and the total drained in the steps so far.
     """
     state = {x: np.array(a, dtype=complex) for x, a in initial.items()}
-    record = [{x: np.abs(a) ** 2 for x, a in state.items()}]
+    record, drained = [{x: np.abs(a) ** 2 for x, a in state.items()}], [0.0]
     moves = ((CH, -1, CCH), (CV, +1, CCV), (CCH, +1, CH), (CCV, -1, CV))
     for t in range(steps):
         new: dict = {}
+        lost = drained[-1]
         for x, amp in state.items():
             coined = program.coin_at(t, x) @ amp
             for mode, dx, to in moves:
-                if coined[mode] != 0.0:
+                if coined[mode] == 0.0:
+                    continue
+                if window is not None and not window[0] <= x + dx <= window[1]:
+                    lost += abs(coined[mode]) ** 2
+                else:
                     new.setdefault(x + dx, np.zeros(MODES, dtype=complex))[to] += coined[mode]
         state = new
         record.append({x: np.abs(a) ** 2 for x, a in state.items()})
-    return record
+        drained.append(lost)
+    return record, drained
 
 
 def path_enumeration_2d(initial: dict, coin2: np.ndarray, steps: int) -> dict:

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopwalk import walk_engine
 from loopwalk.optics import ArmSetting, OpticalElement, full_coin, hwp_matrix, qwp_matrix
 from loopwalk.walk_engine import (
     CCH,
@@ -46,6 +49,15 @@ def walk(state, coin, steps):
 def step_table(rec, t):
     """Step t of a record as {position: intensities} over its reached positions."""
     return dict(zip(rec.positions(t).tolist(), rec.intensity(t)))
+
+
+def blocks_of(rows, init, steps, window=None, samples=1):
+    """The kernel's block bound patched so that a walk of `init` on `window`
+    (default the light cone) makes blocks of `rows` rows, or one block of
+    every step for rows None."""
+    left, right = window or (min(init) - steps, max(init) + steps)
+    row_bytes = samples * (right - left + 3) * 4 * 16
+    return mock.patch.object(walk_engine, "BLOCK_BYTES", (rows or steps + 1) * row_bytes)
 
 
 def random_state(rng, width=5, slots=7):
@@ -259,9 +271,43 @@ def test_evolve_equals_sitewise_walk_bit_for_bit():
             20,
         ),
     ]
+    # a second position in one mode at 1e-170, whose intensity underflows to
+    # 0.0: it is reached wherever its amplitude is nonzero
+    tiny = np.zeros(4, dtype=complex)
+    tiny[CCV] = 1e-170
+    cases.append(({**make_initial("cw", "D", 0), 7: tiny}, constant_program(random_unitary(4, rng)), 30))
+    assert evolve(cases[-1][0], cases[-1][1], 0).intensity(0)[1].tolist() == [0.0] * 4
     for init, program, steps in cases:
         rec = evolve(init, program, steps)
-        want = oracles.sitewise_evolve(init, program, steps)
+        want, _ = oracles.sitewise_evolve(init, program, steps)
+        for t in range(steps + 1):
+            assert rec.positions(t).tolist() == sorted(want[t])
+            got = step_table(rec, t)
+            for x in want[t]:
+                assert np.array_equal(got[x], want[t][x])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, None])
+def test_window_walk_equals_sitewise_walk_with_drains(rows):
+    # light that leaves the window drains away: a Haar line walk on a window
+    # narrower than its light cone, and the leaky ring of
+    # test_window_walk_drains_a_leaking_ring, in blocks of each size
+    from loopwalk.graph_programs import ring_chain
+
+    rng = np.random.default_rng(45)
+    haar = constant_program(random_unitary(4, rng))
+    leaky = CoinProgram(default=ring_chain((0, 4), "hadamard_like")[0].default)
+    cases = [
+        (make_initial("ccw", "D", 0), haar, 40, (-5, 7)),
+        ({-1: random_unitary(4, rng)[:, 0] / oracles.SQ2, 2: random_unitary(4, rng)[:, 1] / oracles.SQ2}, haar, 25, (-2, 2)),
+        (make_initial("ccw", "V", 1), leaky, 24, (0, 4)),
+    ]
+    for init, program, steps, window in cases:
+        with blocks_of(rows, init, steps, window):
+            rec = evolve(init, program, steps, window)
+        want, drained = oracles.sitewise_evolve(init, program, steps, window)
+        assert drained[-1] > 1e-3
+        assert np.max(np.abs(rec.drained - drained)) <= 1e-15
         for t in range(steps + 1):
             assert rec.positions(t).tolist() == sorted(want[t])
             got = step_table(rec, t)
@@ -291,12 +337,14 @@ _KINDS = st.sampled_from(("haar", "diagonal", "permutation", "lossy"))
     st.lists(_KINDS, min_size=1, max_size=6),
     st.lists(_KINDS, max_size=5),
     st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4, unique=True),
-    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=30),
+    st.sampled_from((1, 2, 3, None)),
 )
-def test_span_kernel_equals_sitewise_walk_bit_for_bit(seed, kinds, timed, starts, steps):
+def test_span_kernel_equals_sitewise_walk_bit_for_bit(seed, kinds, timed, starts, steps, rows):
     # the default coin, overrides at random positions and a time table, on
     # an initial state with gaps and some empty modes; evolve and three
-    # sampled copies through evolve_states walk as the sitewise oracle does
+    # sampled copies through evolve_states walk as the sitewise oracle does,
+    # in blocks of 1, 2 or 3 rows or of every step
     rng = np.random.default_rng(seed)
     program = CoinProgram(
         default=_kind_coin(rng, kinds[0]),
@@ -309,10 +357,12 @@ def test_span_kernel_equals_sitewise_walk_bit_for_bit(seed, kinds, timed, starts
         amp[rng.random(4) < 0.4] = 0.0
         amp[rng.integers(4)] = 1.0
         init[x] = amp / np.linalg.norm(amp)
-    want = oracles.sitewise_evolve(init, program, steps)
-    rec = evolve(init, program, steps)
-    copies = program.sampled(np.zeros((3, 0)))
-    for t, state in enumerate(evolve_states(init, copies, steps)):
+    want, _ = oracles.sitewise_evolve(init, program, steps)
+    with blocks_of(rows, init, steps):
+        rec = evolve(init, program, steps)
+    with blocks_of(rows, init, steps, samples=3):
+        states = list(evolve_states(init, program.sampled(np.zeros((3, 0))), steps))
+    for t, state in enumerate(states):
         assert rec.positions(t).tolist() == sorted(want[t])
         got = step_table(rec, t)
         for s in range(3):
