@@ -39,14 +39,7 @@ from .dispersion import (
     shift_bloch,
     wavefront_speeds,
 )
-from .graph_programs import (
-    CircleSpec,
-    FigureEightSpec,
-    MappedRecord,
-    SiteMap,
-    map_sites,
-    ring_chain,
-)
+from .graph_programs import MappedRecord, SiteMap, map_sites, ring_chain
 from .linalg_core import (
     assert_unitary,
     unitarity_defect,
@@ -91,14 +84,12 @@ __all__ = [
     "CCH",
     "CCV",
     "CV",
-    "CircleSpec",
     "CoinProgram",
     "ConfigError",
     "Crossing",
     "DispersionSpectrum",
     "ElementCoin",
     "ErrorBarReport",
-    "FigureEightSpec",
     "IntensityRecord",
     "MODE_NAMES",
     "MappedRecord",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .analysis import WalkSetup, find_revivals, monte_carlo_error_bars
 from .coin_synthesis import factor_universal, one_trip_test, su2_normalize
-from .config import ConfigError, RunConfig, parse_config
+from .config import GRAPHS, ConfigError, RunConfig, parse_config
 from .dispersion import band_structure, classify_crossings, group_velocities, wavefront_speeds
 from .graph_programs import map_sites
 from .walk_engine import MODE_NAMES, TRACE_LABELS, evolve, trace_intensities
@@ -191,13 +191,6 @@ def _steps(cfg: RunConfig, args) -> int:
     return cfg.steps
 
 
-def _require_kind(cfg: RunConfig, allowed, command: str):
-    if cfg.kind not in allowed:
-        raise ConfigError(
-            f"{command}: config kind {cfg.kind!r} not usable here; expected one of {sorted(allowed)}"
-        )
-
-
 _TRACE_THIRD_COLUMN = {
     "full": "mode",
     "sum_polarization": "subspace",
@@ -206,7 +199,6 @@ _TRACE_THIRD_COLUMN = {
 
 
 def _cmd_simulate(cfg: RunConfig, args) -> str:
-    _require_kind(cfg, {"line"}, "simulate")
     steps = _steps(cfg, args)
     record = evolve(cfg.initial, cfg.program, steps)
     step_index, site = np.nonzero(record.reached)
@@ -231,9 +223,7 @@ def _mapped_record(site_map, record):
     return mapped
 
 
-def _cmd_graph(cfg: RunConfig, args, command: str) -> str:
-    kind = {"circle": "circle", "figure-eight": "figure_eight"}[command]
-    _require_kind(cfg, {kind}, command)
+def _cmd_graph(cfg: RunConfig, args) -> str:
     steps = _steps(cfg, args)
     mapped = _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, steps, cfg.site_map.span))
     header = ["step", "node", "mode", "intensity"]
@@ -245,7 +235,6 @@ def _cmd_graph(cfg: RunConfig, args, command: str) -> str:
 
 
 def _cmd_revivals(cfg: RunConfig, args) -> str:
-    _require_kind(cfg, {"circle", "figure_eight"}, "revivals")
     if not 0.0 <= args.tol < 1.0:  # similarities lie in [0, 1]; NaN fails too
         raise ConfigError(f"--tol must lie in [0, 1), got {args.tol!r}")
     steps = _steps(cfg, args)
@@ -256,7 +245,6 @@ def _cmd_revivals(cfg: RunConfig, args) -> str:
 
 
 def _cmd_dispersion(cfg: RunConfig, args) -> str:
-    _require_kind(cfg, {"dispersion"}, "dispersion")
     spec = band_structure(cfg.coin_matrix, n_k=cfg.n_k)
     vg = group_velocities(spec)
     fronts = wavefront_speeds(spec, merge_tol=cfg.merge_tol)
@@ -290,7 +278,6 @@ def _cmd_dispersion(cfg: RunConfig, args) -> str:
 
 
 def _cmd_decompose(cfg: RunConfig, args) -> str:
-    _require_kind(cfg, {"decompose"}, "decompose")
     passed, witness = one_trip_test(cfg.target, rel_tol=cfg.rel_tol)
     fact = factor_universal(cfg.target)
     if fact.residual > cfg.rel_tol:
@@ -325,7 +312,6 @@ def _cmd_decompose(cfg: RunConfig, args) -> str:
 
 
 def _cmd_errorbars(cfg: RunConfig, args) -> str:
-    _require_kind(cfg, {"errorbars"}, "errorbars")
     base = cfg.base
     steps = _steps(base, args)
     if args.seed is not None and args.seed < 0:
@@ -373,11 +359,22 @@ def _cmd_errorbars(cfg: RunConfig, args) -> str:
     return _render(header, _blocks(header, *blocks), args.format)
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", required=True, help="YAML run configuration")
-    sub.add_argument("--steps", type=int, default=None, help="override step count")
-    sub.add_argument("--out", default=None, help="write output here instead of stdout")
-    sub.add_argument("--format", choices=("csv", "table"), default="csv")
+# per subcommand: its help, the config kinds it takes, its function and its own flags
+_COMMANDS = {
+    "simulate": ("walk on the line", ("line",), _cmd_simulate, {
+        "--trace": dict(choices=(*TRACE_LABELS, "sum_all"), default="full", help="how far to collapse the mode axis"),
+    }),
+    "circle": ("walk on a closed ring", ("circle",), _cmd_graph, {}),
+    "figure-eight": ("walk on two rings sharing a node", ("figure_eight",), _cmd_graph, {}),
+    "revivals": ("detect full-state returns on a closed graph", tuple(GRAPHS), _cmd_revivals, {
+        "--tol": dict(type=float, default=1e-6, help="similarity shortfall allowed"),
+    }),
+    "dispersion": ("band structure, front speeds, crossings", ("dispersion",), _cmd_dispersion, {}),
+    "decompose": ("factor a four-mode coin into round trips", ("decompose",), _cmd_decompose, {}),
+    "errorbars": ("Monte Carlo spread under element noise", ("errorbars",), _cmd_errorbars, {
+        "--seed": dict(type=int, default=None, help="override sampling seed"),
+    }),
+}
 
 
 @functools.cache
@@ -389,59 +386,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulate and analyze four-mode walks in a looped interferometer",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("simulate", help="walk on the line")
-    _add_common(p)
-    p.add_argument(
-        "--trace",
-        choices=("full", "sum_polarization", "sum_direction", "sum_all"),
-        default="full",
-        help="how far to collapse the mode axis",
-    )
-
-    for name, blurb in (
-        ("circle", "walk on a closed ring"),
-        ("figure-eight", "walk on two rings sharing a node"),
-    ):
+    for name, (blurb, _, _, flags) in _COMMANDS.items():
         p = subs.add_parser(name, help=blurb)
-        _add_common(p)
-
-    p = subs.add_parser("revivals", help="detect full-state returns on a closed graph")
-    _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="similarity shortfall allowed")
-
-    p = subs.add_parser("dispersion", help="band structure, front speeds, crossings")
-    _add_common(p)
-
-    p = subs.add_parser("decompose", help="factor a four-mode coin into round trips")
-    _add_common(p)
-
-    p = subs.add_parser("errorbars", help="Monte Carlo spread under element noise")
-    _add_common(p)
-    p.add_argument("--seed", type=int, default=None, help="override sampling seed")
-
+        p.add_argument("--config", required=True, help="YAML run configuration")
+        p.add_argument("--steps", type=int, default=None, help="override step count")
+        p.add_argument("--out", default=None, help="write output here instead of stdout")
+        p.add_argument("--format", choices=("csv", "table"), default="csv")
+        for flag, options in flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "revivals": _cmd_revivals,
-    "dispersion": _cmd_dispersion,
-    "decompose": _cmd_decompose,
-    "errorbars": _cmd_errorbars,
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _, kinds, run, _ = _COMMANDS[args.command]
     try:
         cfg = parse_config(args.config)
-        if args.command in ("circle", "figure-eight"):
-            text = _cmd_graph(cfg, args, args.command)
-        else:
-            text = _COMMANDS[args.command](cfg, args)
-        _emit(text, args.out)
+        if cfg.kind not in kinds:
+            raise ConfigError(
+                f"{args.command}: config kind {cfg.kind!r} not usable here; expected one of {sorted(kinds)}"
+            )
+        _emit(run(cfg, args), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -3,12 +3,19 @@
 Configs are YAML mappings with a `kind` discriminator.  Validation is
 strict: unknown keys anywhere are rejected, matrices must come as separate
 real/imaginary row arrays of the right shape, and matrices promised
-unitary are certified at parse time.  All validation failures raise
+unitary are certified at parse time.  Integers that become positions or
+array sizes lie within 2**62 of zero, so a position plus any step count
+that can be allocated stays an int64.  All validation failures raise
 ConfigError (the CLI maps these to exit code 2).
+
+The graph kinds are the rows of GRAPHS: each is a chain of rings
+(graph_programs.ring_chain) whose stops its row makes from the kind's
+integer keys.  KINDS and the parsers are built from that table.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -16,12 +23,10 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .graph_programs import FLAVORS, CircleSpec, FigureEightSpec, SiteMap, ring_chain
+from .graph_programs import FLAVORS, SiteMap, ring_chain
 from .linalg_core import unitarity_defect
 from .optics import ArmSetting, OpticalElement
 from .walk_engine import CCH, CCV, CH, CV, CoinProgram, ElementCoin, InitialState, RawCoin, make_initial
-
-KINDS = ("line", "circle", "figure_eight", "dispersion", "decompose", "errorbars")
 
 # libyaml's safe loader when PyYAML was built with it; it shares
 # yaml.SafeLoader's constructor and resolver, so it returns the same objects
@@ -65,9 +70,11 @@ def _tolerance(v, ctx: str) -> float:
     return x
 
 
-def _integer(v, ctx: str) -> int:
+def _integer(v, ctx: str, bounded: bool = True) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{ctx}: expected an integer, got {v!r}")
+    if bounded and abs(v) > 2**62:
+        raise ConfigError(f"{ctx}: must lie within 2**62 of zero, got {v!r}")
     return v
 
 
@@ -196,16 +203,29 @@ def _parse_line(d: dict) -> RunConfig:
     return RunConfig(kind="line", program=CoinProgram(default=coin), initial=initial, steps=steps)
 
 
-# per graph kind: spec class, its integer keys with defaults (None: required),
-# default flavor and default step count
-_GRAPHS = {
-    "circle": (CircleSpec, {"num_sites": None, "left_end": 0}, "hadamard_like", 25),
-    "figure_eight": (FigureEightSpec, {"left_end": -4, "center": 0, "right_end": 4}, "non_mixing", 32),
+def _circle_stops(num_sites: int, left_end: int) -> tuple:
+    if num_sites < 4 or num_sites % 2 != 0:
+        raise ConfigError(f"circle: num_sites must be even and at least 4, got {num_sites}")
+    return (left_end, left_end + num_sites // 2)
+
+
+def _figure_eight_stops(left_end: int, center: int, right_end: int) -> tuple:
+    if not left_end < center < right_end:
+        raise ConfigError(f"figure_eight: need left_end < center < right_end, got {left_end}, {center}, {right_end}")
+    return (left_end, center, right_end)
+
+
+# per graph kind: the function turning its integer keys into the stops of its
+# ring chain, those keys with their defaults (None: required), default flavor
+# and default step count
+GRAPHS = {
+    "circle": (_circle_stops, {"num_sites": None, "left_end": 0}, "hadamard_like", 25),
+    "figure_eight": (_figure_eight_stops, {"left_end": -4, "center": 0, "right_end": 4}, "non_mixing", 32),
 }
 
 
 def _parse_graph(d: dict, kind: str) -> RunConfig:
-    spec_class, keys, default_flavor, default_steps = _GRAPHS[kind]
+    make_stops, keys, default_flavor, default_steps = GRAPHS[kind]
     flavor = _take(d, "flavor", kind, default=default_flavor)
     ints = {
         key: _integer(_take(d, key, kind, required=default is None, default=default), f"{kind}.{key}")
@@ -218,18 +238,15 @@ def _parse_graph(d: dict, kind: str) -> RunConfig:
         raise ConfigError(f"{kind}.steps: must be nonnegative")
     if flavor not in FLAVORS:
         raise ConfigError(f"{kind}.flavor: unknown flavor {flavor!r}")
-    try:
-        spec = spec_class(flavor=flavor, **ints)
-    except ValueError as exc:
-        raise ConfigError(f"{kind}: {exc}") from exc
+    stops = make_stops(**ints)
     ((x, amp),) = initial.items()
-    left, right = spec.stops[0], spec.stops[-1]
+    left, right = stops[0], stops[-1]
     if not left <= x <= right:
         raise ConfigError(f"{kind}.initial.position: {x} is not on the graph [{left}, {right}]")
     # at an end only the modes the shift carries back onto the graph may start
     if (x == left and (amp[CH] or amp[CCV])) or (x == right and (amp[CV] or amp[CCH])):
         raise ConfigError(f"{kind}.initial: the start at end {x} points off the graph")
-    program, site_map = ring_chain(spec.stops, spec.flavor)
+    program, site_map = ring_chain(stops, flavor)
     return RunConfig(kind=kind, program=program, initial=initial, steps=steps, site_map=site_map)
 
 
@@ -258,12 +275,12 @@ def _parse_decompose(d: dict) -> RunConfig:
 def _parse_errorbars(d: dict) -> RunConfig:
     base_obj = _mapping(_take(d, "base", "errorbars", required=True), "errorbars.base")
     base = parse_config_dict(base_obj, ctx="errorbars.base")
-    if base.kind not in ("line", "circle", "figure_eight"):
+    if base.kind not in ("line", *GRAPHS):
         raise ConfigError(f"errorbars.base: kind {base.kind!r} cannot be sampled")
     n_samples = _integer(_take(d, "n_samples", "errorbars", default=1000), "errorbars.n_samples")
     angle_err = _number(_take(d, "angle_err_deg", "errorbars", default=1.0), "errorbars.angle_err_deg")
     eff_err = _number(_take(d, "eff_err", "errorbars", default=0.025), "errorbars.eff_err")
-    seed = _integer(_take(d, "seed", "errorbars", default=0), "errorbars.seed")
+    seed = _integer(_take(d, "seed", "errorbars", default=0), "errorbars.seed", bounded=False)
     distribution = _take(d, "distribution", "errorbars", default="uniform")
     renormalize = _take(d, "renormalize", "errorbars", default=True)
     support = _take(d, "support", "errorbars")
@@ -286,7 +303,7 @@ def _parse_errorbars(d: dict) -> RunConfig:
         ):
             raise ConfigError("errorbars.support: expected a nonempty list of integers")
         if base.site_map is None:
-            raise ConfigError("errorbars.support: only meaningful for circle/figure_eight bases")
+            raise ConfigError(f"errorbars.support: only meaningful for {'/'.join(GRAPHS)} bases")
         for i, node in enumerate(support):
             if not 0 <= node < base.site_map.num_nodes:
                 raise ConfigError(f"errorbars.support: node {node} is not in [0, {base.site_map.num_nodes})")
@@ -309,12 +326,12 @@ def _parse_errorbars(d: dict) -> RunConfig:
 
 _PARSERS = {
     "line": _parse_line,
-    "circle": lambda d: _parse_graph(d, "circle"),
-    "figure_eight": lambda d: _parse_graph(d, "figure_eight"),
+    **{kind: functools.partial(_parse_graph, kind=kind) for kind in GRAPHS},
     "dispersion": _parse_dispersion,
     "decompose": _parse_decompose,
     "errorbars": _parse_errorbars,
 }
+KINDS = tuple(_PARSERS)
 
 
 def parse_config_dict(obj, ctx: str = "config") -> RunConfig:

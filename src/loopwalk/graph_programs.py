@@ -84,59 +84,6 @@ def _center_coin(flavor: str) -> ElementCoin:
     return ElementCoin(arm, arm, (_qwp(45.0),))
 
 
-def _check_flavor(flavor: str):
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
-
-
-@dataclass(frozen=True)
-class CircleSpec:
-    """Closed walk on num_sites = 2N nodes: the one-ring chain with stops
-    left_end and left_end + N."""
-
-    num_sites: int
-    left_end: int = 0
-    flavor: str = "hadamard_like"
-
-    def __post_init__(self):
-        if self.num_sites < 4 or self.num_sites % 2 != 0:
-            raise ValueError(f"num_sites must be even and at least 4, got {self.num_sites}")
-        _check_flavor(self.flavor)
-
-    @property
-    def stops(self) -> tuple:
-        return (self.left_end, self.left_end + self.num_sites // 2)
-
-
-@dataclass(frozen=True)
-class FigureEightSpec:
-    """Two circles sharing the center position: the two-ring chain with
-    stops left_end, center and right_end."""
-
-    left_end: int = -4
-    center: int = 0
-    right_end: int = 4
-    flavor: str = "non_mixing"
-
-    def __post_init__(self):
-        if not (self.left_end < self.center < self.right_end):
-            raise ValueError(
-                f"need left_end < center < right_end, got "
-                f"{self.left_end}, {self.center}, {self.right_end}"
-            )
-        _check_flavor(self.flavor)
-
-    @property
-    def stops(self) -> tuple:
-        return (self.left_end, self.center, self.right_end)
-
-    @property
-    def num_nodes(self) -> int:
-        n_l = self.center - self.left_end
-        n_r = self.right_end - self.center
-        return 2 * n_l + 2 * n_r - 1
-
-
 @dataclass(frozen=True, eq=False)
 class SiteMap:
     """Bijection between (line position, direction subspace) and node index.
@@ -172,7 +119,8 @@ def ring_chain(stops, flavor: str):
     therefore shares perturbation draws in error sampling).  Nodes are
     numbered by the rule in the module docstring.
     """
-    _check_flavor(flavor)
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}; expected one of {FLAVORS}")
     s = np.asarray(stops)
     if s.ndim != 1 or len(s) < 2 or s.dtype.kind not in "iu" or np.any(np.diff(s) <= 0):
         raise ValueError(f"stops must be at least two ascending integers, got {stops!r}")

@@ -204,15 +204,6 @@ class CoinProgram:
         self._table = None  # on first use
         self._overrides = None  # (override positions ascending, entry per slot), on first use
 
-    def _entry(self, t: int, x: int) -> int:
-        if 0 <= t < len(self._time_entries):
-            return self._time_entries[t]
-        if x in self._override_entries:
-            return self._override_entries[x]
-        if self.default is not None:
-            return 0
-        raise ProgramError(_no_rule(t, x))
-
     @property
     def table(self) -> np.ndarray:
         """The read-only matrices of `specs`, (len(specs), 4, 4), built once
@@ -223,7 +214,10 @@ class CoinProgram:
         return self._table
 
     def coin_at(self, t: int, x: int) -> np.ndarray:
-        return self.table[..., self._entry(t, x), :, :]
+        (entry,), uncovered = self.entries(t, np.array([x]))
+        if uncovered is not None:
+            raise ProgramError(_no_rule(t, x))
+        return self.table[..., entry, :, :]
 
     def entries(self, t: int, positions: np.ndarray):
         """The entries of `specs` serving a nonempty array of positions at

@@ -29,7 +29,7 @@ from loopwalk.coin_synthesis import (
     three_step_schedule,
 )
 from loopwalk.dispersion import band_structure, classify_crossings, wavefront_speeds
-from loopwalk.graph_programs import CircleSpec, map_sites, ring_chain
+from loopwalk.graph_programs import map_sites, ring_chain
 from loopwalk.linalg_core import unitarity_defect, wrap_phase
 from loopwalk.optics import (
     ArmSetting,
@@ -229,8 +229,7 @@ def test_criterion_08_circle_integrity():
     worst_norm = 0.0
     for num_sites in (4, 8, 10, 16):
         for flavor in ("hadamard_like", "non_mixing"):
-            spec = CircleSpec(num_sites=num_sites, left_end=0, flavor=flavor)
-            program, smap = ring_chain(spec.stops, spec.flavor)
+            program, smap = ring_chain((0, num_sites // 2), flavor)
             rec = evolve(make_initial("ccw", "V", 1), program, 25)
             mapped = map_sites(smap, rec)
             worst_leak = max(worst_leak, mapped.max_leakage)
@@ -244,14 +243,12 @@ def test_criterion_08_circle_integrity():
 
 def test_criterion_09_revivals():
     t0 = time.perf_counter()
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "hadamard_like")
     mapped = map_sites(smap, evolve(make_initial("ccw", "V", 1), program, 24))
     events = {(s, sh, kind) for s, sh, kind in find_revivals(mapped, tol=1e-6) if s > 0}
     assert (24, 0, "perfect") in events
 
-    spec = CircleSpec(num_sites=4, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 2), "hadamard_like")
     mapped = map_sites(smap, evolve(make_initial("ccw", "V", 1), program, 8))
     events4 = {(s, sh, kind) for s, sh, kind in find_revivals(mapped, tol=1e-6)}
     assert (4, 2, "shifted") in events4
@@ -261,8 +258,7 @@ def test_criterion_09_revivals():
 
 def test_criterion_10_equidistribution():
     t0 = time.perf_counter()
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "hadamard_like")
     mapped = map_sites(smap, evolve(make_initial("ccw", "V", 1), program, 11))
     s = equidistribution_similarity(mapped, 11, [1, 3, 5, 7])
     assert s >= 0.99
@@ -329,8 +325,7 @@ def test_criterion_14_balanced_coin_identity():
 
 def test_criterion_15_monte_carlo_determinism_and_convergence():
     t0 = time.perf_counter()
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "hadamard_like")
     setup = WalkSetup(
         program=program,
         initial=make_initial("ccw", "V", 1),

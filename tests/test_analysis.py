@@ -13,7 +13,7 @@ from loopwalk.analysis import (
     similarity,
 )
 from loopwalk.config import parse_config
-from loopwalk.graph_programs import CircleSpec, FigureEightSpec, map_sites, ring_chain
+from loopwalk.graph_programs import map_sites, ring_chain
 from loopwalk.optics import ArmSetting, OpticalElement
 from loopwalk.walk_engine import (
     CoinProgram,
@@ -68,8 +68,7 @@ def test_similarity_resolved_flag():
 
 
 def test_equidistribution_similarity():
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "hadamard_like")
     rec = evolve(make_initial("ccw", "V", 1), program, 12)
     mapped = map_sites(smap, rec)
 
@@ -85,8 +84,7 @@ def test_equidistribution_similarity():
 
 
 def test_find_revivals_hadamard_like_circle():
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "hadamard_like")
     mapped = map_sites(smap, evolve(make_initial("ccw", "V", 1), program, 24))
     revivals = find_revivals(mapped)
     perfect = [r for r in revivals if r[2] == "perfect" and r[0] > 0]
@@ -96,8 +94,7 @@ def test_find_revivals_hadamard_like_circle():
 
 
 def test_find_revivals_four_site_circle():
-    spec = CircleSpec(num_sites=4, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 2), "hadamard_like")
     mapped = map_sites(smap, evolve(make_initial("ccw", "V", 1), program, 8))
     revivals = find_revivals(mapped)
     shifted = [r for r in revivals if r[0] == 4]
@@ -108,8 +105,7 @@ def test_find_revivals_four_site_circle():
 
 def test_find_revivals_non_mixing_period():
     for num_sites in (4, 6, 8, 10, 16):
-        spec = CircleSpec(num_sites=num_sites, left_end=0, flavor="non_mixing")
-        program, smap = ring_chain(spec.stops, spec.flavor)
+        program, smap = ring_chain((0, num_sites // 2), "non_mixing")
         mapped = map_sites(smap, evolve(make_initial("ccw", "H", 1), program, 2 * num_sites))
         revivals = find_revivals(mapped)
         perfect_steps = [r[0] for r in revivals if r[2] == "perfect" and r[0] > 0]
@@ -124,14 +120,14 @@ def test_find_revivals_matches_shift_by_shift_search():
     # small rings against one similarity call per step and shift, and the
     # recipe rings over 2,000 steps against the step-by-step search
     specs = [
-        CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like"),
-        CircleSpec(num_sites=10, left_end=-1, flavor="non_mixing"),
-        CircleSpec(num_sites=4, left_end=2, flavor="hadamard_like"),
-        FigureEightSpec(-4, 0, 4, flavor="non_mixing"),
+        ((0, 4), "hadamard_like"),  # circles of 8, 10 and 4 sites
+        ((-1, 4), "non_mixing"),
+        ((2, 4), "hadamard_like"),
+        ((-4, 0, 4), "non_mixing"),  # the figure-eight
     ]
-    for spec in specs:
-        program, smap = ring_chain(spec.stops, spec.flavor)
-        start = spec.stops[0] + 1
+    for stops, flavor in specs:
+        program, smap = ring_chain(stops, flavor)
+        start = stops[0] + 1
         mapped = map_sites(smap, evolve(make_initial("ccw", "V", start), program, 3 * smap.num_nodes))
         p0 = mapped.distribution_vector(0)
         want = [
@@ -153,8 +149,7 @@ def test_find_revivals_matches_shift_by_shift_search():
 
 
 def test_monte_carlo_zero_error_is_exactly_zero():
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "hadamard_like")
     setup = WalkSetup(
         program=program,
         initial=make_initial("ccw", "V", 1),
@@ -170,8 +165,7 @@ def test_monte_carlo_zero_error_is_exactly_zero():
 
 
 def test_monte_carlo_seed_reproducibility():
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "hadamard_like")
     setup = WalkSetup(
         program=program,
         initial=make_initial("ccw", "V", 1),
@@ -192,8 +186,7 @@ def test_monte_carlo_seed_reproducibility():
 
 
 def test_monte_carlo_similarity_fields():
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "hadamard_like")
     setup = WalkSetup(
         program=program,
         initial=make_initial("ccw", "V", 1),
@@ -227,8 +220,7 @@ def test_monte_carlo_argument_errors():
 
 
 def test_monte_carlo_empty_support_raises():
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "hadamard_like")
     setup = WalkSetup(program=program, initial=make_initial("ccw", "V", 1), steps=4, site_map=smap, support=[])
     with pytest.raises(ValueError, match="support must not be empty"):
         monte_carlo_error_bars(setup, n_samples=2)

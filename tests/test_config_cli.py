@@ -106,6 +106,9 @@ def test_initial_defaults_and_overrides():
     )
     assert set(cfg.initial) == {3}
     assert cfg.initial[3][1] == 1.0
+    # positions may lie anywhere within 2**62 of zero, the ends included
+    for x in (2**62, -(2**62)):
+        assert set(parse_config_dict(line_cfg(initial={"position": x})).initial) == {x}
 
     with pytest.raises(ConfigError, match="initial"):
         parse_config_dict(line_cfg(initial={"direction": "sideways"}))
@@ -310,6 +313,8 @@ def test_errorbars_validation():
     assert ok.eff_err == 0.025
     assert ok.distribution == "uniform"
     assert ok.renormalize is True
+    # numpy takes any nonnegative seed, so the seed alone has no upper bound
+    assert parse_config_dict({"kind": "errorbars", "base": base, "seed": 10**30}).seed == 10**30
 
     with pytest.raises(ConfigError, match="cannot be sampled"):
         parse_config_dict(
@@ -600,18 +605,89 @@ NAN_IDENTITY = {"re": [[NAN if i == j == 0 else float(i == j) for j in range(4)]
         ("errorbars", {"kind": "errorbars", "base": line_cfg(), "eff_err": 2.0}, "errorbars.eff_err: must be below 1, got 2.0"),
         # numpy's default_rng raises its own ValueError on a negative seed
         ("errorbars", {"kind": "errorbars", "base": line_cfg(), "seed": -5}, "errorbars.seed: must be nonnegative, got -5"),
+        # integers that become positions or array sizes lie within 2**62 of zero
+        (
+            "dispersion",
+            {"kind": "dispersion", "coin": HADAMARD_COIN, "n_k": 10**20},
+            "dispersion.n_k: must lie within 2**62 of zero, got 100000000000000000000",
+        ),
+        (
+            "circle",
+            {"kind": "circle", "num_sites": 10**20},
+            "circle.num_sites: must lie within 2**62 of zero, got 100000000000000000000",
+        ),
+        (
+            "circle",
+            {"kind": "circle", "num_sites": 8, "left_end": 10**20, "initial": {"position": 10**20 + 1}},
+            "circle.left_end: must lie within 2**62 of zero, got 100000000000000000000",
+        ),
+        (
+            "errorbars",
+            {"kind": "errorbars", "base": line_cfg(), "n_samples": 10**20},
+            "errorbars.n_samples: must lie within 2**62 of zero, got 100000000000000000000",
+        ),
+        (
+            "simulate",
+            line_cfg(initial={"position": 10**20}),
+            "line.initial: line.initial.position: must lie within 2**62 of zero, got 100000000000000000000",
+        ),
+        # within int64, but a few steps on its positions would wrap
+        (
+            "simulate",
+            line_cfg(steps=3, initial={"position": 2**63 - 2}),
+            "line.initial: line.initial.position: must lie within 2**62 of zero, got 9223372036854775806",
+        ),
     ],
     ids=["merge_tol_nan", "angle_err_nan", "line_angle_inf", "dispersion_angle_nan", "matrix_nan",
          "direction_int", "polarization_list", "mixed_unknown_keys", "merge_tol_negative",
-         "gap_tol_negative", "rel_tol_negative", "eff_err_one", "eff_err_two", "seed_negative"],
+         "gap_tol_negative", "rel_tol_negative", "eff_err_one", "eff_err_two", "seed_negative",
+         "n_k_huge", "num_sites_huge", "left_end_huge", "n_samples_huge", "position_huge", "position_wraps"],
 )
 def test_cli_malformed_config_exits_2_without_traceback(tmp_path, command, cfg, message):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(cfg, sort_keys=False))  # YAML writes the floats as .nan and .inf
     res = run_cli(command, "--config", str(path))
     assert res.returncode == 2, res.stderr
-    assert f"config error: {message}" in res.stderr
-    assert "Traceback" not in res.stderr
+    assert res.stderr == f"config error: {message}\n"
+    assert res.stdout == ""
+
+
+# the config kinds each subcommand takes
+TAKES = {
+    "simulate": ["line"],
+    "circle": ["circle"],
+    "figure-eight": ["figure_eight"],
+    "revivals": ["circle", "figure_eight"],
+    "dispersion": ["dispersion"],
+    "decompose": ["decompose"],
+    "errorbars": ["errorbars"],
+}
+
+
+@functools.cache
+def recipes_by_kind():
+    """One docs/configs recipe of each kind found there."""
+    out = {}
+    for name in sorted(os.listdir(CONFIG_DIR)):
+        with open(os.path.join(CONFIG_DIR, name), encoding="utf-8") as fh:
+            out.setdefault(yaml.safe_load(fh)["kind"], os.path.join(CONFIG_DIR, name))
+    return out
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [(command, kind) for command in TAKES for kind in recipes_by_kind() if kind not in TAKES[command]],
+)
+def test_cli_rejects_a_kind_its_command_does_not_take(capsys, command, kind):
+    res = main_cli(capsys, command, "--config", recipes_by_kind()[kind])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr == f"config error: {command}: config kind {kind!r} not usable here; expected one of {TAKES[command]}\n"
+
+
+def test_cli_commands_take_the_kinds_of_their_table():
+    assert {name: sorted(row[1]) for name, row in cli._COMMANDS.items()} == TAKES
+    assert set(recipes_by_kind()) == set(config.KINDS)
 
 
 def test_tracer_wrap_targets_resolve():

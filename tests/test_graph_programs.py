@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from loopwalk.analysis import find_revivals
-from loopwalk.graph_programs import NO_POSITION, CircleSpec, FigureEightSpec, map_sites, ring_chain
+from loopwalk.config import ConfigError, parse_config_dict
+from loopwalk.graph_programs import NO_POSITION, map_sites, ring_chain
 from loopwalk.optics import coin_ab, coin_ll, full_coin
 from loopwalk.walk_engine import CoinProgram, constant_program, evolve, make_initial
 
@@ -26,9 +27,8 @@ def test_circle_map_anchor_and_coverage():
 
 
 def test_circle_map_ends_are_shared():
-    spec = CircleSpec(num_sites=8, left_end=-3)
-    _, smap = ring_chain(spec.stops, spec.flavor)
-    left_end, right_end = spec.stops
+    left_end, right_end = -3, 1  # an 8-site circle
+    _, smap = ring_chain((left_end, right_end), "hadamard_like")
     assert smap.node_of(left_end, "c") == smap.node_of(left_end, "cc")
     assert smap.node_of(right_end, "c") == smap.node_of(right_end, "cc")
     # interior positions split into two distinct arc nodes
@@ -37,12 +37,14 @@ def test_circle_map_ends_are_shared():
 
 
 def test_circle_spec_validation():
-    with pytest.raises(ValueError):
-        CircleSpec(num_sites=3)
-    with pytest.raises(ValueError):
-        CircleSpec(num_sites=6, flavor="mixing")
-    with pytest.raises(ValueError):
-        CircleSpec(num_sites=2)
+    # a circle's keys are checked where the config turns them into stops
+    for num_sites in (3, 2):
+        with pytest.raises(ConfigError, match=f"^circle: num_sites must be even and at least 4, got {num_sites}$"):
+            parse_config_dict({"kind": "circle", "num_sites": num_sites})
+    with pytest.raises(ConfigError, match="^circle.flavor: unknown flavor 'mixing'$"):
+        parse_config_dict({"kind": "circle", "num_sites": 6, "flavor": "mixing"})
+    with pytest.raises(ValueError, match="unknown flavor 'mixing'"):
+        ring_chain((0, 3), "mixing")
 
 
 def test_circle_program_coin_matrices():
@@ -62,8 +64,7 @@ def test_circle_program_coin_matrices():
 def test_circle_confinement_all_sizes_and_flavors():
     for num_sites in (4, 8, 10, 16):
         for flavor in ("non_mixing", "hadamard_like"):
-            spec = CircleSpec(num_sites=num_sites, left_end=-1, flavor=flavor)
-            program, smap = ring_chain(spec.stops, spec.flavor)
+            program, smap = ring_chain((-1, -1 + num_sites // 2), flavor)
             init = make_initial("ccw", "D", 0)
             rec = evolve(init, program, 25)
             mapped = map_sites(smap, rec)
@@ -74,8 +75,7 @@ def test_circle_confinement_all_sizes_and_flavors():
 
 
 def test_non_mixing_circle_is_modular_rotation():
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="non_mixing")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "non_mixing")
     init = make_initial("ccw", "H", 1)
     mapped = map_sites(smap, evolve(init, program, 16))
     v0 = mapped.distribution_vector(0)
@@ -87,8 +87,7 @@ def test_non_mixing_circle_is_modular_rotation():
 
 def test_non_mixing_period_is_num_sites():
     for num_sites in (4, 6, 8, 10, 16):
-        spec = CircleSpec(num_sites=num_sites, left_end=0, flavor="non_mixing")
-        program, smap = ring_chain(spec.stops, spec.flavor)
+        program, smap = ring_chain((0, num_sites // 2), "non_mixing")
         init = make_initial("ccw", "V", 1)
         mapped = map_sites(smap, evolve(init, program, num_sites))
         v0 = mapped.distribution_vector(0)
@@ -101,8 +100,7 @@ def test_non_mixing_period_is_num_sites():
 
 def test_circle_parity_classes():
     # bipartite circulation: node parity alternates with the step parity
-    spec = CircleSpec(num_sites=8, left_end=0, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((0, 4), "hadamard_like")
     init = make_initial("ccw", "V", 1)  # node 2
     mapped = map_sites(smap, evolve(init, program, 15))
     for t in range(16):
@@ -113,17 +111,17 @@ def test_circle_parity_classes():
 
 
 def test_figure_eight_spec_validation():
-    assert FigureEightSpec().num_nodes == 15
-    assert FigureEightSpec(-2, 0, 3).num_nodes == 9
-    with pytest.raises(ValueError):
-        FigureEightSpec(2, 0, 4)
-    with pytest.raises(ValueError):
-        FigureEightSpec(-2, 0, 4, flavor="spinning")
+    assert ring_chain((-4, 0, 4), "non_mixing")[1].num_nodes == 15
+    assert ring_chain((-2, 0, 3), "non_mixing")[1].num_nodes == 9
+    assert parse_config_dict({"kind": "figure_eight"}).site_map.num_nodes == 15
+    with pytest.raises(ConfigError, match="^figure_eight: need left_end < center < right_end, got 2, 0, 4$"):
+        parse_config_dict({"kind": "figure_eight", "left_end": 2})
+    with pytest.raises(ConfigError, match="^figure_eight.flavor: unknown flavor 'spinning'$"):
+        parse_config_dict({"kind": "figure_eight", "left_end": -2, "flavor": "spinning"})
 
 
 def test_figure_eight_map_center_is_shared():
-    spec = FigureEightSpec(-4, 0, 4)
-    _, smap = ring_chain(spec.stops, spec.flavor)
+    _, smap = ring_chain((-4, 0, 4), "non_mixing")
     assert smap.node_of(0, "c") == smap.node_of(0, "cc") == 7
     nodes = sorted({smap.node_of(x, sub) for x in range(-4, 5) for sub in ("c", "cc")})
     assert nodes == list(range(15))
@@ -141,8 +139,7 @@ def test_figure_eight_center_coins():
 
 
 def test_figure_eight_circulation_and_revival():
-    spec = FigureEightSpec()  # 15 nodes, non-mixing
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((-4, 0, 4), "non_mixing")  # 15 nodes
     init = make_initial("ccw", "H", 0)
     mapped = map_sites(smap, evolve(init, program, 16))
     assert mapped.max_leakage <= 1e-12
@@ -154,8 +151,7 @@ def test_figure_eight_circulation_and_revival():
 
 
 def test_map_sites_preserves_totals():
-    spec = CircleSpec(num_sites=10, left_end=-1, flavor="hadamard_like")
-    program, smap = ring_chain(spec.stops, spec.flavor)
+    program, smap = ring_chain((-1, 4), "hadamard_like")
     rec = evolve(make_initial("ccw", "D", 0), program, 12)
     mapped = map_sites(smap, rec)
     for t in range(13):
@@ -191,17 +187,17 @@ def _positions_from_nodes(nodes: dict, num_nodes: int) -> np.ndarray:
 def test_ring_chain_numbering_matches_circle_and_figure_eight_formulas():
     for num_sites in range(4, 60, 2):
         for left_end in range(-6, 6):
-            spec = CircleSpec(num_sites=num_sites, left_end=left_end)
-            _, smap = ring_chain(spec.stops, spec.flavor)
+            _, smap = ring_chain((left_end, left_end + num_sites // 2), "hadamard_like")
             want = _positions_from_nodes(oracles.circle_nodes(num_sites, left_end), num_sites)
-            assert np.array_equal(smap.node_positions, want), spec
+            assert np.array_equal(smap.node_positions, want), (num_sites, left_end)
     for left_end in range(-8, 3):
         for center in range(left_end + 1, 4):
             for right_end in range(4, 12):
-                spec = FigureEightSpec(left_end, center, right_end)
-                _, smap = ring_chain(spec.stops, spec.flavor)
-                nodes = oracles.figure_eight_nodes(left_end, center, right_end)
-                assert np.array_equal(smap.node_positions, _positions_from_nodes(nodes, spec.num_nodes)), spec
+                stops = (left_end, center, right_end)
+                _, smap = ring_chain(stops, "non_mixing")
+                num_nodes = 2 * (right_end - left_end) - 1
+                nodes = oracles.figure_eight_nodes(*stops)
+                assert np.array_equal(smap.node_positions, _positions_from_nodes(nodes, num_nodes)), stops
 
 
 def test_ring_chain_rejects_bad_stops():

@@ -597,11 +597,10 @@ def test_coin_program_without_rules_raises():
 
 def test_coin_program_perturbation_draws_are_shared():
     # every site using the same physical element set must get the same draw
-    from loopwalk.graph_programs import CircleSpec, ring_chain
+    from loopwalk.graph_programs import ring_chain
 
-    spec = CircleSpec(num_sites=8, left_end=-3, flavor="hadamard_like")
-    program, _ = ring_chain(spec.stops, spec.flavor)
-    left_end, right_end = spec.stops
+    left_end, right_end = -3, 1  # an 8-site circle
+    program, _ = ring_chain((left_end, right_end), "hadamard_like")
     rng = np.random.default_rng(39)
     bumped = program.sampled(draw_jitter(rng, 1, len(program.angles()), 2.0, "uniform")[0])
     inner_positions = range(left_end + 1, right_end)
