@@ -3,8 +3,9 @@
 Every subcommand reads a YAML config (--config), runs the requested
 computation, and writes either CSV or an aligned text table to stdout or
 --out, built by columns in byte arrays.  Floats are exact %.17g from
-longdouble array arithmetic; one near a rounding boundary, an inf, a nan
-and the floats of a short column go through the % operator.  Exit codes:
+double-double array arithmetic in float64; an exact decimal tie, one whose
+digits are 1 and zeros, an inf, a nan and the floats of a short column go
+through the % operator.  Exit codes:
 0 on success, 2 for configuration problems (including payload matrices
 that fail their unitarity certificate, an unwritable --out, and a run too
 large to allocate), 3 when a numerical certification fails at run time
@@ -35,22 +36,37 @@ class CertificationError(RuntimeError):
 
 
 # "%.17g" prints the digits of rint(|x| * 10**(16 - e)), the product in [1e16, 1e17).
-# In longdouble the product takes two roundings (a correctly rounded power of ten,
-# then the product), about one eps.  A cell within twice that of a half-integer,
-# or whose product rounds outside [1e16, 1e17), goes through "%" (every cell where
-# longdouble is double); an error across 1e16 itself leaves the digits 1 and zeros.
-_BAND = 2 * np.finfo(np.longdouble).eps
+# _scaled gives the product as a pair of doubles within 2**-47 of it, compared with
+# 1e16 and 1e17 unevaluated (1e-06's 9.99999999999999954e15 adds up to 1e16).  A cell
+# whose pair lies within 2**-40 of a half-integer (an exact decimal tie) or whose
+# digits round up to 1e17 goes through "%"; an error across 1e16 leaves the digits 1
+# and zeros, or sends them through "%".
 _ARRAY_MIN = 256  # a shorter float column goes through "%" alone
 _SLICE = 4096  # floats formatted at a time, bounding the temporaries
 
 
+def _split(v: np.ndarray) -> tuple:
+    """Veltkamp's split of doubles v into h + (v - h), each of 26 bits or fewer."""
+    h = 134217729.0 * v
+    h -= h - v
+    return h, v - h
+
+
 @functools.cache
 def _tables():
-    """_float_cells' tables: 10**k at k + 344 (strtold rounds each correctly);
-    the exponent suffix of e at e + 330, empty last; the ASCII of 0..9999 as
-    4-byte words; at j * 10**4 + g, the digits up to the last nonzero one of g
-    as 4-digit group j after the first digit; each layout's gather index."""
-    pow10 = np.array([f"1e{k}" for k in range(-344, 345)]).astype(np.longdouble)
+    """_float_cells' tables: at e + 330, 10**(16 - e) = 2**k (hi + lo), hi in
+    (1/4, 1] and lo correctly rounded, as hi's halves, hi, lo and int32 k; the
+    exponent suffix of e at e + 330, empty last; the ASCII of 0..9999 as
+    4-byte words; at j * 10**4 + g, the digits up to the last nonzero one of
+    g as 4-digit group j after the first digit; each layout's gather index."""
+    pairs = []
+    for e in range(-330, 331):
+        num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
+        k = num.bit_length() - den.bit_length() + 1  # 2**(k - 2) < num / den < 2**k
+        num, den = num << max(-k, 0), den << max(k, 0)
+        hi = num / den  # a quotient of ints rounds correctly
+        pairs.append((hi, (num * 2**55 - int(hi * 2**55) * den) / (den * 2**55), k))
+    hi, lo, k = map(np.array, zip(*pairs))
     suffix = np.array([*(f"e{k:+03d}" for k in range(-330, 331)), ""], dtype="S8")
     g = np.arange(10_000, dtype=np.int16)  # small integer types keep the build's temporaries small
     quads = ((g[:, None] // np.int16([1000, 100, 10, 1])) % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
@@ -60,7 +76,21 @@ def _tables():
     q = np.arange(24, dtype=np.int8) - neg  # output byte after the sign
     digit = np.where(q == point, 1, 3 + start + q - (q > point))
     layouts = np.where(q < 0, 0, np.where(q >= stop, 24 + np.minimum(q - stop, 7), digit))
-    return pow10, suffix, quads, upto.astype(np.uint8).ravel(), layouts.reshape(-1, 24)
+    powers = np.array([*_split(hi), hi, lo]), k.astype(np.int32)
+    return powers, suffix, quads, upto.astype(np.uint8).ravel(), layouts.reshape(-1, 24)
+
+
+def _scaled(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple:
+    """m * 2**q * 10**(16 - e) for frexp's m and q as doubles (p, r), p an
+    integer from 2**53 on, whose sum lies within 2**-47 of it below 2**57:
+    Dekker's exact product m * hi, plus m * lo.  ldexp's fast path is int32."""
+    powers, exponents = _tables()[0]
+    hi_1, hi_2, hi, lo = powers.take(e + 330, axis=1)
+    m_1, m_2 = _split(m)
+    p = m * hi
+    r = ((((m_1 * hi_1 - p) + m_1 * hi_2) + m_2 * hi_1) + m_2 * hi_2) + m * lo
+    k = exponents.take(e + 330) + q
+    return np.ldexp(p, k), np.ldexp(r, k)
 
 
 def _percent(x: np.ndarray) -> list:
@@ -71,19 +101,18 @@ def _percent(x: np.ndarray) -> list:
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """'%.17g' % v of each float v in x, as an S array as wide as its
     longest cell."""
-    pow10, suffix, quads, upto, layouts = _tables()
+    _, suffix, quads, upto, layouts = _tables()
     n, zero = len(x), x == 0
     ok = np.isfinite(x) & ~zero
     a = np.where(ok, np.abs(x), 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow only where longdouble is double
-        y = a * pow10[360 - e]
-        off = np.flatnonzero((y >= 1e17) | (y < 1e16))  # log10 can be one off
-        e[off] += np.where(y[off] >= 1e17, 1, -1)
-        y[off] = a[off] * pow10[360 - e[off]]
-        d = np.rint(y)
-        f, band = np.abs(y - d), _BAND * y
-        safe = ok & (f < 0.5 - band) & (d >= 1e16) & (d < 1e17)
+    m, q = np.frexp(a)
+    p, r = _scaled(m, q, e)
+    off = np.flatnonzero(((p - 1e17) + r >= 0) | ((p - 1e16) + r < 0))  # log10 can be one off
+    e[off] += np.where(p[off] >= 1e17, 1, -1)
+    p[off], r[off] = _scaled(m[off], q[off], e[off])
+    d = p.astype(np.int64) + np.rint(r).astype(np.int64)
+    safe = ok & (np.abs(r - np.rint(r)) < 0.5 - 2.0**-40) & (d >= 10**16) & (d < 10**17)
     d = np.where(safe, d, 0).astype(np.uint64)
     q = np.stack([0 * d, *(d // 10**k for k in range(16, -1, -4))])
     groups = (q[1:] - 10**4 * q[:-1]).astype(np.intp)  # the first digit, then fours

@@ -162,8 +162,9 @@ def _parse_initial(obj, ctx: str) -> InitialState:
     for key, value in (("direction", direction), ("polarization", polarization)):
         if not isinstance(value, str):
             raise ConfigError(f"{ctx}.{key}: expected a string, got {value!r}")
+    position = _integer(position, f"{ctx}.position")
     try:
-        return make_initial(direction, polarization, _integer(position, f"{ctx}.position"))
+        return make_initial(direction, polarization, position)
     except ValueError as exc:
         raise ConfigError(f"{ctx}: {exc}") from exc
 

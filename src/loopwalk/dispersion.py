@@ -61,7 +61,7 @@ import numpy as np
 
 from .linalg_core import wrap_phase
 from .optics import certified_coin
-from .walk_engine import CH, CV, CCH, CCV
+from .walk_engine import CH, CV, CCH, CCV, addressable
 
 _PAD = 3  # grid samples kept beyond each end, so searches see across the seam
 _FRONT_WIDTH = 1e-8     # Illinois brackets of an inflection stop this narrow,
@@ -247,6 +247,7 @@ def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
         raise ValueError(f"n_k must be at least 64, got {n_k}")
     coin = certified_coin(coin)
     h = 2.0 * np.pi / n_k
+    addressable((n_k + 2 * _PAD, 4, 4), complex)  # the grid's eigenvectors, its largest array
     idx = np.arange(-_PAD, n_k + _PAD)
     k_pad = -np.pi + h * idx
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optics import ArmSetting, OpticalElement
-from .walk_engine import CCH, CCV, CH, CV, CoinProgram, ElementCoin, IntensityRecord
+from .walk_engine import CCH, CCV, CH, CV, CoinProgram, ElementCoin, IntensityRecord, addressable
 
 FLAVORS = ("non_mixing", "hadamard_like")
 NO_POSITION = np.iinfo(np.int64).min
@@ -131,13 +131,13 @@ def ring_chain(stops, flavor: str):
     program = CoinProgram(default=_inner_coin(flavor), overrides=overrides)
 
     total = 2 * (right - left) - k + 1
+    positions = np.full(addressable((2, total), np.int64), NO_POSITION)  # the largest array built here
     x = np.arange(left, right + 1)
     c = x - left + s[1] - left - 1
     later = len(s) - np.searchsorted(s, x, side="right")  # stops beyond x
     nodes = np.stack([c, np.where(np.isin(x, s), c, c + 2 * (right - x) + 1 - later)]) % total
     if k == 1:
         nodes = (right - left - nodes) % total
-    positions = np.full((2, total), NO_POSITION)
     positions[0, nodes[0]] = x
     positions[1, nodes[1]] = x
     return program, SiteMap(positions)

@@ -80,11 +80,12 @@ def draw_jitter(
         bounds += [(1.0 - eff_err, 1.0 + eff_err)] * 4
     low, high = np.array(bounds, dtype=float).reshape(-1, 2).T
     span = high - low
+    shape = addressable((n_samples, len(bounds)), float)
     if distribution == "uniform":
-        return low + span * rng.random((n_samples, len(bounds)))
+        return low + span * rng.random(shape)
     if distribution != "truncated_normal":
         raise ValueError(f"unknown perturbation distribution {distribution!r}")
-    out = np.empty((n_samples, len(bounds)))
+    out = np.empty(shape)
     for row in out:
         for i in range(n_angles):
             while abs(d := rng.normal(0.0, angle_err_deg / 2.0)) > angle_err_deg:
@@ -377,14 +378,18 @@ def make_initial(direction: str, polarization: str, position: int = 0) -> Initia
     return {int(position): amp}
 
 
-def _zeros(shape: tuple, dtype) -> np.ndarray:
-    """np.zeros(shape, dtype), raising MemoryError, as for any size that
-    cannot be allocated, when the byte count, counted in Python ints, passes
-    the largest array numpy can address (numpy raises ValueError there)."""
+def addressable(shape: tuple, dtype) -> tuple:
+    """shape, raising MemoryError, as for any size that cannot be allocated,
+    when its byte count in dtype, counted in Python ints, passes the largest
+    array numpy can address (where numpy raises ValueError or OverflowError)."""
     nbytes = math.prod(int(n) for n in shape) * np.dtype(dtype).itemsize
     if nbytes > np.iinfo(np.intp).max:
         raise MemoryError(f"Unable to allocate {nbytes} bytes for an array with shape {shape}")
-    return np.zeros(shape, dtype)
+    return shape
+
+
+def _zeros(shape: tuple, dtype) -> np.ndarray:
+    return np.zeros(addressable(shape, dtype), dtype)
 
 
 def _start(initial: InitialState, lo: int, hi: int, samples: tuple) -> tuple:
@@ -473,18 +478,20 @@ def evolve(initial: InitialState, program: CoinProgram, steps: int, window=None)
     """The walk's record on `window` = (L, R), a closed graph's positions,
     walked with a drain site on each side: (steps + 1, R - L + 1, 4)
     intensities and the drained totals.  The default window is the light
-    cone.  Each block of the kernel becomes intensities and reached masks
-    with one abs, one square and one any."""
+    cone.  Each block of the kernel fills intensities and reached masks only
+    where light can reach by its last step t, [min(listed) - t, max(listed)
+    + t] (the kernel's span rule), reading a site's four bools as a uint32."""
     left, right = window or (min(initial, default=0) - steps, max(initial, default=0) + steps)
     if initial and not left <= min(initial) <= max(initial) <= right:
         raise ValueError(f"initial state outside the window [{left}, {right}]")
     start, listed = _start(initial, left - 1, right + 1, program.table.shape[:-3])
     intensities, reached = _zeros((steps + 1, *start.shape), float), _zeros((steps + 1, *start.shape[:-1]), bool)
-    t = 0
+    t, a, b = 0, int(listed.min()), int(listed.max()) + 1
     for block in _walk(start, listed, program, left - 1, steps):
-        cells = intensities[t : t + len(block)]
-        np.square(np.abs(block, out=cells), out=cells)
-        np.any(block, axis=-1, out=reached[t : t + len(block)])
+        rows, lo, hi = slice(t, t + len(block)), max(a - t - len(block) + 1, 0), b + t + len(block) - 1
+        part, cells = block[..., lo:hi, :], intensities[rows, ..., lo:hi, :]
+        np.square(np.abs(part, out=cells), out=cells)
+        reached[rows, ..., lo:hi] = (part != 0).view(np.uint32)[..., 0] != 0
         t += len(block)
     reached[0, ..., listed] = True
     drained = np.cumsum(intensities[..., :: start.shape[-2] - 1, :].sum(axis=(-2, -1)), axis=0)

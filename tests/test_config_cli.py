@@ -5,6 +5,7 @@ import functools
 import glob
 import importlib
 import itertools
+import math
 import os
 import runpy
 import subprocess
@@ -405,6 +406,26 @@ def test_run_too_large_to_allocate_exits_2_without_traceback(capsys, command, re
         assert result.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        ("dispersion", {"kind": "dispersion", "coin": HADAMARD_COIN, "n_k": 2**62}),
+        ("circle", {"kind": "circle", "num_sites": 2**62}),
+        ("errorbars", {"kind": "errorbars", "base": line_cfg(), "n_samples": 2**62}),
+        ("figure-eight", {"kind": "figure_eight", "left_end": -(2**62), "right_end": 2**62}),
+    ],
+    ids=["n_k", "num_sites", "n_samples", "figure_eight_ends"],
+)
+def test_config_sizes_numpy_cannot_address_exit_2_without_traceback(tmp_path, capsys, command, cfg):
+    # within the 2**62 bound, but the grid, the ring's node table or the
+    # sample draws would need more bytes than an array can address
+    result = main_cli(capsys, command, "--config", write_cfg(tmp_path, cfg))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("config error: run too large for memory: Unable to allocate ")
+    assert result.stderr.count("\n") == 1
+
+
 def test_parse_config_file_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         parse_config(str(tmp_path / "missing.yaml"))
@@ -629,19 +650,22 @@ NAN_IDENTITY = {"re": [[NAN if i == j == 0 else float(i == j) for j in range(4)]
         (
             "simulate",
             line_cfg(initial={"position": 10**20}),
-            "line.initial: line.initial.position: must lie within 2**62 of zero, got 100000000000000000000",
+            "line.initial.position: must lie within 2**62 of zero, got 100000000000000000000",
         ),
         # within int64, but a few steps on its positions would wrap
         (
             "simulate",
             line_cfg(steps=3, initial={"position": 2**63 - 2}),
-            "line.initial: line.initial.position: must lie within 2**62 of zero, got 9223372036854775806",
+            "line.initial.position: must lie within 2**62 of zero, got 9223372036854775806",
         ),
+        # the position's own error carries its context once
+        ("simulate", line_cfg(initial={"position": "a"}), "line.initial.position: expected an integer, got 'a'"),
     ],
     ids=["merge_tol_nan", "angle_err_nan", "line_angle_inf", "dispersion_angle_nan", "matrix_nan",
          "direction_int", "polarization_list", "mixed_unknown_keys", "merge_tol_negative",
          "gap_tol_negative", "rel_tol_negative", "eff_err_one", "eff_err_two", "seed_negative",
-         "n_k_huge", "num_sites_huge", "left_end_huge", "n_samples_huge", "position_huge", "position_wraps"],
+         "n_k_huge", "num_sites_huge", "left_end_huge", "n_samples_huge", "position_huge", "position_wraps",
+         "position_not_integer"],
 )
 def test_cli_malformed_config_exits_2_without_traceback(tmp_path, command, cfg, message):
     path = tmp_path / "run.yaml"
@@ -1132,8 +1156,8 @@ def test_column_empty_and_none_cells():
 
 
 # doubles whose product |x| * 10**(16 - e), taken in x87 extended precision,
-# lies nearer a half-integer than its own rounding error: without the error
-# band around rounding boundaries each prints with its last digit off by one
+# lies nearer a half-integer than its own rounding error: rounded from that
+# product, each prints with its last digit off by one
 NEAR_HALF = [float.fromhex(h) for h in (
     "-0x1.c75287e8d49e3p-420", "0x1.9f630a886a2e0p+848", "0x1.9781a0da9c267p-988",
     "0x1.780bb0c9991a1p+197", "-0x1.d673604fdebccp+476", "-0x1.c36ca86098f5cp+354",
@@ -1200,27 +1224,76 @@ def test_float_cells_match_percent_next_to_decimal_midpoints(draws):
     assert cells(x) == ["%.17g" % v for v in x.tolist()]
 
 
-def test_error_band_decides_near_half_products(monkeypatch):
-    x = np.resize(np.array(NEAR_HALF), cli._ARRAY_MIN)
-    expected = ["%.17g" % v for v in x.tolist()]
-    assert cells(x) == expected
-    if np.finfo(np.longdouble).nmant == 63:  # the set was found with x87 extended precision
-        monkeypatch.setattr(cli, "_BAND", 0.0)
-        assert all(g != e for g, e in zip(cells(x)[: len(NEAR_HALF)], expected))
-
-
-def test_float_cells_fall_back_everywhere_without_extended_precision(monkeypatch):
-    # where longdouble is plain double, the powers of ten and the products are
-    # doubles and the band covers every product: only zeros skip "%"
-    pow10, *tables = cli._tables()
-    with np.errstate(over="ignore"):
-        tables = (pow10.astype(np.float64), *tables)
-    monkeypatch.setattr(cli, "_tables", lambda: tables)
-    monkeypatch.setattr(cli, "_BAND", 2 * np.finfo(np.float64).eps)
+def test_float_cells_match_percent_on_near_half_products(monkeypatch):
+    # products that x87 extended precision could not round by itself: the
+    # double-double pair decides each without "%"
     counts = count_percent_calls(monkeypatch)
-    x = np.concatenate(list(adversarial_floats().values()))
+    x = np.resize(np.array(NEAR_HALF), cli._ARRAY_MIN)
     assert cells(x) == ["%.17g" % v for v in x.tolist()]
-    assert sum(counts) == np.count_nonzero(x)
+    assert sum(counts) == 0
+
+
+def percent_inputs(monkeypatch):
+    """A list that collects the floats each later call of cli._percent formats."""
+    inputs, percent = [], cli._percent
+    monkeypatch.setattr(cli, "_percent", lambda x: inputs.extend(x.tolist()) or percent(x))
+    return inputs
+
+
+def test_float_cells_send_only_ties_and_round_ups_through_percent(monkeypatch):
+    # a finite cell goes through "%" only when |x| * 10**(16 - e) is exactly
+    # a half-integer, or when its digits are 1 and zeros: the product rounds
+    # up to 1e17, or to 1e16, where the pair's error may cross 1e16
+    inputs = percent_inputs(monkeypatch)
+    x = np.concatenate(list(adversarial_floats().values()))
+    x = np.concatenate([x, -x])
+    assert cells(x) == ["%.17g" % v for v in x.tolist()]
+    ties = 0
+    for v in inputs:
+        if not math.isfinite(v) or v == 0:
+            continue
+        e = math.floor(math.log10(abs(v)))
+        product = Fraction(abs(v)) * Fraction(10) ** (16 - e)
+        e += (product >= 10**17) - (product < 10**16)  # log10 can be one off
+        product = Fraction(abs(v)) * Fraction(10) ** (16 - e)
+        assert 10**16 <= product < 10**17, v
+        assert product.denominator == 2 or round(product) in (10**16, 10**17), v
+        ties += product.denominator == 2
+    assert ties >= 2 * len(adversarial_floats()["exact_ties"])
+
+
+def test_float_cells_do_not_depend_on_longdouble(monkeypatch):
+    # cells and "%" counts as they are, also where longdouble is plain double
+    x = np.concatenate(list(adversarial_floats().values()))
+    counts = count_percent_calls(monkeypatch)
+    want = cells(x)
+    want_counts = list(counts)
+    monkeypatch.setattr(np, "longdouble", np.float64)
+    cli._tables.cache_clear()
+    try:
+        counts.clear()
+        assert cells(x) == want
+        assert counts == want_counts
+    finally:
+        cli._tables.cache_clear()
+
+
+def test_float_cells_match_percent_on_600k_values():
+    # random bit patterns of both signs, 40 doubles either side of every
+    # power of ten, subnormals of both signs, and 1e-06, whose product
+    # 9.99999999999999954e15 adds up to 1e16 in a double
+    rng = np.random.default_rng(25)
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)]).view(np.int64)
+    near = (powers[:, None] + np.arange(-40, 41)).ravel().view(np.float64)
+    subnormals = rng.integers(1, 2**52, 50_000, dtype=np.uint64) | (rng.integers(0, 2, 50_000, dtype=np.uint64) << 63)
+    x = np.concatenate([
+        rng.integers(0, 2**64, 450_000, dtype=np.uint64).view(np.float64),
+        near,
+        -near,
+        subnormals.view(np.float64),
+        [1e-06, -1e-06],
+    ])
+    assert cells(x) == ["%.17g" % v for v in x.tolist()]
 
 
 def test_float_cells_send_few_uniform_values_through_percent(monkeypatch):
@@ -1228,14 +1301,20 @@ def test_float_cells_send_few_uniform_values_through_percent(monkeypatch):
     counts = count_percent_calls(monkeypatch)
     x = np.random.default_rng(5).uniform(size=10_000)
     assert cells(x) == ["%.17g" % v for v in x.tolist()]
-    assert sum(counts) < 1_000
+    assert sum(counts) == 0
 
 
 def test_powers_of_ten_are_correctly_rounded():
-    for k, p in zip(range(-344, 345), cli._tables()[0]):
-        if np.isfinite(p) and p != 0:
-            error = abs(Fraction(*p.as_integer_ratio()) - Fraction(10) ** k)
-            assert error <= Fraction(*np.spacing(p).as_integer_ratio()) / 2, k
+    # 10**(16 - e) = 2**k (hi + lo): hi and lo each correctly rounded, hi in
+    # (1/4, 1] split into two halves of at most 26 bits
+    (powers, exponents), *_ = cli._tables()
+    for e, hi_1, hi_2, hi, lo, k in zip(range(-330, 331), *powers, exponents.tolist()):
+        exact = Fraction(10) ** (16 - e) / Fraction(2) ** k
+        assert Fraction(1, 4) < exact < 1, e
+        assert abs(Fraction(hi) - exact) <= Fraction(np.spacing(hi)) / 2, e
+        assert abs(Fraction(lo) - (exact - Fraction(hi))) <= Fraction(np.spacing(abs(lo))) / 2, e
+        assert hi_1 + hi_2 == hi and Fraction(hi_1) + Fraction(hi_2) == Fraction(hi), e
+        assert all(Fraction(abs(h)).numerator.bit_length() <= 26 for h in (hi_1, hi_2)), e
 
 
 def test_package_all_lists_every_public_name():

@@ -315,6 +315,54 @@ def test_window_walk_equals_sitewise_walk_with_drains(rows):
                 assert np.array_equal(got[x], want[t][x])
 
 
+def dense_record(want, drained, left, n):
+    """The sitewise oracle's steps on the sites left .. left + n - 1 as a
+    record's (T+1, n, 4) intensities and (T+1, n) reached mask, and its
+    drained totals."""
+    intensities, reached = np.zeros((len(want), n, 4)), np.zeros((len(want), n), dtype=bool)
+    for t, step in enumerate(want):
+        for x, v in step.items():
+            intensities[t, x - left], reached[t, x - left] = v, True
+    return intensities, reached, np.array(drained)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_record_filled_on_the_light_cone_equals_sitewise_walk(rows):
+    # evolve fills each block's cells only as far as light reaches by its
+    # last step; every cell of the record and of its reached mask equals the
+    # sitewise oracle's, on a line from several starts, on a ring's window
+    # and on a batch of three perturbed ring walks.  So do the drained
+    # totals: zeros on the line; on the ring, whose end coins leak about
+    # 1e-32 a step, and on the perturbed rings, which leak 1e-3 in all, to
+    # rounding, as the two add the drained cells in different orders
+    from loopwalk.graph_programs import ring_chain
+
+    rng = np.random.default_rng(25)
+    ring, site_map = ring_chain((-3, 2), "hadamard_like")
+    window, steps = site_map.span, 23
+    line = (random_state(rng, width=4, slots=3), constant_program(random_unitary(4, rng)), 17, None)
+    for init, program, steps, window in (line, (make_initial("ccw", "D", 1), ring, steps, window)):
+        with blocks_of(rows, init, steps, window):
+            rec = evolve(init, program, steps, window)
+        want, drained = oracles.sitewise_evolve(init, program, steps, window)
+        expected = dense_record(want, drained, rec.offset, rec.intensities.shape[1])
+        assert np.array_equal(rec.intensities, expected[0])
+        assert np.array_equal(rec.reached, expected[1])
+        assert np.allclose(rec.drained, expected[2], rtol=1e-14, atol=0)
+        assert np.array_equal(rec.drained == 0, expected[2] == 0)
+    offsets = draw_jitter(rng, 3, len(ring.angles()), 2.0, "uniform")
+    init = make_initial("cw", "H", 0)
+    with blocks_of(rows, init, steps, window, samples=3):
+        batch = evolve(init, ring.sampled(offsets), steps, window)
+    for s, row in enumerate(offsets):
+        want, drained = oracles.sitewise_evolve(init, oracles.jittered_program(ring, row), steps, window)
+        expected = dense_record(want, drained, batch.offset, batch.intensities.shape[2])
+        assert np.array_equal(batch.intensities[:, s], expected[0])
+        assert np.array_equal(batch.reached[:, s], expected[1])
+        assert np.allclose(batch.drained[:, s], expected[2], rtol=1e-14, atol=0)
+        assert np.array_equal(batch.drained[:, s] == 0, expected[2] == 0) and expected[2][-1] > 1e-3
+
+
 def _kind_coin(rng, kind: str) -> RawCoin:
     """A Haar coin, or a diagonal or permutation coin with random phases,
     which leave modes empty, so reached sets get holes and spans shrink; a
