@@ -68,7 +68,6 @@ from .walk_engine import (
     IntensityRecord,
     ProgramError,
     RawCoin,
-    WalkerState,
     constant_program,
     evolve,
     evolve_states,
@@ -103,7 +102,6 @@ __all__ = [
     "UniversalFactorization",
     "WalkSetup",
     "Wavefront",
-    "WalkerState",
     "WavefrontSet",
     "assert_unitary",
     "band_structure",

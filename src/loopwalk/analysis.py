@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graph_programs import MappedRecord, SiteMap, map_sites
+from .graph_programs import MappedRecord, SiteMap, gather_nodes, map_sites, node_rows
 from .walk_engine import CoinProgram, InitialState, IntensityRecord, draw_jitter, evolve, evolve_states
 
 
@@ -134,20 +134,16 @@ class ErrorBarReport:
     similarity_sigma_sampled: Optional[list] = None
 
 
-def _observed(record: IntensityRecord, eff: np.ndarray, renormalize: bool, site_map: Optional[SiteMap]):
-    """Apply per-mode detection efficiencies, optionally renormalize each
-    step, then map onto the graph when there is one.  The record's leading
-    axis may also be the samples of one step, with eff (samples, 1, 4).
-
-    Step totals are running sums over the sites in position order; the
-    last bits of the printed spreads depend on that order.
-    """
-    intensities = record.intensities * eff
+def _detected(intensities: np.ndarray, eff: np.ndarray, renormalize: bool) -> np.ndarray:
+    """(..., sites, 4) intensities, a walk's steps or one step's samples,
+    times the mode efficiencies eff, each step or sample optionally
+    renormalized by its running sum over the sites in position order (the
+    last bits of the printed spreads depend on that order)."""
+    detected = intensities * eff
     if renormalize:
-        totals = np.cumsum(intensities.sum(axis=2), axis=1)[:, -1]
-        intensities = intensities / np.where(totals > 0.0, totals, 1.0)[:, None, None]
-    observed = IntensityRecord(intensities, record.reached, record.offset)
-    return observed if site_map is None else map_sites(site_map, observed)
+        totals = np.cumsum(detected.sum(axis=-1), axis=-1)[..., -1]
+        detected = detected / np.where(totals > 0.0, totals, 1.0)[..., None, None]
+    return detected
 
 
 def monte_carlo_error_bars(
@@ -170,16 +166,20 @@ def monte_carlo_error_bars(
     (CoinProgram.sampled) of at most BATCH_SITES // window samples: every
     step's (samples, sites, 4) intensities go through the distortion
     pipeline at once and are added into the squared deviations in sample
-    order, so the result equals running the samples one at a time.  Deviations are root-mean-square distances from the
-    unperturbed reference, so a zero-error run reports exactly zero.
+    order, so the result equals running the samples one at a time.
+    Deviations are root-mean-square distances from the unperturbed
+    reference, so a zero-error run reports exactly zero.
 
-    When the setup carries a site map, statistics are computed on node
-    distributions; with a support, per-step equidistribution similarities
-    and their uncertainties are included, both sampled and propagated to
-    first order from the position spreads (over the support sites whose
-    reference weight exceeds DUST_FLOOR times the step's total).
-    base_record, when given, is the setup's unperturbed walk already
-    evolved by the caller; it is used instead of evolving it again.
+    Every walk runs on the light cone, also on a graph: light that a
+    perturbed coin lets out of the graph walks on under the program's
+    default coin, can re-enter, and counts in each step's renormalization
+    total.  When the setup carries a site map, statistics are computed on
+    node distributions; with a support, per-step equidistribution
+    similarities and their uncertainties are included, both sampled and
+    propagated to first order from the position spreads (over the support
+    sites whose reference weight exceeds DUST_FLOOR times the step's total).
+    base_record, when given, is the setup's unperturbed walk (on the light
+    cone) evolved by the caller, used instead of evolving it again.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -194,7 +194,11 @@ def monte_carlo_error_bars(
     # efficiencies so that a zero-error sample is bitwise identical to it
     if base_record is None:
         base_record = evolve(setup.initial, setup.program, setup.steps)
-    ref = _observed(base_record, np.ones(4), renormalize, setup.site_map)
+    ref = IntensityRecord(
+        _detected(base_record.intensities, np.ones(4), renormalize), base_record.reached, base_record.offset
+    )
+    if setup.site_map is not None:
+        ref = map_sites(setup.site_map, ref)
     ref_dist = ref.intensities.sum(axis=2)
     # per sample: one offset per element angle (none without angle error), then four efficiencies
     n_angles = len(setup.program.angles())
@@ -209,19 +213,21 @@ def monte_carlo_error_bars(
         sampled = np.zeros((len(ref), n_samples, len(setup.support)))  # per step, the samples' weights
     # the samples walk in batches of at most BATCH_SITES // window of them,
     # one step of a batch at a time, and are added in sample order
-    size = max(1, BATCH_SITES // base_record.intensities.shape[1])
+    window = base_record.intensities.shape[1]
+    rows = node_rows(setup.site_map, base_record.offset, window) if setup.site_map is not None else None
+    size = max(1, BATCH_SITES // window)
     for first in range(0, n_samples, size):
         batch = slice(first, first + size)
-        for t, state in enumerate(evolve_states(setup.initial, setup.program.sampled(offsets[batch]), setup.steps)):
-            walked = IntensityRecord(np.abs(state.amp) ** 2, state.reached, state.offset)
-            sample = _observed(walked, eff[batch], renormalize, setup.site_map)
-            dm = sample.intensities - ref.intensities[t]
+        for t, amp in enumerate(evolve_states(setup.initial, setup.program.sampled(offsets[batch]), setup.steps)):
+            sample = _detected(np.abs(amp) ** 2, eff[batch], renormalize)
+            sample = sample if rows is None else gather_nodes(sample, rows)
+            dm = sample - ref.intensities[t]
             sq_mode[t] = np.cumsum(np.concatenate([sq_mode[t][None], dm * dm]), axis=0)[-1]
-            sample_dist = sample.intensities.sum(axis=2)
+            sample_dist = sample.sum(axis=2)
             dp = sample_dist - ref_dist[t]
             sq_pos[t] = np.cumsum(np.concatenate([sq_pos[t][None], dp * dp]), axis=0)[-1]
             if setup.support is not None:
-                sampled[t, batch] = _at_support(sample_dist, sample.offset, setup.support)
+                sampled[t, batch] = _at_support(sample_dist, ref.offset, setup.support)
 
     report = ErrorBarReport(
         reference=ref,

@@ -166,6 +166,26 @@ class MappedRecord(IntensityRecord):
         return float(self.leakage.max())
 
 
+def node_rows(site_map: SiteMap, offset: int, n_sites: int) -> list:
+    """Per direction subspace, its modes, the mask of the nodes it feeds from
+    the window offset .. offset + n_sites - 1 and those sites' indices."""
+    rows = []
+    for modes, positions in zip((slice(CH, CV + 1), slice(CCH, CCV + 1)), site_map.node_positions):
+        inside = (positions >= offset) & (positions < offset + n_sites)
+        rows.append((modes, inside, positions[inside] - offset))
+    return rows
+
+
+def gather_nodes(values: np.ndarray, rows: list) -> np.ndarray:
+    """(..., window sites, 4) values on graph nodes, (..., num_nodes, 4):
+    each subspace's modes from the site feeding it, zeros where the window
+    (rows, from node_rows) holds no such site."""
+    out = np.zeros((*values.shape[:-2], len(rows[0][1]), 4), dtype=values.dtype)
+    for modes, inside, sites in rows:
+        out[..., inside, modes] = values[..., sites, modes]
+    return out
+
+
 def map_sites(site_map: SiteMap, record: IntensityRecord, leak_tol: float = 1e-9) -> MappedRecord:
     """Gather a line record onto graph nodes, tracking off-graph intensity.
 
@@ -176,16 +196,12 @@ def map_sites(site_map: SiteMap, record: IntensityRecord, leak_tol: float = 1e-9
     fatal).
     """
     n_steps, n_sites = record.reached.shape
-    intensities = np.zeros((n_steps, site_map.num_nodes, 4))
+    rows = node_rows(site_map, record.offset, n_sites)
     reached = np.zeros((n_steps, site_map.num_nodes), dtype=bool)
     leakage = np.array(record.drained, dtype=float)
-    for sub, modes in enumerate((slice(CH, CV + 1), slice(CCH, CCV + 1))):
-        positions = site_map.node_positions[sub]
-        inside = (positions >= record.offset) & (positions < record.offset + n_sites)
-        rows = positions[inside] - record.offset
-        intensities[:, inside, modes] = record.intensities[:, rows, modes]
-        reached[:, inside] |= record.reached[:, rows]
+    for modes, inside, sites in rows:
+        reached[:, inside] |= record.reached[:, sites]
         feeds = np.zeros(n_sites, dtype=bool)
-        feeds[rows] = True
+        feeds[sites] = True
         leakage += record.intensities[:, ~feeds, modes].sum(axis=(1, 2))
-    return MappedRecord(intensities, reached, leakage, flagged=float(leakage.max()) > leak_tol)
+    return MappedRecord(gather_nodes(record.intensities, rows), reached, leakage, float(leakage.max()) > leak_tol)

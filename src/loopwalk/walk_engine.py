@@ -6,12 +6,11 @@ order
 
     0: cH   1: cV   2: ccH   3: ccV
 
-plus a boolean mask of the positions the walker has reached.  A walk runs
-on a window [L, R] with one drain site on each side, L - 1 and R + 1.  A
-drain site is never coined or shifted: light that a shift lands on it
-stays there for one step, and a record, which covers the window alone,
-adds it to its drained totals (per sample in a batch).  A closed graph's
-window is its positions; a line's is the light cone
+A walk runs on a window [L, R] with one drain site on each side, L - 1
+and R + 1.  A drain site is never coined or shifted: light that a shift
+lands on it stays there for one step, and a record, which covers the
+window alone, adds it to its drained totals (per sample in a batch).  A
+closed graph's window is its positions; a line's is the light cone
 [min(initial) - T, max(initial) + T] of T steps, whose drains nothing
 reaches.
 
@@ -331,23 +330,6 @@ class IntensityRecord:
         return self.intensities[t].sum(axis=1)
 
 
-@dataclass
-class WalkerState:
-    """Amplitudes `amp` (n, 4) on the positions offset .. offset + n - 1,
-    with `reached` (n,) marking the positions the walker has reached (see
-    the module docstring).  A batch has a leading sample axis, amp (S, n, 4)
-    and reached (S, n), for the samples of a sampled program
-    (CoinProgram.sampled), each walked on its own."""
-
-    amp: np.ndarray
-    reached: np.ndarray
-    offset: int
-
-    def positions(self) -> np.ndarray:
-        """Positions reached by any sample, ascending."""
-        return self.offset + np.flatnonzero(self.reached if self.reached.ndim == 1 else self.reached.any(axis=0))
-
-
 def make_initial(direction: str, polarization: str, position: int = 0) -> InitialState:
     """Localized initial state at `position`.
 
@@ -460,18 +442,15 @@ def _walk(start: np.ndarray, listed: np.ndarray, program: CoinProgram, lo: int, 
 
 
 def evolve_states(initial: InitialState, program: CoinProgram, steps: int):
-    """Yield the state after 0, 1, ..., steps time steps on the light cone,
-    rows of the kernel's blocks, a batch when program.table has a sample
-    axis.  A batch in which a sample reached a position without a coin rule
+    """Yield the amplitudes after 0, 1, ..., steps time steps on the light
+    cone [min(initial) - steps, max(initial) + steps], (..., n, 4) rows of
+    the kernel's blocks with a leading sample axis when program.table has
+    one.  A batch in which a sample reached a position without a coin rule
     raises that ProgramError after its last state (see _walk)."""
     left, right = min(initial, default=0) - steps, max(initial, default=0) + steps
     start, listed = _start(initial, left - 1, right + 1, program.table.shape[:-3])
-    for i, block in enumerate(_walk(start, listed, program, left - 1, steps)):
-        reached = block[..., 1:-1, :].any(axis=-1)
-        if i == 0:
-            reached[..., listed - 1] = True
-        for amp, mask in zip(block[..., 1:-1, :], reached):
-            yield WalkerState(amp, mask, left)
+    for block in _walk(start, listed, program, left - 1, steps):
+        yield from block[..., 1:-1, :]
 
 
 def evolve(initial: InitialState, program: CoinProgram, steps: int, window=None) -> IntensityRecord:

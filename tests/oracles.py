@@ -735,6 +735,26 @@ def jittered_program(program, row):
     )
 
 
+def observed(record, eff, renormalize, site_map):
+    """The record's intensities times the four mode efficiencies, with
+    renormalize each step divided by its positive total (added site by site
+    in position order, each site's modes in mode order), in Python loops;
+    then mapped onto the graph's nodes when there is one."""
+    from loopwalk.graph_programs import map_sites
+    from loopwalk.walk_engine import IntensityRecord
+
+    intensities = np.empty_like(record.intensities)
+    for t, step in enumerate(record.intensities):
+        cells = [[p * e for p, e in zip(site, eff)] for site in step]
+        total = 0.0
+        for site in cells:
+            total += ((site[0] + site[1]) + site[2]) + site[3]
+        scale = total if renormalize and total > 0.0 else 1.0
+        intensities[t] = [[c / scale for c in site] for site in cells]
+    out = IntensityRecord(intensities, record.reached, record.offset)
+    return out if site_map is None else map_sites(site_map, out)
+
+
 def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distribution, renormalize) -> dict:
     """The error-bar statistics step by step and site by site: one
     similarity call per sample and step, and the reference and first-order
@@ -743,11 +763,10 @@ def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distr
     eps times the step's total.  Each sample takes a draw_jitter row of
     angle offsets (none without angle error), walks the program rebuilt from
     it by jittered_program, then draws four efficiencies."""
-    from loopwalk.analysis import _observed
     from loopwalk.walk_engine import draw_jitter, evolve
 
     rng = np.random.default_rng(seed)
-    ref = _observed(evolve(setup.initial, setup.program, setup.steps), np.ones(4), renormalize, setup.site_map)
+    ref = observed(evolve(setup.initial, setup.program, setup.steps), np.ones(4), renormalize, setup.site_map)
     ref_dist = ref.intensities.sum(axis=2)
     sq_mode = np.zeros_like(ref.intensities)
     sq_pos = np.zeros_like(ref_dist)
@@ -758,7 +777,7 @@ def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distr
         if angle_err_deg > 0.0:
             prog = jittered_program(prog, draw_jitter(rng, 1, n_angles, angle_err_deg, distribution)[0])
         eff = rng.uniform(1.0 - eff_err, 1.0 + eff_err, size=4)
-        sample = _observed(evolve(setup.initial, prog, setup.steps), eff, renormalize, setup.site_map)
+        sample = observed(evolve(setup.initial, prog, setup.steps), eff, renormalize, setup.site_map)
         dm = sample.intensities - ref.intensities
         sq_mode += dm * dm
         dp = sample.intensities.sum(axis=2) - ref_dist

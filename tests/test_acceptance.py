@@ -215,10 +215,10 @@ def test_criterion_07_three_step_protocol():
             vec /= np.linalg.norm(vec)
             init = {int(rng.integers(-8, 9)): vec}
             got = list(evolve_states(init, schedule, 3))[-1]
-            want = np.zeros_like(got.amp)  # one step of the target, on the same window
+            want = np.zeros_like(got)  # one step of the target, on the same light cone
             for x, amps in oracles.dense_evolve(init, target, 1).items():
-                want[x - got.offset] = amps
-            diff = got.amp - want
+                want[x - min(init) + 3] = amps
+            diff = got - want
             assert np.max(np.abs(diff)) <= 1e-9
     report(7, "Grover and Fourier schedules match step+coin on 100 states each", t0, 10.0)
 

@@ -16,6 +16,7 @@ from loopwalk.config import parse_config
 from loopwalk.graph_programs import map_sites, ring_chain
 from loopwalk.optics import ArmSetting, OpticalElement
 from loopwalk.walk_engine import (
+    CH,
     CoinProgram,
     ElementCoin,
     ProgramError,
@@ -341,6 +342,22 @@ def test_errorbars_recipe_propagated_similarity_sigmas_are_bounded():
     sigma = np.array(report.similarity_sigma)
     assert np.all(np.isfinite(sigma))
     assert np.all(sigma <= 1.0)
+
+
+def test_errorbars_recipe_samples_walk_on_the_light_cone():
+    # the samples walk on the light cone, not on the ring's window: light a
+    # jittered end coin lets out walks on under the inner coin and comes
+    # back, and only such light feeds node 1's cH mode at step 3, so its
+    # spread is nonzero under angle jitter and rounding dust without it
+    cfg = parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs", "errorbars_circle8.yaml"))
+    base = cfg.base
+    setup = WalkSetup(base.program, base.initial, 12, site_map=base.site_map, support=cfg.support)
+    sigma = [
+        monte_carlo_error_bars(setup, cfg.n_samples, cfg.eff_err, angle_err, cfg.seed).sigma_mode[3, 1, CH]
+        for angle_err in (cfg.angle_err_deg, 0.0)
+    ]
+    assert sigma[0] > 1e-6
+    assert sigma[1] < 1e-30
 
 
 def test_monte_carlo_batch_size_does_not_change_the_result(monkeypatch):

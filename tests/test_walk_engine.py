@@ -17,7 +17,6 @@ from loopwalk.walk_engine import (
     ElementCoin,
     ProgramError,
     RawCoin,
-    WalkerState,
     constant_program,
     draw_jitter,
     evolve,
@@ -36,14 +35,16 @@ def norm(state):
     return sum(float(np.vdot(v, v).real) for v in state.values())
 
 
-def table(state):
-    """A dense state as {position: amplitudes} over its reached positions."""
-    return dict(zip(state.positions().tolist(), state.amp[state.reached]))
+def table(amp, left):
+    """Amplitude rows on the positions left, left + 1, ... as {position:
+    amplitudes} over the positions holding a nonzero amplitude."""
+    return {left + int(i): amp[i] for i in np.flatnonzero(amp.any(axis=-1))}
 
 
 def walk(state, coin, steps):
-    """The states after 0 .. steps steps of one coin everywhere, through the kernel."""
-    return list(evolve_states(state, constant_program(coin), steps))
+    """The states after 0 .. steps steps of one coin everywhere, through the
+    kernel, as tables of their light cone's rows."""
+    return [table(amp, min(state) - steps) for amp in evolve_states(state, constant_program(coin), steps)]
 
 
 def step_table(rec, t):
@@ -92,19 +93,19 @@ def test_make_initial_rejects_bad_labels():
 
 def test_apply_step_single_modes():
     # under the identity coin a step is the shift alone
-    moved = table(walk({0: np.array([1, 0, 0, 0], dtype=complex)}, np.eye(4), 1)[1])
+    moved = walk({0: np.array([1, 0, 0, 0], dtype=complex)}, np.eye(4), 1)[1]
     assert set(moved) == {-1}
     assert np.array_equal(moved[-1], np.array([0, 0, 1, 0], dtype=complex))
 
-    moved = table(walk({5: np.array([0, 0, 0, 1], dtype=complex)}, np.eye(4), 1)[1])
+    moved = walk({5: np.array([0, 0, 0, 1], dtype=complex)}, np.eye(4), 1)[1]
     assert set(moved) == {4}
     assert np.array_equal(moved[4], np.array([0, 1, 0, 0], dtype=complex))
 
-    moved = table(walk({2: np.array([0, 1, 0, 0], dtype=complex)}, np.eye(4), 1)[1])
+    moved = walk({2: np.array([0, 1, 0, 0], dtype=complex)}, np.eye(4), 1)[1]
     assert set(moved) == {3}
     assert np.array_equal(moved[3], np.array([0, 0, 0, 1], dtype=complex))
 
-    moved = table(walk({0: np.array([0, 0, 1, 0], dtype=complex)}, np.eye(4), 1)[1])
+    moved = walk({0: np.array([0, 0, 1, 0], dtype=complex)}, np.eye(4), 1)[1]
     assert set(moved) == {1}
     assert np.array_equal(moved[1], np.array([1, 0, 0, 0], dtype=complex))
 
@@ -113,7 +114,7 @@ def test_apply_step_is_involution():
     rng = np.random.default_rng(30)
     for _ in range(100):
         state = random_state(rng)
-        back = table(walk(state, np.eye(4), 2)[2])
+        back = walk(state, np.eye(4), 2)[2]
         assert set(back) == set(state)
         for x in state:
             assert np.max(np.abs(back[x] - state[x])) == 0.0
@@ -124,15 +125,15 @@ def test_apply_coin_identity_and_translation_invariance():
     # coin it is the dense step, and with u the identity step of u @ state
     rng = np.random.default_rng(31)
     state = random_state(rng)
-    same = table(walk(state, np.eye(4), 1)[1])
+    same = walk(state, np.eye(4), 1)[1]
     shifted = oracles.dense_evolve(state, np.eye(4), 1)
     assert set(same) == set(shifted)
     for x in shifted:
         assert np.max(np.abs(same[x] - shifted[x])) == 0.0
 
     u = random_unitary(4, rng)
-    coined = table(walk(state, u, 1)[1])
-    want = table(walk({x: u @ v for x, v in state.items()}, np.eye(4), 1)[1])
+    coined = walk(state, u, 1)[1]
+    want = walk({x: u @ v for x, v in state.items()}, np.eye(4), 1)[1]
     assert set(coined) == set(want)
     for x in want:
         assert np.max(np.abs(coined[x] - want[x])) < 1e-15
@@ -179,15 +180,6 @@ def test_uncovered_hole_inside_the_span_raises_only_when_reached():
     with pytest.raises(ProgramError) as err:
         evolve(init, passing, 8)
     assert str(err.value) == "'no coin rule for step 2 at position 2'"
-
-
-def test_batch_positions_are_those_any_sample_reached():
-    reached = np.zeros((3, 5), dtype=bool)
-    reached[0, 0] = reached[1, 2] = reached[2, [2, 4]] = True
-    batch = WalkerState(np.zeros((3, 5, 4), dtype=complex), reached, -1)
-    assert batch.positions().tolist() == [-1, 1, 3]
-    single = WalkerState(np.zeros((5, 4), dtype=complex), reached[2], -1)
-    assert single.positions().tolist() == [1, 3]
 
 
 def test_evolve_zero_steps():
@@ -414,9 +406,9 @@ def test_span_kernel_equals_sitewise_walk_bit_for_bit(seed, kinds, timed, starts
         assert rec.positions(t).tolist() == sorted(want[t])
         got = step_table(rec, t)
         for s in range(3):
-            sample = WalkerState(state.amp[s], state.reached[s], state.offset)
-            assert sample.positions().tolist() == sorted(want[t])
-            for x, amp in table(sample).items():
+            sample = table(state[s], rec.offset)
+            assert sorted(sample) == sorted(want[t])
+            for x, amp in sample.items():
                 assert np.array_equal(got[x], want[t][x])
                 assert np.array_equal(np.abs(amp) ** 2, want[t][x])
 
@@ -543,7 +535,7 @@ def test_final_state_consistent_with_record():
     init = make_initial("ccw", "D", 0)
     rec = evolve(init, constant_program(coin), 9)
     last = walk(init, coin, 9)[-1]
-    for x, v in table(last).items():
+    for x, v in last.items():
         assert np.max(np.abs(np.abs(v) ** 2 - step_table(rec, 9).get(x, np.zeros(4)))) < 1e-13
 
 
@@ -690,7 +682,7 @@ def test_apply_step_twice_is_identity_on_random_states(seed, n):
     amp = np.array([random_unitary(4, rng)[:, 0] for _ in range(n + 2)])
     amp[rng.random(n + 2) < 0.3] = 0.0
     state = dict(enumerate(amp, start=int(rng.integers(-5, 6))))
-    back = table(walk(state, np.eye(4), 2)[2])
+    back = walk(state, np.eye(4), 2)[2]
     assert set(back) == {x for x, a in state.items() if a.any()}
     for x in back:
         assert np.array_equal(back[x], state[x])
@@ -774,10 +766,12 @@ def test_sampled_copies_evolve_like_evolve_bit_for_bit():
         assert copies.table.shape == (5, *program.table.shape)
         assert copies.table.flags.c_contiguous
         for state, single in zip(evolve_states(init, copies, steps), evolve_states(init, program, steps)):
-            assert state.offset == single.offset
             for s in range(5):
-                assert np.array_equal(state.amp[s], single.amp)
-                assert np.array_equal(state.reached[s], single.reached)
+                assert np.array_equal(state[s], single)
+        batch, alone = evolve(init, copies, steps), evolve(init, program, steps)
+        assert batch.offset == alone.offset
+        for s in range(5):
+            assert np.array_equal(batch.reached[:, s], alone.reached)
 
 
 def test_sampled_program_walks_each_sample_as_its_own_program():
@@ -791,7 +785,7 @@ def test_sampled_program_walks_each_sample_as_its_own_program():
         for s, row in enumerate(offsets):
             alone = oracles.jittered_program(program, row)
             for state, single in zip(batch, evolve_states(init, alone, steps)):
-                assert np.array_equal(state.amp[s], single.amp)
+                assert np.array_equal(state[s], single)
 
 
 def test_batch_raises_the_lowest_failing_sample_first_failure():
