@@ -179,7 +179,9 @@ def monte_carlo_error_bars(
     propagated to first order from the position spreads (over the support
     sites whose reference weight exceeds DUST_FLOOR times the step's total).
     base_record, when given, is the setup's unperturbed walk (on the light
-    cone) evolved by the caller, used instead of evolving it again.
+    cone) evolved by the caller, used instead of evolving it again.  Only
+    its offset and width are kept once the reference is built, so a caller
+    that passes it without holding it frees its intensities before sampling.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
@@ -215,6 +217,7 @@ def monte_carlo_error_bars(
     # one step of a batch at a time, and are added in sample order
     window = base_record.intensities.shape[1]
     rows = node_rows(setup.site_map, base_record.offset, window) if setup.site_map is not None else None
+    del base_record
     size = max(1, BATCH_SITES // window)
     for first in range(0, n_samples, size):
         batch = slice(first, first + size)

@@ -340,15 +340,20 @@ def _cmd_decompose(cfg: RunConfig, args) -> str:
     return _render(header, _blocks(header, scalar, matrix), args.format)
 
 
+def _base_walk(base, steps):
+    """An errorbars base's unperturbed light-cone walk; leakage off its graph exits 3 before sampling."""
+    record = evolve(base.initial, base.program, steps)
+    if base.site_map is not None:
+        _mapped_record(base.site_map, record)
+    return record
+
+
 def _cmd_errorbars(cfg: RunConfig, args) -> str:
     base = cfg.base
     steps = _steps(base, args)
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be nonnegative")
     seed = cfg.seed if args.seed is None else args.seed
-    record = evolve(base.initial, base.program, steps)
-    if base.site_map is not None:
-        _mapped_record(base.site_map, record)  # leakage failures exit 3 before sampling
     setup = WalkSetup(
         program=base.program,
         initial=base.initial,
@@ -364,7 +369,7 @@ def _cmd_errorbars(cfg: RunConfig, args) -> str:
         seed=seed,
         distribution=cfg.distribution,
         renormalize=cfg.renormalize,
-        base_record=record,
+        base_record=_base_walk(base, steps),  # held by no name here, so the sampler can free it
     )
     site_col = "node" if report.mapped else "position"
     header = ["step", site_col, "mode", "reference", "sigma"]

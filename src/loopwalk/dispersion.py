@@ -36,8 +36,12 @@ derivatives are taken.
 Every non-zero entry of S(k) is e^{+-ik}, so U(k + pi) = -U(k): a sample
 n_k/2 after another on an even grid has its eigenvectors and negated
 eigenvalues.  band_structure solves the first n_k/2 + 6 padded samples and
-copies the rest from their twins; an odd n_k has no twins and solves every
-sample.
+copies the rest from their twins, and with them the twins' other per-sample
+work: the branch match between two twins is the one between their sources,
+and a twin's matrix elements <w_m|D|w_n> are its source's, read in its own
+branch order (a twin that fell back to eig orthonormalises its own vectors).
+omega'' is still summed with each twin's own unwrapped phases.  An odd n_k
+has no twins and solves every sample.
 
 Wavefront speeds are the group velocities at inflection points of a band
 (zeros of omega'').  Bands with numerically constant slope (flat or
@@ -54,7 +58,6 @@ skip the cot sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -133,8 +136,9 @@ def _grid_eigenpairs(coin: np.ndarray, k_pad: np.ndarray, n_k: int):
 
     On an even grid each sample from n_k/2 + 2 _PAD on is the twin of the
     sample n_k/2 before it, k + pi apart: it takes that sample's vectors and
-    negated eigenvalues (and its place in redo) without a solve.  An odd
-    grid has no twins.
+    negated eigenvalues (and its place in redo) without a solve, and
+    band_structure copies its branch match and matrix elements as well.  An
+    odd grid has no twins.
     """
     half = 0 if n_k % 2 else n_k // 2
     solved = len(k_pad) - half
@@ -144,17 +148,21 @@ def _grid_eigenpairs(coin: np.ndarray, k_pad: np.ndarray, n_k: int):
     return np.concatenate([w, -w[twins]]), np.concatenate([v, v[twins]]), redo, residual
 
 
-def _derivatives(coin: np.ndarray, vecs: np.ndarray, phases: np.ndarray, redo: np.ndarray, curvature: bool = True):
+def _derivatives(coin: np.ndarray, vecs: np.ndarray, phases: np.ndarray, redo: np.ndarray, curvature: bool = True,
+                 reads: Optional[tuple] = None):
     """omega' and, with curvature, omega'' of every eigenpair, batched over samples.
 
     vecs: (n, d, d) eigenvectors of U(k) as columns, orthonormal except in
-    the samples redo (eig's vectors); phases: (n, d) their eigenphases.
-    Returns a tuple of (n, d) arrays (see the module docstring).
+    the samples redo (eig's vectors); phases: (n, d) their eigenphases, or
+    those of other samples when reads indexes the matrix elements onto them.
+    Returns a tuple of arrays of phases' shape (see the module docstring).
     """
     w = coin @ vecs
     if len(redo):
         w[redo] = coin @ np.linalg.qr(vecs[redo])[0]  # orthonormal, column order kept
     dm = np.einsum("sin,i,sim->snm", w.conj(), _D, w)
+    if reads is not None:
+        dm = dm[reads]
     first = np.einsum("snn->sn", dm).real
     if not curvature:
         return (first,)
@@ -174,7 +182,7 @@ class DispersionSpectrum:
     vectors : (n_branches, n_k, dim) matching eigenvectors
     """
 
-    def __init__(self, k_pad, omega_pad, vec_pad, n_k, coin, redo, residual):
+    def __init__(self, k_pad, omega_pad, vec_pad, n_k, coin, redo, residual, sources):
         self._k_pad = k_pad
         self._omega_pad = omega_pad
         self._vec_pad = vec_pad
@@ -185,6 +193,7 @@ class DispersionSpectrum:
         # from eig, and the largest eigh residual accepted
         self._redo = redo
         self._residual = residual
+        self._sources = sources  # whose matrix elements each sample reads (see band_structure)
 
     @property
     def k_grid(self) -> np.ndarray:
@@ -207,10 +216,16 @@ class DispersionSpectrum:
         return float(self._k_pad[1] - self._k_pad[0])
 
     def _grid_derivatives(self):
-        """(omega', omega'') of every branch on the padded grid, computed once."""
+        """(omega', omega'') of every branch on the padded grid, computed once;
+        matrix elements are formed only at the samples that are their own source."""
         if self._slopes is None:
-            vecs = self._vec_pad.transpose(1, 2, 0)
-            first, second = _derivatives(self._coin, vecs, self._omega_pad.T, self._redo)
+            source, order = self._sources
+            own = source == np.arange(source.size)
+            rank = np.cumsum(own) - 1  # place of each own sample among them
+            first, second = _derivatives(
+                self._coin, self._vec_pad[:, own].transpose(1, 2, 0), self._omega_pad.T, rank[self._redo],
+                reads=(rank[source][:, None, None], order[:, :, None], order[:, None, :]),
+            )
             self._slopes = (first.T, second.T)
         return self._slopes
 
@@ -253,25 +268,33 @@ def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
 
     w, v, redo, residual = _grid_eigenpairs(coin, k_pad, n_k)
     m, d = w.shape
+    half = 0 if n_k % 2 else n_k // 2
+    solved = m - half
 
-    # greedy maximum matching of each sample's columns to the next sample's
-    # on the overlap magnitudes, all samples at once; adequate because
-    # off-branch overlaps are small away from exact degeneracies, and inside
-    # a degenerate cluster any assignment is equally valid
-    ov = np.abs(np.einsum("mij,mik->mjk", v[:-1].conj(), v[1:]))
-    rows = np.arange(m - 1)
-    nxt = np.empty((m - 1, d), dtype=int)
+    # greedy maximum matching of each sample's columns to the next sample's on
+    # the overlap magnitudes, at once for every transition touching a solved
+    # sample (one between twins repeats the one n_k/2 before it); adequate as
+    # off-branch overlaps are small away from exact degeneracies, and inside a
+    # degenerate cluster any assignment is equally valid
+    t = min(solved, m - 1)
+    ov = np.abs(np.einsum("mij,mik->mjk", v[:t].conj(), v[1:t + 1]))
+    rows = np.arange(t)
+    nxt = np.empty((t, d), dtype=int)
     for _ in range(d):
-        i, j = np.divmod(np.argmax(ov.reshape(m - 1, d * d), axis=1), d)
+        i, j = np.divmod(np.argmax(ov.reshape(t, d * d), axis=1), d)
         nxt[rows, i] = j
         ov[rows, i, :] = -1.0
         ov[rows, :, j] = -1.0
+    nxt = np.concatenate([nxt, nxt[solved - half:m - 1 - half]])
 
     # cols[s, b]: column of branch b at sample s, branches ordered by phase
-    # at the first sample; each branch follows nxt by plain integer lookups
-    table = nxt.tolist()
-    start = np.argsort(wrap_phase(np.angle(w[0])), kind="stable").tolist()
-    cols = np.array([list(accumulate(table, lambda c, row: row[c], initial=c)) for c in start]).T
+    # at the first sample; the columns change only across a transition whose
+    # match is not the identity, so the chain steps through those alone
+    swaps = np.flatnonzero(np.any(nxt != np.arange(d), axis=1))
+    perms = [np.argsort(wrap_phase(np.angle(w[0])), kind="stable").tolist()]
+    for row in nxt[swaps].tolist():
+        perms.append([row[c] for c in perms[-1]])
+    cols = np.repeat(perms, np.diff(swaps, prepend=-1, append=m - 1), axis=0)
 
     ph = np.angle(np.take_along_axis(w, cols, axis=1))
     ph[0] = wrap_phase(ph[0])
@@ -279,7 +302,17 @@ def band_structure(coin, n_k: int = 1024) -> DispersionSpectrum:
     turns[1:] = np.cumsum(np.round((ph[:-1] - ph[1:]) / (2.0 * np.pi)), axis=0)
     omega_pad = (ph + 2.0 * np.pi * turns).T
     vec_pad = np.take_along_axis(v, cols[:, None, :], axis=2).transpose(2, 0, 1)
-    return DispersionSpectrum(k_pad, omega_pad, vec_pad, n_k, coin, redo, residual)
+
+    # a twin reads the matrix elements of its source, whose vectors it holds,
+    # in the source's branch order (order); one that fell back to eig is its
+    # own source, as eig's vectors are orthonormalised in branch order
+    source = np.arange(m)
+    source[solved:] -= half
+    source[redo] = redo
+    branch = np.empty_like(cols)  # branch[s, c]: the branch in column c at sample s
+    np.put_along_axis(branch, cols, np.arange(d), axis=1)
+    order = np.take_along_axis(branch[source], cols, axis=1)
+    return DispersionSpectrum(k_pad, omega_pad, vec_pad, n_k, coin, redo, residual, (source, order))
 
 
 def group_velocities(spec: DispersionSpectrum) -> np.ndarray:
@@ -406,10 +439,6 @@ class Crossing:
     continuum: bool = False
 
 
-def _circle_gap(a, b):
-    return np.abs(wrap_phase(a - b))
-
-
 def _gap_slope(om_i, om_j, v_i, v_j):
     """d(gap)/dk and the gap on the phase circle of two branches."""
     diff = wrap_phase(om_i - om_j)
@@ -436,18 +465,22 @@ def _ternary_minimum(gap_at, lo, hi, sel):
 
 
 def _grid_minima(d: np.ndarray, n_k: int):
-    """Bracket ends (pad indices lo, hi) and least gap of the grid minima of
-    a padded gap row d, in order.  Steps within _PHASE_NOISE_FLOOR are level,
-    so a minimum is a fall, level steps (possibly none), then a rise at
-    samples lo+1..hi-1; only the period copy with lo+1 on the main grid is kept.
+    """Row, bracket ends (pad indices lo, hi) and least gap of the grid minima
+    of padded gap rows d (rows, samples), in order.  Steps within
+    _PHASE_NOISE_FLOOR are level, so a minimum is a fall, level steps
+    (possibly none), then a rise at samples lo+1..hi-1; only the period copy
+    with lo+1 on the main grid is kept.
     """
-    step = np.diff(d)
-    sign = np.sign(step) * (np.abs(step) > _PHASE_NOISE_FLOOR)
-    turns = np.flatnonzero(sign)
-    p, q = turns[:-1], turns[1:]
-    keep = (sign[p] < 0) & (sign[q] > 0) & (p >= _PAD - 1) & (p < _PAD + n_k - 1)
-    lo, hi = p[keep], q[keep] + 1
-    return lo, hi, np.array([np.min(d[a:b + 1]) for a, b in zip(lo.tolist(), hi.tolist())])
+    step = np.diff(d, axis=1)
+    row, turn = np.nonzero(np.abs(step) > _PHASE_NOISE_FLOOR)
+    rise = step[row, turn] > 0.0
+    p, q = turn[:-1], turn[1:]
+    keep = (row[:-1] == row[1:]) & ~rise[:-1] & rise[1:] & (p >= _PAD - 1) & (p < _PAD + n_k - 1)
+    row, lo, hi = row[:-1][keep], p[keep], q[keep] + 1
+    # the least gap lies on the level samples lo+1..hi-1, whose runs are
+    # disjoint and in order over the flattened rows
+    level = (row * d.shape[1] + lo + 1, row * d.shape[1] + hi)
+    return row, lo, hi, np.minimum.reduceat(d.ravel(), np.ravel(level, order="F"))[::2]
 
 
 def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
@@ -468,23 +501,17 @@ def classify_crossings(spec: DispersionSpectrum, gap_tol: float = 1e-9) -> list:
     non-zero gap yields no entry at all, while pairs degenerate over the
     whole grid yield a single entry flagged continuum=True.
     """
-    out: list[Crossing] = []
-    minima = []  # (branch i, branch j, bracket ends, least grid gap) arrays per pair
-    nb = spec.n_branches
-    for i in range(nb):
-        for j in range(i + 1, nb):
-            d = _circle_gap(spec._omega_pad[i], spec._omega_pad[j])
-            window = d[_PAD - 1:_PAD + spec._n_k + 1]
-            if np.max(window) <= gap_tol:
-                out.append(Crossing(k=float(spec.k_grid[0]), branches=(i, j), gap=float(np.max(window)),
-                                    kind="crossing", continuum=True))
-                continue
-            lo, hi, least = _grid_minima(d, spec._n_k)
-            if len(lo):
-                minima.append((np.full(len(lo), i), np.full(len(lo), j), lo, hi, least))
+    bi, bj = np.triu_indices(spec.n_branches, 1)
+    d = np.abs(wrap_phase(spec._omega_pad[bi] - spec._omega_pad[bj]))  # gaps on the phase circle
+    widest = np.max(d[:, _PAD - 1:_PAD + spec._n_k + 1], axis=1)
+    continuum = widest <= gap_tol
+    out = [Crossing(k=float(spec.k_grid[0]), branches=(int(i), int(j)), gap=float(g), kind="crossing", continuum=True)
+           for i, j, g in zip(bi[continuum], bj[continuum], widest[continuum])]
+    pair, ps, qs, least = _grid_minima(d, spec._n_k)
+    kept = ~continuum[pair]
+    bi, bj, ps, qs, least = bi[pair[kept]], bj[pair[kept]], ps[kept], qs[kept], least[kept]
 
-    if minima:
-        bi, bj, ps, qs, least = (np.concatenate(col) for col in zip(*minima))
+    if len(ps):
         vec_i, vec_j = spec._vec_pad[bi, ps + 1], spec._vec_pad[bj, ps + 1]
 
         def gap_at(ks, sel):

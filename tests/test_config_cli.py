@@ -378,6 +378,36 @@ def test_errorbars_leaking_program_exits_3_before_sampling(monkeypatch, capsys):
     assert "walker left the graph" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="earlier interpreters keep a call's arguments until it returns")
+def test_errorbars_base_walk_is_freed_before_the_samples_walk(monkeypatch, capsys):
+    # the base walk's intensities are as large as the light cone; once the
+    # reference is built the sampler keeps only its offset and width, so no
+    # one holds them by the time the samples walk
+    import weakref
+
+    import loopwalk.analysis as analysis
+
+    evolve, evolve_states = cli.evolve, analysis.evolve_states
+    walks, freed = [], []
+
+    def walk(*args, **kwargs):
+        record = evolve(*args, **kwargs)
+        walks.append(weakref.ref(record.intensities))
+        return record
+
+    def sample(*args, **kwargs):
+        freed.append([ref() is None for ref in walks])
+        return evolve_states(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve", walk)
+    monkeypatch.setattr(analysis, "evolve", walk)
+    monkeypatch.setattr(analysis, "evolve_states", sample)
+    result = main_cli(capsys, "errorbars", "--config", os.path.join(CONFIG_DIR, "errorbars_circle8.yaml"), "--steps", "12")
+    assert result.returncode == 0
+    assert len(walks) == 1
+    assert freed and all(batch == [True] for batch in freed)
+
+
 @pytest.mark.parametrize("command", ["circle", "revivals"])
 def test_ring_with_inner_coin_ends_leaks_and_exits_3(monkeypatch, capsys, command):
     # the end coins replaced by the inner coin: the walk leaves the graph window

@@ -280,23 +280,31 @@ RIPPLE = [f * _PHASE_NOISE_FLOOR for f in (0.0, 0.3, -0.3, 0.5, -0.5)]
 def gap_rows(draw):
     n_k = draw(st.integers(min_value=1, max_value=24))
     size = n_k + 2 * _PAD
-    levels = draw(st.lists(st.sampled_from(GAP_LEVELS), min_size=size, max_size=size))
-    ripple = draw(st.lists(st.sampled_from(RIPPLE), min_size=size, max_size=size))
-    return n_k, np.array(levels) + np.array(ripple)
+    rows = draw(st.integers(min_value=1, max_value=6))
+    levels = draw(st.lists(st.sampled_from(GAP_LEVELS), min_size=rows * size, max_size=rows * size))
+    ripple = draw(st.lists(st.sampled_from(RIPPLE), min_size=rows * size, max_size=rows * size))
+    return n_k, (np.array(levels) + np.array(ripple)).reshape(rows, size)
 
 
 @settings(derandomize=True, deadline=None)
 @given(gap_rows())
-@example((4, np.full(4 + 2 * _PAD, 0.5)))  # a constant row
-@example((4, np.array([2.0, 2.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0, 2.0])))  # minima on both edges
-@example((3, np.array([1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0])))  # a plateau over the whole grid
-def test_grid_minima_match_per_sample_scan(row):
-    n_k, d = row
-    lo, hi, least = _grid_minima(d, n_k)
-    expected = oracles.grid_minima(d, n_k, _PAD, _PHASE_NOISE_FLOOR)
-    assert [lo.dtype.kind, hi.dtype.kind, least.dtype] == ["i", "i", np.float64]
-    assert list(zip(lo.tolist(), hi.tolist())) == [(p, q) for p, q, _ in expected]
-    assert np.array_equal(least, np.array([g for _, _, g in expected], dtype=float))
+@example((4, np.full((1, 4 + 2 * _PAD), 0.5)))  # a constant row
+@example((4, np.array([[2.0, 2.0, 1.0, 0.0, 0.0, 0.5, 0.0, 0.0, 1.0, 2.0]])))  # minima on both edges
+@example((3, np.array([[1.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 0.5, 1.0]])))  # a plateau over the whole grid
+@example((4, np.array([[2.0, 2.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+                       [0.0, 1.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0]])))  # a fall the next row's rise must not close
+def test_grid_minima_match_per_sample_scan(rows):
+    # all rows are scanned as one array; each row's minima are those of the
+    # per-sample scan of that row alone, in row order
+    n_k, d = rows
+    row, lo, hi, least = _grid_minima(d, n_k)
+    assert [row.dtype.kind, lo.dtype.kind, hi.dtype.kind, least.dtype] == ["i", "i", "i", np.float64]
+    assert np.all(np.diff(row) >= 0)
+    for r in range(len(d)):
+        expected = oracles.grid_minima(d[r], n_k, _PAD, _PHASE_NOISE_FLOOR)
+        mine = row == r
+        assert list(zip(lo[mine].tolist(), hi[mine].tolist())) == [(p, q) for p, q, _ in expected]
+        assert np.array_equal(least[mine], np.array([g for _, _, g in expected], dtype=float))
 
 
 def test_classify_crossings_repulsion_all_avoided():
@@ -738,6 +746,33 @@ def test_twin_samples_are_eigenpairs(seed, haar, n_k):
     assert np.array_equal(redo[redo >= m - half], np.intersect1d(redo, twin - half) + half)
     assert np.array_equal(spec._redo, redo)
     assert np.max(np.abs(group_velocities(spec))) <= 1.0 + 1e-12
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from(["haar", "element"]), st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([64, 128, 129, 1024]))
+@example("identity", 0, 128).via("the identity coin")
+@example("fallback", 2, 128).via("k + pi twins that fell back to eig")
+def test_grid_derivatives_equal_derivatives_on_every_sample(kind, seed, n_k):
+    # a k + pi twin reads its source's matrix elements in its own branch
+    # order and sums omega'' with its own phases: bit for bit what
+    # _derivatives gives when run on every padded sample
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        coin = np.eye(4, dtype=complex)
+    else:
+        coin = random_element_coin(rng) if kind == "element" else random_unitary(4, rng)
+    spec = band_structure(coin, n_k=n_k)
+    m, half = spec._k_pad.size, (0 if n_k % 2 else n_k // 2)
+    source, _ = spec._sources
+    fallback_twins = np.count_nonzero(spec._redo >= m - half)
+    assert np.count_nonzero(source != np.arange(m)) == half - fallback_twins
+    if kind == "fallback":
+        assert fallback_twins > 0
+    first, second = _derivatives(spec._coin, spec._vec_pad.transpose(1, 2, 0), spec._omega_pad.T, spec._redo)
+    got = spec._grid_derivatives()
+    assert np.array_equal(got[0], first.T)
+    assert np.array_equal(got[1], second.T)
 
 
 @pytest.mark.parametrize("n_k, solved", [(64, 38), (65, 71), (1024, 518), (1025, 1031)])
