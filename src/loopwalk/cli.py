@@ -191,7 +191,9 @@ def _render(header: list, columns: list, fmt: str) -> str:
             np.maximum(c, pad, out=body[:, i : i + c.shape[1]])  # every cell byte exceeds the space
             pad[c[:, 0] != 0] = 32
     body[:, -1] = 10
-    return head + body[body != 0].tobytes().decode()
+    compacted = body[body != 0]
+    del body  # freed before decoding, which then reuses its pages
+    return head + str(compacted, "ascii")
 
 
 def _site_columns(step_index: np.ndarray, site: np.ndarray, labels) -> list:
@@ -231,13 +233,17 @@ def _cmd_simulate(cfg: RunConfig, args) -> str:
     steps = _steps(cfg, args)
     record = evolve(cfg.initial, cfg.program, steps)
     step_index, site = np.nonzero(record.reached)
-    values = _column(trace_intensities(record.intensities[step_index, site], mode=args.trace).ravel())
+    traced = trace_intensities(record.intensities[step_index, site], mode=args.trace).ravel()
+    position = record.offset + site
+    del record, site  # the light cone is freed before formatting, which then reuses its resident pages
+    values = _column(traced)
+    del traced
     if args.trace == "sum_all":
         header = ["step", "position", "intensity"]
-        columns = [_column(step_index), _column(record.offset + site), values]
+        columns = [_column(step_index), _column(position), values]
     else:
         header = ["step", "position", _TRACE_THIRD_COLUMN[args.trace], "intensity"]
-        columns = [*_site_columns(step_index, record.offset + site, TRACE_LABELS[args.trace]), values]
+        columns = [*_site_columns(step_index, position, TRACE_LABELS[args.trace]), values]
     return _render(header, columns, args.format)
 
 

@@ -37,7 +37,8 @@ def assert_unitary(a: np.ndarray, tol: float = DEFAULT_UNITARY_TOL, name: str = 
 
 def wrap_phase(phi):
     """Map angles into [-pi, pi)."""
-    return np.mod(np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    out = np.mod(np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    return out - 2.0 * np.pi * (out == np.pi)  # np.mod rounds a result just below 2 pi up to 2 pi
 
 
 def numerical_rank(s: np.ndarray, rel_tol: float = 1e-9) -> int:

@@ -408,6 +408,32 @@ def test_errorbars_base_walk_is_freed_before_the_samples_walk(monkeypatch, capsy
     assert freed and all(batch == [True] for batch in freed)
 
 
+@pytest.mark.parametrize("trace", cli._COMMANDS["simulate"][3]["--trace"]["choices"])
+def test_simulate_frees_its_walk_before_formatting(monkeypatch, capsys, trace):
+    # the walk's intensities span its whole light cone; simulate keeps only
+    # the reached cells, so no one holds them by the time a column is formatted
+    import weakref
+
+    evolve, column = cli.evolve, cli._column
+    walks, alive = [], []
+
+    def walk(*args, **kwargs):
+        record = evolve(*args, **kwargs)
+        walks.append(weakref.ref(record.intensities))
+        return record
+
+    def format_column(values):
+        alive.append(any(ref() is not None for ref in walks))
+        return column(values)
+
+    monkeypatch.setattr(cli, "evolve", walk)
+    monkeypatch.setattr(cli, "_column", format_column)
+    result = main_cli(capsys, "simulate", "--config", os.path.join(CONFIG_DIR, "four_speed_line.yaml"), "--trace", trace)
+    assert result.returncode == 0
+    assert len(walks) == 1
+    assert alive and not any(alive)
+
+
 @pytest.mark.parametrize("command", ["circle", "revivals"])
 def test_ring_with_inner_coin_ends_leaks_and_exits_3(monkeypatch, capsys, command):
     # the end coins replaced by the inner coin: the walk leaves the graph window

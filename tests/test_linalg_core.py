@@ -58,6 +58,22 @@ def test_wrap_phase():
     assert np.all(np.abs(np.abs(arr) - np.pi) < 1e-12)
 
 
+def test_wrap_phase_stays_below_pi():
+    # np.mod rounds a sum just below 2 pi up to 2 pi, which would give +pi
+    # for angles a hair below an odd multiple of pi
+    odd = np.pi * np.arange(-41, 42, 2)
+    near = np.concatenate([np.nextafter(odd, -np.inf), odd, np.nextafter(odd, np.inf)])
+    rng = np.random.default_rng(7)
+    phi = np.concatenate([near, rng.uniform(-50.0, 50.0, 10_000), rng.normal(0.0, 1e3, 10_000)])
+    out = wrap_phase(phi)
+    assert np.all((-np.pi <= out) & (out < np.pi))
+    turns = (out - phi) / (2.0 * np.pi)
+    assert np.all(np.abs(turns - np.round(turns)) < 1e-12)
+    assert wrap_phase(np.nextafter(-np.pi, -4.0)) == -np.pi
+    assert isinstance(wrap_phase(np.nextafter(-np.pi, -4.0)), np.float64)
+    assert np.ndim(wrap_phase(1.0)) == 0
+
+
 def test_eig_unitary_reconstructs():
     rng = np.random.default_rng(11)
     for _ in range(40):
