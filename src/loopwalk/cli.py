@@ -5,7 +5,8 @@ computation, and writes either CSV or an aligned text table to stdout or
 --out, built by columns in byte arrays.  Floats are exact %.17g from
 double-double array arithmetic in float64; an exact decimal tie, one whose
 digits are 1 and zeros, an inf, a nan and the floats of a short column go
-through the % operator.  Exit codes:
+through the % operator; zeros beside nonzero floats skip the digits ("0",
+or "-0" where the sign bit is set).  Exit codes:
 0 on success, 2 for configuration problems (including payload matrices
 that fail their unitarity certificate, an unwritable --out, and a run too
 large to allocate), 3 when a numerical certification fails at run time
@@ -101,8 +102,13 @@ def _percent(x: np.ndarray) -> list:
 def _float_cells(x: np.ndarray) -> np.ndarray:
     """'%.17g' % v of each float v in x, as an S array as wide as its
     longest cell."""
-    _, suffix, quads, upto, layouts = _tables()
     n, zero = len(x), x == 0
+    if zero.any() and not zero.all():  # the nonzero cells alone go through the digits
+        sign, cells = np.signbit(x) & zero, _float_cells(x[~zero])
+        out = np.full(n, b"0", f"S{max(cells.itemsize, 1 + sign.any())}")
+        out[sign], out[~zero] = b"-0", cells
+        return out
+    _, suffix, quads, upto, layouts = _tables()
     ok = np.isfinite(x) & ~zero
     a = np.where(ok, np.abs(x), 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
@@ -200,7 +206,7 @@ def _site_columns(step_index: np.ndarray, site: np.ndarray, labels) -> list:
     """step, site and label columns: one row per label at each reached site."""
     labels = np.array(labels, "S")
     n = len(labels)
-    return [_column(np.repeat(step_index, n)), _column(np.repeat(site, n)), np.tile(labels, len(step_index))]
+    return [np.repeat(_column(step_index), n), np.repeat(_column(site), n), np.tile(labels, len(step_index))]
 
 
 def _emit(text: str, out_path):

@@ -258,19 +258,23 @@ def rotation_circle_distribution(initial_vector: np.ndarray, t: int) -> np.ndarr
     return np.roll(np.asarray(initial_vector, dtype=float), t)
 
 
-def stepwise_revivals(record, tol: float = 1e-6) -> list:
-    """Revivals of a record on graph nodes one step at a time: at each step
-    t >= 1, the overlap sum_m sqrt(P_0(m - s) P_t(m)), added left to
-    right, of step 0 moved by every cyclic shift s, and a (t, s, kind)
-    event for each shift whose squared overlap is at least 1 - tol."""
+def stepwise_overlaps(record) -> np.ndarray:
+    """Squared overlaps of a record on graph nodes one step at a time: row
+    t - 1 holds, for each step t >= 1 and every cyclic shift s, the overlap
+    sum_m sqrt(P_0(m - s) P_t(m)) of step 0 moved by s, added left to
+    right, squared."""
     nodes = np.arange(record.num_nodes)
     rolls = record.distribution_vector(0)[(nodes[None, :] - nodes[:, None]) % record.num_nodes]
-    out = []
-    for t in range(1, len(record)):
-        overlap = np.cumsum(np.sqrt(rolls * record.distribution_vector(t)), axis=-1)[:, -1] ** 2
-        for s in np.flatnonzero(overlap >= 1.0 - tol).tolist():
-            out.append((t, s, "perfect" if s == 0 else "shifted"))
-    return out
+    rows = [np.cumsum(np.sqrt(rolls * record.distribution_vector(t)), axis=-1)[:, -1] ** 2 for t in range(1, len(record))]
+    return np.array(rows).reshape(len(record) - 1, record.num_nodes)
+
+
+def stepwise_revivals(record, tol: float = 1e-6) -> list:
+    """Revivals of a record on graph nodes one step at a time: a (t, s,
+    kind) event for each step t >= 1 and shift s whose stepwise_overlaps
+    entry is at least 1 - tol."""
+    hits = np.argwhere(stepwise_overlaps(record) >= 1.0 - tol)
+    return [(t + 1, s, "perfect" if s == 0 else "shifted") for t, s in hits.tolist()]
 
 
 def one_trip_test_independent(c: np.ndarray, rel_tol: float = 1e-9) -> bool:
@@ -733,6 +737,27 @@ def jittered_program(program, row):
         overrides={x: shifted[id(spec)] for x, spec in program.overrides.items()},
         time_table=[shifted[id(spec)] for spec in program.time_table] if program.time_table is not None else None,
     )
+
+
+def scalar_jitter(rng, n_samples: int, n_angles: int, angle_err_deg: float, distribution: str, eff_err=None):
+    """draw_jitter's rows one draw at a time: per row, n_angles offsets, each
+    a uniform draw on +-angle_err_deg, or a normal draw of scale
+    angle_err_deg / 2 redrawn until it lies within +-angle_err_deg; then,
+    with eff_err, four efficiencies uniform on 1 +- eff_err."""
+    rows = []
+    for _ in range(n_samples):
+        row = []
+        for _ in range(n_angles):
+            if distribution == "uniform":
+                row.append(rng.uniform(-angle_err_deg, angle_err_deg))
+                continue
+            while abs(d := rng.normal(0.0, angle_err_deg / 2.0)) > angle_err_deg:
+                pass
+            row.append(d)
+        if eff_err is not None:
+            row += [rng.uniform(1.0 - eff_err, 1.0 + eff_err) for _ in range(4)]
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(n_samples, n_angles + 4 * (eff_err is not None))
 
 
 def observed(record, eff, renormalize, site_map):

@@ -13,7 +13,7 @@ from loopwalk.analysis import (
     similarity,
 )
 from loopwalk.config import parse_config
-from loopwalk.graph_programs import map_sites, ring_chain
+from loopwalk.graph_programs import FLAVORS, MappedRecord, map_sites, ring_chain
 from loopwalk.optics import ArmSetting, OpticalElement
 from loopwalk.walk_engine import (
     CH,
@@ -147,6 +147,78 @@ def test_find_revivals_matches_shift_by_shift_search():
             want = oracles.stepwise_revivals(mapped, tol)
             assert want
             assert find_revivals(mapped, tol) == want
+
+
+def revival_thresholds(square: float) -> list:
+    """1 - tol for tols at which `square`, a squared overlap in (0.5, 1], is
+    exactly the threshold or one ulp either side of it: 1 - tol is exact
+    there, and tol lies in [0, 1)."""
+    return [c for c in (np.nextafter(square, 0.0), square, np.nextafter(square, 2.0)) if c <= 1.0]
+
+
+def near_revivals(rng, num_nodes: int, steps: int) -> MappedRecord:
+    """A record on num_nodes nodes whose step 0 spreads over every node and
+    whose later steps are step 0 moved by a random shift, each node's
+    intensity off by a relative 1e-9 or less: squared overlaps just below 1,
+    each a sum of num_nodes rounded terms."""
+    p0 = rng.random((num_nodes, 4))
+    p0 /= p0.sum()
+    moved = [np.roll(p0, rng.integers(num_nodes), axis=0) * (1.0 + 1e-9 * rng.random((num_nodes, 4))) for _ in range(steps)]
+    intensities = np.array([p0, *moved])
+    return MappedRecord(intensities, np.ones(intensities.shape[:2], bool), np.zeros(steps + 1), False)
+
+
+def test_find_revivals_at_the_threshold_and_one_ulp_either_side():
+    # tol set so that 1 - tol is a (step, shift) pair's squared overlap as the
+    # stepwise search adds it, or one ulp above or below it, on the recipe
+    # rings and on records of near revivals spread over 3 to 40 nodes
+    configs = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs")
+    rng = np.random.default_rng(29)
+    records = [
+        map_sites(cfg.site_map, evolve(cfg.initial, cfg.program, 400, cfg.site_map.span))
+        for cfg in (parse_config(os.path.join(configs, f"{r}.yaml")) for r in ("circle8", "figure_eight", "circle10_nonmixing"))
+    ]
+    records += [near_revivals(rng, num_nodes, 30) for num_nodes in (3, 8, 16, 40)]
+    for mapped in records:
+        squares = oracles.stepwise_overlaps(mapped)
+        pairs = np.argwhere((squares > 0.5) & (squares <= 1.0))
+        assert len(pairs) >= 8
+        picks = [np.unravel_index(np.argmax(squares), squares.shape), *rng.permutation(pairs)[:8]]
+        for t, s in picks:
+            for c in revival_thresholds(squares[t, s]):
+                tol = 1.0 - c
+                assert 0.0 <= tol < 1.0 and 1.0 - tol == c
+                got = find_revivals(mapped, tol)
+                assert got == oracles.stepwise_revivals(mapped, tol)
+                assert ((t + 1, s, "perfect" if s == 0 else "shifted") in got) == (squares[t, s] >= c)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(2, 5), min_size=1, max_size=4),
+    st.sampled_from(FLAVORS),
+    st.integers(-4, 4),
+    st.data(),
+)
+def test_find_revivals_matches_stepwise_search_on_random_chains(gaps, flavor, left, data):
+    # a chain of K = 1 to 4 rings, a random interior start, and a random tol
+    # or one at (or an ulp beside) one of the walk's squared overlaps
+    stops = tuple(left + np.cumsum([0, *gaps]))
+    program, smap = ring_chain(stops, flavor)
+    initial = make_initial(
+        data.draw(st.sampled_from(["cw", "ccw"])),
+        data.draw(st.sampled_from(["H", "V", "D", "A"])),
+        data.draw(st.integers(stops[0] + 1, stops[-1] - 1)),
+    )
+    steps = data.draw(st.integers(1, 3 * smap.num_nodes))
+    mapped = map_sites(smap, evolve(initial, program, steps, smap.span))
+    squares = oracles.stepwise_overlaps(mapped)
+    near = squares[(squares > 0.5) & (squares <= 1.0)].tolist()
+    if near and data.draw(st.booleans()):
+        tol = 1.0 - data.draw(st.sampled_from(revival_thresholds(data.draw(st.sampled_from(near)))))
+    else:
+        tol = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+    assert find_revivals(mapped, tol) == oracles.stepwise_revivals(mapped, tol)
 
 
 def test_monte_carlo_zero_error_is_exactly_zero():

@@ -1360,6 +1360,50 @@ def test_float_cells_send_few_uniform_values_through_percent(monkeypatch):
     assert sum(counts) == 0
 
 
+@settings(derandomize=True, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(), st.sampled_from([1.0, 5.0, -1.0])), min_size=1, max_size=40),
+    st.integers(0, 60),
+    st.sampled_from(["none", "some", "all_but_one", "all"]),
+    st.data(),
+)
+def test_float_cells_of_columns_with_zeros(values, extra, zeros, data):
+    # +0.0 and -0.0 at drawn positions of a column long enough for array
+    # formatting: the cells, their width and the floats sent through "%"
+    # are those of the same column without its zeros
+    x = np.resize(np.array(values), cli._ARRAY_MIN + extra)
+    n = len(x)
+    at = {
+        "none": [],
+        "some": data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True)),
+        "all_but_one": np.delete(np.arange(n), data.draw(st.integers(0, n - 1))),
+        "all": np.arange(n),
+    }[zeros]
+    x[at] = np.where(data.draw(st.lists(st.booleans(), min_size=len(at), max_size=len(at))), -0.0, 0.0)
+    want = ["%.17g" % v for v in x.tolist()]
+    with pytest.MonkeyPatch.context() as patch:
+        inputs = percent_inputs(patch)
+        got = cli._column(x)
+        sent, inputs[:] = list(inputs), []
+        if (x != 0).any():
+            cli._float_cells(x[x != 0])
+    assert got.astype(str).tolist() == want
+    assert got.itemsize == max(map(len, want))
+    bits = lambda vs: np.array(vs, dtype=float).view(np.int64).tolist()
+    assert bits(sent) == bits(inputs)
+    table = lambda cells: cli._render(["value"], [cells], "table")
+    assert table(got) == table(np.array(want, dtype="S"))
+
+
+def test_float_cells_of_zeros_and_one_short_cell():
+    # "-0" widens a column whose other cells are one character wide; "0" does not
+    for zero, width in ((0.0, 1), (-0.0, 2)):
+        x = np.full(cli._ARRAY_MIN, zero)
+        x[7] = 5.0
+        assert cli._column(x).itemsize == width
+        assert cells(x) == ["%.17g" % v for v in x.tolist()]
+
+
 def test_powers_of_ten_are_correctly_rounded():
     # 10**(16 - e) = 2**k (hi + lo): hi and lo each correctly rounded, hi in
     # (1/4, 1] split into two halves of at most 26 bits

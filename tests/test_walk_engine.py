@@ -611,6 +611,21 @@ def test_element_coin_perturbation_stays_bounded():
         assert np.array_equal(CoinProgram(default=coin).sampled(bumped - base).table[:, 0], coin.matrices(bumped))
 
 
+@pytest.mark.parametrize("distribution", ["uniform", "truncated_normal"])
+def test_draw_jitter_matches_scalar_draws(distribution):
+    # block draws take the rows and the stream position of one draw at a time:
+    # the next draw of both generators agrees too
+    for seed in range(300):
+        for n_angles in (0, 1, 7, 12):
+            for err in (0.5, 2.0):
+                for eff_err in (None, 0.025):
+                    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                    rows = draw_jitter(rng, 5, n_angles, err, distribution, eff_err)
+                    want = oracles.scalar_jitter(ref, 5, n_angles, err, distribution, eff_err)
+                    assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+                    assert rng.random() == ref.random()
+
+
 def test_coin_program_time_table_precedence():
     base = RawCoin(np.eye(4))
     special = RawCoin(oracles.BALANCED_FOUR_MODE_COIN)
