@@ -84,31 +84,20 @@ def find_revivals(record: MappedRecord, tol: float = 1e-6) -> list:
 
     Returns (step, shift, kind) tuples; kind is 'perfect' for shift 0 and
     'shifted' otherwise.  The shift s matches pattern-moved-by-+s, i.e.
-    P_t(m) = P_0(m - s mod M).
-
-    A pair matches when o**2 >= c = 1 - tol, o as _overlap adds it.  All
-    pairs are tested at once by a = sqrt(P_t) . sqrt(P_0 moved by s), one
-    einsum (no BLAS: no thread count in the result).  Both sums add M
-    nonnegative terms, rounded 3 (a) or 1.5 (o) times each, and an underflow
-    moves a term of o by at most 2**-537; so to first order the rounded
-    squares of a and o differ by at most (2 M + 5) eps a**2 + M 2**-536 a.
-    Pairs with a**2 within 2 (M + 4) eps c + M 2**-535 of c (a <= 2 there)
-    are decided by o itself, the extra 3 eps c covering the band's own
-    roundings and second-order terms while M eps << 1.
+    P_t(m) = P_0(m - s mod M).  The overlaps of every step with every
+    shift grow node by node, each by the term _overlap adds next, so each
+    one has _overlap's bits.
     """
     if not isinstance(record, MappedRecord):
         raise TypeError("find_revivals expects a MappedRecord (see map_sites)")
-    m, c = record.num_nodes, 1.0 - tol
-    nodes = np.arange(m)
+    nodes = np.arange(record.num_nodes)
     # rolls[s] is step 0 moved by +s nodes
-    rolls = record.distribution_vector(0)[(nodes[None, :] - nodes[:, None]) % m]
+    rolls = record.distribution_vector(0)[(nodes[None, :] - nodes[:, None]) % record.num_nodes]
     dists = record.intensities[1:].sum(axis=2)
-    square = np.einsum("tm,sm->ts", np.sqrt(dists), np.sqrt(rolls)) ** 2  # (step - 1, shift)
-    band = 2 * (m + 4) * np.finfo(float).eps * c + m * 2.0**-535
-    hits = square >= c
-    t, s = np.nonzero((square >= c - band) & (square <= c + band))
-    hits[t, s] = _overlap(rolls[s], dists[t]) ** 2 >= c
-    return [(t + 1, s, "perfect" if s == 0 else "shifted") for t, s in np.argwhere(hits).tolist()]
+    amp = np.zeros((len(dists), len(rolls)))  # (step - 1, shift)
+    for p, q in zip(dists.T, rolls.T):
+        amp += np.sqrt(p[:, None] * q)
+    return [(t + 1, s, "perfect" if s == 0 else "shifted") for t, s in np.argwhere(amp**2 >= 1.0 - tol).tolist()]
 
 
 @dataclass

@@ -5,7 +5,7 @@ computation, and writes either CSV or an aligned text table to stdout or
 --out, built by columns in byte arrays.  Floats are exact %.17g from
 double-double array arithmetic in float64; an exact decimal tie, one whose
 digits are 1 and zeros, an inf, a nan and the floats of a short column go
-through the % operator; zeros beside nonzero floats skip the digits ("0",
+through the % operator; a zero of a longer column skips the digits ("0",
 or "-0" where the sign bit is set).  Exit codes:
 0 on success, 2 for configuration problems (including payload matrices
 that fail their unitarity certificate, an unwritable --out, and a run too
@@ -103,13 +103,14 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     """'%.17g' % v of each float v in x, as an S array as wide as its
     longest cell."""
     n, zero = len(x), x == 0
-    if zero.any() and not zero.all():  # the nonzero cells alone go through the digits
-        sign, cells = np.signbit(x) & zero, _float_cells(x[~zero])
+    if zero.any():  # zeros skip the digits
+        cells = np.zeros(0, "S1") if zero.all() else _float_cells(x[~zero])
+        sign = np.signbit(x) & zero
         out = np.full(n, b"0", f"S{max(cells.itemsize, 1 + sign.any())}")
         out[sign], out[~zero] = b"-0", cells
         return out
     _, suffix, quads, upto, layouts = _tables()
-    ok = np.isfinite(x) & ~zero
+    ok = np.isfinite(x)
     a = np.where(ok, np.abs(x), 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
     m, q = np.frexp(a)
@@ -132,8 +133,8 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
     point = np.where(fixed & (e >= 0), e + 1, 1)
     stop = np.maximum(digits, point) + 4 - start
     stop += stop > point
-    length = np.where(safe | zero, np.signbit(x) + stop + np.where(fixed, 0, 4 + (np.abs(e) >= 100)), 0)
-    i = np.flatnonzero(~zero & ~safe)
+    length = np.where(safe, np.signbit(x) + stop + np.where(fixed, 0, 4 + (np.abs(e) >= 100)), 0)
+    i = np.flatnonzero(~safe)
     text = _percent(x[i])
     width = max(1, length.max(), *map(len, text))
     index = layouts.take(((np.signbit(x) * 5 + start) * 18 + point) * 23 + stop, axis=0)[:, :width]

@@ -71,9 +71,8 @@ def draw_jitter(
 
     Uniform draws are low + (high - low) * U over one rng.random block, as
     Generator.uniform computes them.  truncated_normal offsets are drawn
-    from N(0, (angle_err_deg / 2)^2), each redrawn until it lies inside the
-    window; a row draws its missing offsets in blocks, which take the same
-    draws from rng as drawing them one at a time.
+    from N(0, (angle_err_deg / 2)^2) one at a time, each redrawn until it
+    lies inside the window.
     """
     bounds = [(-angle_err_deg, angle_err_deg)] * n_angles
     if eff_err is not None:
@@ -86,14 +85,12 @@ def draw_jitter(
     if distribution != "truncated_normal":
         raise ValueError(f"unknown perturbation distribution {distribution!r}")
     out = np.empty(shape)
-    low, span = low[n_angles:], span[n_angles:]
     for row in out:
-        kept = row[:0]
-        while len(kept) < n_angles:
-            d = rng.normal(0.0, angle_err_deg / 2.0, n_angles - len(kept))
-            kept = np.concatenate([kept, d[~(np.abs(d) > angle_err_deg)]])
-        row[:n_angles] = kept
-        row[n_angles:] = low + span * rng.random(len(low))
+        for i in range(n_angles):
+            while abs(d := rng.normal(0.0, angle_err_deg / 2.0)) > angle_err_deg:
+                pass
+            row[i] = d
+        row[n_angles:] = low[n_angles:] + span[n_angles:] * rng.random(len(bounds) - n_angles)
     return out
 
 

@@ -613,8 +613,8 @@ def test_element_coin_perturbation_stays_bounded():
 
 @pytest.mark.parametrize("distribution", ["uniform", "truncated_normal"])
 def test_draw_jitter_matches_scalar_draws(distribution):
-    # block draws take the rows and the stream position of one draw at a time:
-    # the next draw of both generators agrees too
+    # the rows and the stream position are those of one draw at a time (any
+    # batched form of the draws must keep both): the next draws agree too
     for seed in range(300):
         for n_angles in (0, 1, 7, 12):
             for err in (0.5, 2.0):
