@@ -10,7 +10,6 @@ or given directly as four-by-four unitaries.
 
 from .analysis import (
     ErrorBarReport,
-    WalkSetup,
     equidistribution_similarity,
     find_revivals,
     monte_carlo_error_bars,
@@ -100,7 +99,6 @@ __all__ = [
     "SiteMap",
     "OneTripWitness",
     "UniversalFactorization",
-    "WalkSetup",
     "Wavefront",
     "WavefrontSet",
     "assert_unitary",

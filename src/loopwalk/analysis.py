@@ -101,22 +101,11 @@ def find_revivals(record: MappedRecord, tol: float = 1e-6) -> list:
 
 
 @dataclass
-class WalkSetup:
-    """Bundle of everything needed to rerun one walk configuration."""
-
-    program: CoinProgram
-    initial: InitialState
-    steps: int
-    site_map: Optional[SiteMap] = None
-    support: Optional[list] = None
-
-
-@dataclass
 class ErrorBarReport:
     """Sampling statistics of a walk under element-angle and detection noise.
 
     `reference` is the unperturbed record after the same distortion
-    pipeline (on graph nodes when the setup has a site map).
+    pipeline (on graph nodes when the walk has a site map).
     sigma_mode[t, i] is the per-mode root-mean-square deviation from it at
     site i of that record; sigma_position[t, i] sums modes before taking
     spreads.  Similarity fields are present when a support was configured.
@@ -126,13 +115,6 @@ class ErrorBarReport:
     sigma_mode: np.ndarray
     sigma_position: np.ndarray
     n_samples: int
-    seed: int
-    angle_err_deg: float
-    eff_err: float
-    distribution: str
-    renormalize: bool
-    mapped: bool
-    num_nodes: Optional[int] = None
     similarity_ref: Optional[list] = None
     similarity_sigma: Optional[list] = None
     similarity_sigma_sampled: Optional[list] = None
@@ -151,7 +133,11 @@ def _detected(intensities: np.ndarray, eff: np.ndarray, renormalize: bool) -> np
 
 
 def monte_carlo_error_bars(
-    setup: WalkSetup,
+    program: CoinProgram,
+    initial: InitialState,
+    steps: int,
+    site_map: Optional[SiteMap] = None,
+    support: Optional[Sequence[int]] = None,
     n_samples: int = 1000,
     eff_err: float = 0.025,
     angle_err_deg: float = 1.0,
@@ -177,19 +163,19 @@ def monte_carlo_error_bars(
     Every walk runs on the light cone, also on a graph: light that a
     perturbed coin lets out of the graph walks on under the program's
     default coin, can re-enter, and counts in each step's renormalization
-    total.  When the setup carries a site map, statistics are computed on
-    node distributions; with a support, per-step equidistribution
-    similarities and their uncertainties are included, both sampled and
-    propagated to first order from the position spreads (over the support
-    sites whose reference weight exceeds DUST_FLOOR times the step's total).
-    base_record, when given, is the setup's unperturbed walk (on the light
-    cone) evolved by the caller, used instead of evolving it again.  Only
-    its offset and width are kept once the reference is built, so a caller
-    that passes it without holding it frees its intensities before sampling.
+    total.  With a site map, statistics are computed on node distributions;
+    with a support, per-step equidistribution similarities and their
+    uncertainties are included, both sampled and propagated to first order
+    from the position spreads (over the support sites whose reference weight
+    exceeds DUST_FLOOR times the step's total).  base_record, when given, is
+    the unperturbed walk (on the light cone) evolved by the caller, used
+    instead of evolving it again.  Only its offset and width are kept once
+    the reference is built, so a caller that passes it without holding it
+    frees its intensities before sampling.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if angle_err_deg > 0.0 and not setup.program.has_elements:
+    if angle_err_deg > 0.0 and not program.has_elements:
         raise ValueError(
             "angle perturbation needs an element-level coin program "
             "(raw-matrix coins carry no angles)"
@@ -199,33 +185,33 @@ def monte_carlo_error_bars(
     # the reference runs through the same distortion pipeline with unit
     # efficiencies so that a zero-error sample is bitwise identical to it
     if base_record is None:
-        base_record = evolve(setup.initial, setup.program, setup.steps)
+        base_record = evolve(initial, program, steps)
     ref = IntensityRecord(
         _detected(base_record.intensities, np.ones(4), renormalize), base_record.reached, base_record.offset
     )
-    if setup.site_map is not None:
-        ref = map_sites(setup.site_map, ref)
+    if site_map is not None:
+        ref = map_sites(site_map, ref)
     ref_dist = ref.intensities.sum(axis=2)
     # per sample: one offset per element angle (none without angle error), then four efficiencies
-    n_angles = len(setup.program.angles())
+    n_angles = len(program.angles())
     drawn = n_angles if angle_err_deg > 0.0 else 0
     draws = draw_jitter(rng, n_samples, drawn, angle_err_deg, distribution, eff_err)
     offsets = draws[:, :drawn] if drawn else np.zeros((n_samples, n_angles))
     eff = draws[:, None, drawn:]
     sq_mode = np.zeros_like(ref.intensities)
     sq_pos = np.zeros_like(ref_dist)
-    if setup.support is not None:
-        weights = _at_support(ref_dist, ref.offset, setup.support)
-        sampled = np.zeros((len(ref), n_samples, len(setup.support)))  # per step, the samples' weights
+    if support is not None:
+        weights = _at_support(ref_dist, ref.offset, support)
+        sampled = np.zeros((len(ref), n_samples, len(support)))  # per step, the samples' weights
     # the samples walk in batches of at most BATCH_SITES // window of them,
     # one step of a batch at a time, and are added in sample order
     window = base_record.intensities.shape[1]
-    rows = node_rows(setup.site_map, base_record.offset, window) if setup.site_map is not None else None
+    rows = node_rows(site_map, base_record.offset, window) if site_map is not None else None
     del base_record
     size = max(1, BATCH_SITES // window)
     for first in range(0, n_samples, size):
         batch = slice(first, first + size)
-        for t, amp in enumerate(evolve_states(setup.initial, setup.program.sampled(offsets[batch]), setup.steps)):
+        for t, amp in enumerate(evolve_states(initial, program.sampled(offsets[batch]), steps)):
             sample = _detected(np.abs(amp) ** 2, eff[batch], renormalize)
             sample = sample if rows is None else gather_nodes(sample, rows)
             dm = sample - ref.intensities[t]
@@ -233,30 +219,23 @@ def monte_carlo_error_bars(
             sample_dist = sample.sum(axis=2)
             dp = sample_dist - ref_dist[t]
             sq_pos[t] = np.cumsum(np.concatenate([sq_pos[t][None], dp * dp]), axis=0)[-1]
-            if setup.support is not None:
-                sampled[t, batch] = _at_support(sample_dist, ref.offset, setup.support)
+            if support is not None:
+                sampled[t, batch] = _at_support(sample_dist, ref.offset, support)
 
     report = ErrorBarReport(
         reference=ref,
         sigma_mode=np.sqrt(sq_mode / n_samples),
         sigma_position=np.sqrt(sq_pos / n_samples),
         n_samples=n_samples,
-        seed=seed,
-        angle_err_deg=angle_err_deg,
-        eff_err=eff_err,
-        distribution=distribution,
-        renormalize=renormalize,
-        mapped=setup.site_map is not None,
-        num_nodes=setup.site_map.num_nodes if setup.site_map is not None else None,
     )
-    if setup.support is not None:
-        q = 1.0 / len(setup.support)  # the uniform distribution on the support
+    if support is not None:
+        q = 1.0 / len(support)  # the uniform distribution on the support
         amp = _overlap(weights, q)
         # first-order propagation over the sites holding weight: dS/dp_m =
         # amp * sqrt(q / p_m); squared with pow (x * x can differ in the last bit)
         held = weights > DUST_FLOOR * np.cumsum(ref_dist, axis=1)[:, -1:]
         dsdp = amp[:, None] * np.sqrt(q / np.where(held, weights, 1.0))
-        sigma_at = _at_support(report.sigma_position, ref.offset, setup.support)
+        sigma_at = _at_support(report.sigma_position, ref.offset, support)
         terms = np.where(held, np.float_power(dsdp * sigma_at, 2), 0.0)
         sampled_amp = _overlap(sampled, q)  # one contiguous row of samples per step
         devs = sampled_amp * sampled_amp - (amp * amp)[:, None]

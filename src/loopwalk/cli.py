@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .analysis import WalkSetup, find_revivals, monte_carlo_error_bars
+from .analysis import find_revivals, monte_carlo_error_bars
 from .coin_synthesis import factor_universal, one_trip_test, su2_normalize
 from .config import GRAPHS, ConfigError, RunConfig, parse_config
 from .dispersion import band_structure, classify_crossings, group_velocities, wavefront_speeds
@@ -255,9 +255,10 @@ def _cmd_simulate(cfg: RunConfig, args) -> str:
 
 
 def _mapped_record(site_map, record):
-    """record mapped onto the graph; raises CertificationError on leakage."""
-    mapped = map_sites(site_map, record, leak_tol=GRAPH_LEAK_TOL)
-    if mapped.flagged:
+    """record mapped onto the graph; raises CertificationError on leakage
+    above GRAPH_LEAK_TOL or NaN."""
+    mapped = map_sites(site_map, record)
+    if not mapped.max_leakage <= GRAPH_LEAK_TOL:
         raise CertificationError(
             f"walker left the graph: max leakage {mapped.max_leakage:.3e} "
             f"exceeds {GRAPH_LEAK_TOL:.1e}"
@@ -265,9 +266,13 @@ def _mapped_record(site_map, record):
     return mapped
 
 
+def _graph_walk(cfg: RunConfig, args):
+    """The config's walk on its graph window, mapped onto the graph and certified."""
+    return _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, _steps(cfg, args), cfg.site_map.span))
+
+
 def _cmd_graph(cfg: RunConfig, args) -> str:
-    steps = _steps(cfg, args)
-    mapped = _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, steps, cfg.site_map.span))
+    mapped = _graph_walk(cfg, args)
     header = ["step", "node", "mode", "intensity"]
     step_index, node = np.nonzero(mapped.reached)
     intensity = _column(mapped.intensities[step_index, node].ravel())
@@ -279,9 +284,7 @@ def _cmd_graph(cfg: RunConfig, args) -> str:
 def _cmd_revivals(cfg: RunConfig, args) -> str:
     if not 0.0 <= args.tol < 1.0:  # similarities lie in [0, 1]; NaN fails too
         raise ConfigError(f"--tol must lie in [0, 1), got {args.tol!r}")
-    steps = _steps(cfg, args)
-    mapped = _mapped_record(cfg.site_map, evolve(cfg.initial, cfg.program, steps, cfg.site_map.span))
-    events = find_revivals(mapped, tol=args.tol)
+    events = find_revivals(_graph_walk(cfg, args), tol=args.tol)
     step, shift, kind = map(list, zip(*events)) if events else ([], [], [])
     return _render(["step", "shift", "kind"], [_column(step), _column(shift), kind], args.format)
 
@@ -366,25 +369,21 @@ def _cmd_errorbars(cfg: RunConfig, args) -> str:
     steps = _steps(base, args)
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be nonnegative")
-    seed = cfg.seed if args.seed is None else args.seed
-    setup = WalkSetup(
-        program=base.program,
-        initial=base.initial,
-        steps=steps,
-        site_map=base.site_map,
-        support=cfg.support,
-    )
     report = monte_carlo_error_bars(
-        setup,
+        base.program,
+        base.initial,
+        steps,
+        base.site_map,
+        cfg.support,
         n_samples=cfg.n_samples,
         eff_err=cfg.eff_err,
         angle_err_deg=cfg.angle_err_deg,
-        seed=seed,
+        seed=cfg.seed if args.seed is None else args.seed,
         distribution=cfg.distribution,
         renormalize=cfg.renormalize,
         base_record=_base_walk(base, steps),  # held by no name here, so the sampler can free it
     )
-    site_col = "node" if report.mapped else "position"
+    site_col = "position" if base.site_map is None else "node"
     header = ["step", site_col, "mode", "reference", "sigma"]
     ref = report.reference
     # per reached site: the four modes, then their "total"

@@ -24,7 +24,7 @@ import numpy as np
 import yaml
 
 from .graph_programs import FLAVORS, SiteMap, ring_chain
-from .linalg_core import unitarity_defect
+from .linalg_core import DEFAULT_UNITARY_TOL, unitarity_defect
 from .optics import ArmSetting, OpticalElement
 from .walk_engine import CCH, CCV, CH, CV, CoinProgram, ElementCoin, InitialState, RawCoin, make_initial
 
@@ -78,8 +78,8 @@ def _integer(v, ctx: str, bounded: bool = True) -> int:
     return v
 
 
-def parse_matrix(obj, ctx: str, shape: tuple, unitary_tol: Optional[float] = 1e-10) -> np.ndarray:
-    """Complex matrix from {re: rows, im: rows}; certified unitary by default."""
+def parse_matrix(obj, ctx: str, shape: tuple) -> np.ndarray:
+    """Complex matrix from {re: rows, im: rows}, certified unitary."""
     d = _mapping(obj, ctx)
     re = _take(d, "re", ctx, required=True)
     im = _take(d, "im", ctx, required=True)
@@ -94,10 +94,9 @@ def parse_matrix(obj, ctx: str, shape: tuple, unitary_tol: Optional[float] = 1e-
             f"{ctx}: expected re/im arrays of shape {shape}, got {re_arr.shape} and {im_arr.shape}"
         )
     m = re_arr + 1j * im_arr
-    if unitary_tol is not None:
-        defect = unitarity_defect(m)
-        if not defect <= unitary_tol:  # a NaN defect fails too
-            raise ConfigError(f"{ctx}: matrix is not unitary (defect {defect:.3e})")
+    defect = unitarity_defect(m)
+    if not defect <= DEFAULT_UNITARY_TOL:  # a NaN defect fails too
+        raise ConfigError(f"{ctx}: matrix is not unitary (defect {defect:.3e})")
     return m
 
 
@@ -261,7 +260,7 @@ def _parse_dispersion(d: dict) -> RunConfig:
         raise ConfigError("dispersion.n_k: must be at least 64")
     matrix = coin_spec.matrix()
     defect = unitarity_defect(matrix)
-    if not defect <= 1e-10:
+    if not defect <= DEFAULT_UNITARY_TOL:
         raise ConfigError(f"dispersion.coin: composed coin is not unitary (defect {defect:.3e})")
     return RunConfig(kind="dispersion", coin_matrix=matrix, n_k=n_k, merge_tol=merge_tol, gap_tol=gap_tol)
 

@@ -43,45 +43,24 @@ FLAVORS = ("non_mixing", "hadamard_like")
 NO_POSITION = np.iinfo(np.int64).min
 
 
-def _qwp(angle):
-    return OpticalElement("qwp", angle)
+def _coins(flavor: str) -> tuple:
+    """(inner, end, center) coins of a flavor, one object each.
 
-
-def _hwp(angle):
-    return OpticalElement("hwp", angle)
-
-
-def _eom(phase):
-    return OpticalElement("eom", phase)
-
-
-def _inner_coin(flavor: str) -> ElementCoin:
-    # arms act as the polarization flip -iX; the loop element distinguishes
-    # the two flavors (flip -> direction-preserving circulation, or the
-    # balanced mixer)
-    arm = ArmSetting((_qwp(45.0),), 0.0)
-    if flavor == "non_mixing":
-        return ElementCoin(arm, arm, (_hwp(45.0),))
-    return ElementCoin(arm, arm, (_qwp(45.0),))
-
-
-def _end_coin(flavor: str) -> ElementCoin:
-    # modulator phase turns the arm action into 1 (non-mixing) or the
-    # balanced mixer (hadamard-like); the loop pass becomes trivial up to
-    # a global phase
-    if flavor == "non_mixing":
-        arm = ArmSetting((_qwp(45.0),), -90.0)
-        return ElementCoin(arm, arm, (_hwp(45.0), _eom(-90.0)))
-    arm = ArmSetting((_qwp(45.0),), -45.0)
-    return ElementCoin(arm, arm, (_qwp(45.0), _eom(-45.0)))
-
-
-def _center_coin(flavor: str) -> ElementCoin:
-    if flavor == "non_mixing":
-        arm = ArmSetting((_qwp(45.0),), -90.0)
-        return ElementCoin(arm, arm, (_hwp(45.0),))
-    arm = ArmSetting((_qwp(45.0),), -45.0)
-    return ElementCoin(arm, arm, (_qwp(45.0),))
+    The inner coin's arms act as the polarization flip -iX; the loop element
+    distinguishes the two flavors (flip -> direction-preserving circulation,
+    or the balanced mixer).  In the end and center coins the modulator phase
+    turns the arm action into 1 (non-mixing) or the balanced mixer
+    (hadamard-like); the end coin's loop modulator makes its loop pass
+    trivial up to a global phase.
+    """
+    plate = OpticalElement("hwp" if flavor == "non_mixing" else "qwp", 45.0)
+    phase = -90.0 if flavor == "non_mixing" else -45.0
+    inner, arm = (ArmSetting((OpticalElement("qwp", 45.0),), eom) for eom in (0.0, phase))
+    return (
+        ElementCoin(inner, inner, (plate,)),
+        ElementCoin(arm, arm, (plate, OpticalElement("eom", phase))),
+        ElementCoin(arm, arm, (plate,)),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,10 +104,10 @@ def ring_chain(stops, flavor: str):
     if s.ndim != 1 or len(s) < 2 or s.dtype.kind not in "iu" or np.any(np.diff(s) <= 0):
         raise ValueError(f"stops must be at least two ascending integers, got {stops!r}")
     left, right, k = int(s[0]), int(s[-1]), len(s) - 1
-    end, center = _end_coin(flavor), _center_coin(flavor)
+    inner, end, center = _coins(flavor)
     overrides = {int(x): center for x in s[1:-1]}
     overrides[left] = overrides[right] = end
-    program = CoinProgram(default=_inner_coin(flavor), overrides=overrides)
+    program = CoinProgram(default=inner, overrides=overrides)
 
     total = 2 * (right - left) - k + 1
     positions = np.full(addressable((2, total), np.int64), NO_POSITION)  # the largest array built here
@@ -148,14 +127,12 @@ class MappedRecord(IntensityRecord):
 
     `leakage[t]` is the intensity that left the graph in the first t steps:
     drained off the walk's window, or found in it outside the mapped
-    support at step t; `flagged` is set when its maximum exceeds the
-    mapping's tolerance.
+    support at step t.
     """
 
-    def __init__(self, intensities: np.ndarray, reached: np.ndarray, leakage: np.ndarray, flagged: bool):
+    def __init__(self, intensities: np.ndarray, reached: np.ndarray, leakage: np.ndarray):
         super().__init__(intensities, reached)
         self.leakage = leakage
-        self.flagged = flagged
 
     @property
     def num_nodes(self) -> int:
@@ -186,14 +163,13 @@ def gather_nodes(values: np.ndarray, rows: list) -> np.ndarray:
     return out
 
 
-def map_sites(site_map: SiteMap, record: IntensityRecord, leak_tol: float = 1e-9) -> MappedRecord:
+def map_sites(site_map: SiteMap, record: IntensityRecord) -> MappedRecord:
     """Gather a line record onto graph nodes, tracking off-graph intensity.
 
     The record's drained intensity (IntensityRecord.drained) and intensity
     in a direction subspace at a window position that feeds no node count
-    as leakage; MappedRecord.max_leakage above leak_tol means the program
-    failed to confine the walker (the caller decides whether that is
-    fatal).
+    as leakage (MappedRecord.leakage); the caller decides how much of it
+    is fatal.
     """
     n_steps, n_sites = record.reached.shape
     rows = node_rows(site_map, record.offset, n_sites)
@@ -204,4 +180,4 @@ def map_sites(site_map: SiteMap, record: IntensityRecord, leak_tol: float = 1e-9
         feeds = np.zeros(n_sites, dtype=bool)
         feeds[sites] = True
         leakage += record.intensities[:, ~feeds, modes].sum(axis=(1, 2))
-    return MappedRecord(gather_nodes(record.intensities, rows), reached, leakage, float(leakage.max()) > leak_tol)
+    return MappedRecord(gather_nodes(record.intensities, rows), reached, leakage)

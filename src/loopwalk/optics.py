@@ -187,9 +187,9 @@ def full_coin(c_a: np.ndarray, c_b: np.ndarray, c_l: np.ndarray) -> np.ndarray:
     return coin_ab(c_a, c_b) @ coin_ll(c_l)
 
 
-def certified_coin(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate a user-supplied 4x4 coin."""
+def certified_coin(matrix: np.ndarray) -> np.ndarray:
+    """Validate a user-supplied 4x4 coin against DEFAULT_UNITARY_TOL."""
     m = np.asarray(matrix, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"coin must be 4x4, got {m.shape}")
-    return assert_unitary(m, tol=tol, name="coin")
+    return assert_unitary(m, name="coin")

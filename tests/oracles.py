@@ -646,15 +646,12 @@ def render_rows(command: str, cfg, args) -> str:
         _factor_rows(rows, "trip2_su2", norm.factor_2)
     elif command == "errorbars":
         base = cfg.base
-        setup = analysis.WalkSetup(
-            program=base.program,
-            initial=base.initial,
-            steps=base.steps if args.steps is None else args.steps,
-            site_map=base.site_map,
-            support=cfg.support,
-        )
         report = analysis.monte_carlo_error_bars(
-            setup,
+            base.program,
+            base.initial,
+            base.steps if args.steps is None else args.steps,
+            base.site_map,
+            cfg.support,
             n_samples=cfg.n_samples,
             eff_err=cfg.eff_err,
             angle_err_deg=cfg.angle_err_deg,
@@ -662,7 +659,7 @@ def render_rows(command: str, cfg, args) -> str:
             distribution=cfg.distribution,
             renormalize=cfg.renormalize,
         )
-        header = ["step", "node" if report.mapped else "position", "mode", "reference", "sigma"]
+        header = ["step", "position" if base.site_map is None else "node", "mode", "reference", "sigma"]
         ref = report.reference
         rows = []
         for t, i in zip(*np.nonzero(ref.reached)):
@@ -780,7 +777,9 @@ def observed(record, eff, renormalize, site_map):
     return out if site_map is None else map_sites(site_map, out)
 
 
-def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distribution, renormalize) -> dict:
+def monte_carlo_error_bars(
+    program, initial, steps, site_map, support, n_samples, eff_err, angle_err_deg, seed, distribution, renormalize
+) -> dict:
     """The error-bar statistics step by step and site by site: one
     similarity call per sample and step, and the reference and first-order
     propagated similarity spreads accumulated in Python loops; the
@@ -791,29 +790,29 @@ def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distr
     from loopwalk.walk_engine import draw_jitter, evolve
 
     rng = np.random.default_rng(seed)
-    ref = observed(evolve(setup.initial, setup.program, setup.steps), np.ones(4), renormalize, setup.site_map)
+    ref = observed(evolve(initial, program, steps), np.ones(4), renormalize, site_map)
     ref_dist = ref.intensities.sum(axis=2)
     sq_mode = np.zeros_like(ref.intensities)
     sq_pos = np.zeros_like(ref_dist)
     sim_samples = []
-    n_angles = len(setup.program.angles())
+    n_angles = len(program.angles())
     for _ in range(n_samples):
-        prog = setup.program
+        prog = program
         if angle_err_deg > 0.0:
             prog = jittered_program(prog, draw_jitter(rng, 1, n_angles, angle_err_deg, distribution)[0])
         eff = rng.uniform(1.0 - eff_err, 1.0 + eff_err, size=4)
-        sample = observed(evolve(setup.initial, prog, setup.steps), eff, renormalize, setup.site_map)
+        sample = observed(evolve(initial, prog, steps), eff, renormalize, site_map)
         dm = sample.intensities - ref.intensities
         sq_mode += dm * dm
         dp = sample.intensities.sum(axis=2) - ref_dist
         sq_pos += dp * dp
-        sim_samples.append([equidistribution_similarity(sample, t, setup.support) for t in range(len(ref))])
+        sim_samples.append([equidistribution_similarity(sample, t, support) for t in range(len(ref))])
     out = {"sigma_mode": np.sqrt(sq_mode / n_samples), "sigma_position": np.sqrt(sq_pos / n_samples)}
-    q = 1.0 / len(setup.support)
+    q = 1.0 / len(support)
     sampled = np.asarray(sim_samples)
     out.update(similarity_ref=[], similarity_sigma=[], similarity_sigma_sampled=[])
     for t in range(len(ref)):
-        weights = support_weights(ref, t, setup.support)
+        weights = support_weights(ref, t, support)
         amp = sum(np.sqrt(p_m * q) for p_m in weights)
         s_ref = float(amp * amp)
         total = 0.0
@@ -821,7 +820,7 @@ def monte_carlo_error_bars(setup, n_samples, eff_err, angle_err_deg, seed, distr
             total += p
         floor = 64.0 * np.finfo(float).eps * total  # below it a weight is rounding noise of a zero
         var = 0.0
-        for m_node, p_m in zip(setup.support, weights):
+        for m_node, p_m in zip(support, weights):
             if p_m > floor:
                 var += (amp * np.sqrt(q / p_m) * out["sigma_position"][t, m_node - ref.offset]) ** 2
         devs = sampled[:, t] - s_ref

@@ -17,7 +17,6 @@ import numpy as np
 import oracles
 from oracles import random_su2, random_unitary
 from loopwalk.analysis import (
-    WalkSetup,
     equidistribution_similarity,
     find_revivals,
     monte_carlo_error_bars,
@@ -326,15 +325,9 @@ def test_criterion_14_balanced_coin_identity():
 def test_criterion_15_monte_carlo_determinism_and_convergence():
     t0 = time.perf_counter()
     program, smap = ring_chain((0, 4), "hadamard_like")
-    setup = WalkSetup(
-        program=program,
-        initial=make_initial("ccw", "V", 1),
-        steps=5,
-        site_map=smap,
-        support=[1, 3, 5, 7],
-    )
-    a = monte_carlo_error_bars(setup, n_samples=100, seed=5)
-    b = monte_carlo_error_bars(setup, n_samples=100, seed=5)
+    walk = (program, make_initial("ccw", "V", 1), 5, smap, [1, 3, 5, 7])
+    a = monte_carlo_error_bars(*walk, n_samples=100, seed=5)
+    b = monte_carlo_error_bars(*walk, n_samples=100, seed=5)
     for t in range(6):
         assert np.array_equal(a.sigma_position[t], b.sigma_position[t])
         assert np.array_equal(a.sigma_mode[t], b.sigma_mode[t])
@@ -348,13 +341,9 @@ def test_criterion_15_monte_carlo_determinism_and_convergence():
         arm_b=ArmSetting((qwp45,), 0.0),
         loop=(OpticalElement("hwp", 22.5),),
     )
-    line = WalkSetup(
-        program=CoinProgram(default=coin),
-        initial=make_initial("ccw", "H", 0),
-        steps=6,
-    )
-    small = monte_carlo_error_bars(line, n_samples=1000, seed=0)
-    big = monte_carlo_error_bars(line, n_samples=4000, seed=1)
+    line = (CoinProgram(default=coin), make_initial("ccw", "H", 0), 6)
+    small = monte_carlo_error_bars(*line, n_samples=1000, seed=0)
+    big = monte_carlo_error_bars(*line, n_samples=4000, seed=1)
     bound = 3.0 / np.sqrt(1000.0)
     worst = 0.0
     for t in range(7):

@@ -1,4 +1,5 @@
 import os
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loopwalk.analysis import (
-    WalkSetup,
     equidistribution_similarity,
     find_revivals,
     monte_carlo_error_bars,
@@ -28,6 +28,9 @@ from loopwalk.walk_engine import (
 
 import oracles
 from oracles import random_unitary
+
+# monte_carlo_error_bars' leading arguments, in its order
+Walk = namedtuple("Walk", "program initial steps site_map support", defaults=(None, None))
 
 
 def test_similarity_hand_values():
@@ -165,7 +168,7 @@ def near_revivals(rng, num_nodes: int, steps: int) -> MappedRecord:
     p0 /= p0.sum()
     moved = [np.roll(p0, rng.integers(num_nodes), axis=0) * (1.0 + 1e-9 * rng.random((num_nodes, 4))) for _ in range(steps)]
     intensities = np.array([p0, *moved])
-    return MappedRecord(intensities, np.ones(intensities.shape[:2], bool), np.zeros(steps + 1), False)
+    return MappedRecord(intensities, np.ones(intensities.shape[:2], bool), np.zeros(steps + 1))
 
 
 def test_find_revivals_at_the_threshold_and_one_ulp_either_side():
@@ -223,13 +226,8 @@ def test_find_revivals_matches_stepwise_search_on_random_chains(gaps, flavor, le
 
 def test_monte_carlo_zero_error_is_exactly_zero():
     program, smap = ring_chain((0, 4), "hadamard_like")
-    setup = WalkSetup(
-        program=program,
-        initial=make_initial("ccw", "V", 1),
-        steps=6,
-        site_map=smap,
-    )
-    report = monte_carlo_error_bars(setup, n_samples=5, eff_err=0.0, angle_err_deg=0.0)
+    walk = Walk(program, make_initial("ccw", "V", 1), 6, smap)
+    report = monte_carlo_error_bars(*walk, n_samples=5, eff_err=0.0, angle_err_deg=0.0)
     for t in range(7):
         for v in report.sigma_mode[t]:
             assert float(np.max(v)) == 0.0
@@ -239,16 +237,10 @@ def test_monte_carlo_zero_error_is_exactly_zero():
 
 def test_monte_carlo_seed_reproducibility():
     program, smap = ring_chain((0, 4), "hadamard_like")
-    setup = WalkSetup(
-        program=program,
-        initial=make_initial("ccw", "V", 1),
-        steps=5,
-        site_map=smap,
-        support=[1, 3, 5, 7],
-    )
-    a = monte_carlo_error_bars(setup, n_samples=20, seed=7)
-    b = monte_carlo_error_bars(setup, n_samples=20, seed=7)
-    c = monte_carlo_error_bars(setup, n_samples=20, seed=8)
+    walk = Walk(program, make_initial("ccw", "V", 1), 5, smap, [1, 3, 5, 7])
+    a = monte_carlo_error_bars(*walk, n_samples=20, seed=7)
+    b = monte_carlo_error_bars(*walk, n_samples=20, seed=7)
+    c = monte_carlo_error_bars(*walk, n_samples=20, seed=8)
     for t in range(6):
         assert np.array_equal(a.sigma_position[t], b.sigma_position[t])
         assert np.array_equal(a.sigma_mode[t], b.sigma_mode[t])
@@ -260,46 +252,34 @@ def test_monte_carlo_seed_reproducibility():
 
 def test_monte_carlo_similarity_fields():
     program, smap = ring_chain((0, 4), "hadamard_like")
-    setup = WalkSetup(
-        program=program,
-        initial=make_initial("ccw", "V", 1),
-        steps=11,
-        site_map=smap,
-        support=[1, 3, 5, 7],
-    )
-    report = monte_carlo_error_bars(setup, n_samples=15, seed=3)
+    report = monte_carlo_error_bars(program, make_initial("ccw", "V", 1), 11, smap, [1, 3, 5, 7], n_samples=15, seed=3)
     assert report.similarity_ref is not None
     assert len(report.similarity_ref) == 12
     assert report.similarity_ref[11] > 0.99
     assert all(s >= 0.0 for s in report.similarity_sigma)
     assert all(s >= 0.0 for s in report.similarity_sigma_sampled)
-    assert report.num_nodes == 8
+    assert report.reference.num_nodes == 8
 
 
 def test_monte_carlo_argument_errors():
-    setup = WalkSetup(
-        program=constant_program(np.eye(4)),
-        initial=make_initial("ccw", "V", 0),
-        steps=3,
-    )
+    walk = Walk(constant_program(np.eye(4)), make_initial("ccw", "V", 0), 3)
     with pytest.raises(ValueError):
-        monte_carlo_error_bars(setup, n_samples=0)
+        monte_carlo_error_bars(*walk, n_samples=0)
     # raw-matrix programs cannot absorb angle jitter
     with pytest.raises(ValueError):
-        monte_carlo_error_bars(setup, n_samples=2, angle_err_deg=1.0)
+        monte_carlo_error_bars(*walk, n_samples=2, angle_err_deg=1.0)
     # but pure efficiency noise is fine
-    report = monte_carlo_error_bars(setup, n_samples=2, angle_err_deg=0.0, eff_err=0.01)
+    report = monte_carlo_error_bars(*walk, n_samples=2, angle_err_deg=0.0, eff_err=0.01)
     assert report.n_samples == 2
 
 
 def test_monte_carlo_empty_support_raises():
     program, smap = ring_chain((0, 4), "hadamard_like")
-    setup = WalkSetup(program=program, initial=make_initial("ccw", "V", 1), steps=4, site_map=smap, support=[])
     with pytest.raises(ValueError, match="support must not be empty"):
-        monte_carlo_error_bars(setup, n_samples=2)
+        monte_carlo_error_bars(program, make_initial("ccw", "V", 1), 4, smap, [], n_samples=2)
 
 
-def _random_setup(rng, support_size: int) -> WalkSetup:
+def _random_walk(rng, support_size: int) -> Walk:
     """A ring, a figure-eight or a line walk with a support of distinct
     sites in random order; a line's support may reach past its window."""
     flavor = str(rng.choice(["hadamard_like", "non_mixing"]))
@@ -309,7 +289,7 @@ def _random_setup(rng, support_size: int) -> WalkSetup:
         arm = lambda: ArmSetting((OpticalElement("qwp", angle()), OpticalElement("hwp", angle())), angle())
         program = CoinProgram(default=ElementCoin(arm(), arm(), (OpticalElement("hwp", angle()),)))
         steps = int(rng.integers(0, 8))
-        return WalkSetup(program, make_initial("ccw", "D", 0), steps, support=_line_support(rng, steps, support_size))
+        return Walk(program, make_initial("ccw", "D", 0), steps, support=_line_support(rng, steps, support_size))
     left = int(rng.integers(-4, 4))
     if kind == "circle":
         stops = (left, left + int(rng.integers(5, 8)))
@@ -318,24 +298,24 @@ def _random_setup(rng, support_size: int) -> WalkSetup:
     program, smap = ring_chain(stops, flavor)
     initial = make_initial("ccw", str(rng.choice(["H", "V", "D", "A"])), int(rng.integers(stops[0] + 1, stops[-1])))
     support = rng.choice(smap.num_nodes, size=support_size, replace=False).tolist()
-    return WalkSetup(program, initial, int(rng.integers(0, 13)), site_map=smap, support=support)
+    return Walk(program, initial, int(rng.integers(0, 13)), smap, support)
 
 
 def _line_support(rng, steps: int, support_size: int) -> list:
     return rng.choice(np.arange(-steps - 5, steps + 6), size=support_size, replace=False).tolist()
 
 
-def _raw_time_table_setup(rng, support_size: int) -> WalkSetup:
+def _raw_time_table_walk(rng, support_size: int) -> Walk:
     """A line walk under a time table of raw coins, then a default and an
     override; raw coins take no angle error."""
     raw = lambda: RawCoin(random_unitary(4, rng))
     table = [raw() for _ in range(int(rng.integers(1, 5)))]
     program = CoinProgram(default=raw(), overrides={1: raw()}, time_table=table)
     steps = int(rng.integers(0, 8))
-    return WalkSetup(program, make_initial("cw", "A", 0), steps, support=_line_support(rng, steps, support_size))
+    return Walk(program, make_initial("cw", "A", 0), steps, support=_line_support(rng, steps, support_size))
 
 
-def _uncovered_setup(rng, support_size: int) -> WalkSetup:
+def _uncovered_walk(rng, support_size: int) -> Walk:
     """A line walk whose program has no default and covers only x0 - 1 ..
     x0 + 1: at zero angles every coin is diagonal and the walker started at
     x0 stays on them, but any angle jitter spreads it further."""
@@ -346,7 +326,7 @@ def _uncovered_setup(rng, support_size: int) -> WalkSetup:
     program = CoinProgram(overrides={x0 - 1: shared, x0: coin(), x0 + 1: shared})
     initial = make_initial(str(rng.choice(["cw", "ccw"])), str(rng.choice(["H", "V", "D", "A"])), x0)
     steps = int(rng.integers(0, 8))
-    return WalkSetup(program, initial, steps, support=_line_support(rng, steps, support_size))
+    return Walk(program, initial, steps, support=_line_support(rng, steps, support_size))
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -363,12 +343,12 @@ def _uncovered_setup(rng, support_size: int) -> WalkSetup:
 @example(seed=324, distribution="truncated_normal", renormalize=False, support_size=7, n_samples=16, kind="elements")
 def test_monte_carlo_error_bars_equal_sitewise_oracle(seed, distribution, renormalize, support_size, n_samples, kind):
     rng = np.random.default_rng(seed)
-    setup = {"elements": _random_setup, "raw_time_table": _raw_time_table_setup, "uncovered": _uncovered_setup}[kind](
+    walk = {"elements": _random_walk, "raw_time_table": _raw_time_table_walk, "uncovered": _uncovered_walk}[kind](
         rng, support_size
     )
-    angle_err = float(rng.choice([0.0, 1.0, 2.5])) if setup.program.has_elements else 0.0
+    angle_err = float(rng.choice([0.0, 1.0, 2.5])) if walk.program.has_elements else 0.0
     eff_err = float(rng.uniform(0.0, 0.05))
-    args = (setup, n_samples, eff_err, angle_err, seed, distribution, renormalize)
+    args = (*walk, n_samples, eff_err, angle_err, seed, distribution, renormalize)
     try:
         want = oracles.monte_carlo_error_bars(*args)
     except ProgramError as err:
@@ -389,13 +369,13 @@ def test_monte_carlo_error_bars_equal_sitewise_oracle(seed, distribution, renorm
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=9), st.booleans())
 def test_equidistribution_similarity_equals_sitewise_oracle(seed, support_size, renormalize):
     rng = np.random.default_rng(seed)
-    setup = _random_setup(rng, support_size)
-    record = evolve(setup.initial, setup.program, setup.steps)
-    if setup.site_map is not None:
-        record = map_sites(setup.site_map, record)
+    walk = _random_walk(rng, support_size)
+    record = evolve(walk.initial, walk.program, walk.steps)
+    if walk.site_map is not None:
+        record = map_sites(walk.site_map, record)
     for t in range(len(record)):
-        got = equidistribution_similarity(record, t, setup.support, renormalize=renormalize)
-        assert got == oracles.equidistribution_similarity(record, t, setup.support, renormalize=renormalize)
+        got = equidistribution_similarity(record, t, walk.support, renormalize=renormalize)
+        assert got == oracles.equidistribution_similarity(record, t, walk.support, renormalize=renormalize)
 
 
 def test_errorbars_recipe_propagated_similarity_sigmas_are_bounded():
@@ -407,9 +387,8 @@ def test_errorbars_recipe_propagated_similarity_sigmas_are_bounded():
 
     cfg = parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs", "errorbars_circle8.yaml"))
     base = cfg.base
-    setup = WalkSetup(base.program, base.initial, base.steps, site_map=base.site_map, support=cfg.support)
     report = monte_carlo_error_bars(
-        setup, cfg.n_samples, cfg.eff_err, cfg.angle_err_deg, cfg.seed, cfg.distribution, cfg.renormalize
+        base.program, base.initial, base.steps, base.site_map, cfg.support, cfg.n_samples, cfg.eff_err, cfg.angle_err_deg, cfg.seed, cfg.distribution, cfg.renormalize
     )
     sigma = np.array(report.similarity_sigma)
     assert np.all(np.isfinite(sigma))
@@ -423,9 +402,9 @@ def test_errorbars_recipe_samples_walk_on_the_light_cone():
     # spread is nonzero under angle jitter and rounding dust without it
     cfg = parse_config(os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs", "errorbars_circle8.yaml"))
     base = cfg.base
-    setup = WalkSetup(base.program, base.initial, 12, site_map=base.site_map, support=cfg.support)
+    walk = Walk(base.program, base.initial, 12, base.site_map, cfg.support)
     sigma = [
-        monte_carlo_error_bars(setup, cfg.n_samples, cfg.eff_err, angle_err, cfg.seed).sigma_mode[3, 1, CH]
+        monte_carlo_error_bars(*walk, cfg.n_samples, cfg.eff_err, angle_err, cfg.seed).sigma_mode[3, 1, CH]
         for angle_err in (cfg.angle_err_deg, 0.0)
     ]
     assert sigma[0] > 1e-6
@@ -436,30 +415,27 @@ def test_monte_carlo_batch_size_does_not_change_the_result(monkeypatch):
     # samples walk in batches of BATCH_SITES // window of them; smaller
     # batches give the same bits, and the same error when a sample leaves
     # the covered positions
-    import dataclasses
-
     import loopwalk.analysis as analysis
 
-    def run(setup):
+    def run(walk):
         try:
-            report = monte_carlo_error_bars(setup, 7, 0.02, 1.5, seed=11, distribution="truncated_normal")
+            report = monte_carlo_error_bars(*walk, 7, 0.02, 1.5, seed=11, distribution="truncated_normal")
         except ProgramError as err:
             return str(err)
         return report.sigma_mode.tolist(), report.sigma_position.tolist(), report.similarity_sigma_sampled
 
     rng = np.random.default_rng(12)
-    setups = [_random_setup(rng, 3) for _ in range(4)] + [dataclasses.replace(_uncovered_setup(rng, 3), steps=5)]
-    whole = [run(setup) for setup in setups]
+    walks = [_random_walk(rng, 3) for _ in range(4)] + [_uncovered_walk(rng, 3)._replace(steps=5)]
+    whole = [run(walk) for walk in walks]
     for sites in (1, 20, 50):  # windows of 1 to 25 sites
         monkeypatch.setattr(analysis, "BATCH_SITES", sites)
-        assert [run(setup) for setup in setups] == whole
+        assert [run(walk) for walk in walks] == whole
     assert whole[-1].startswith("'no coin rule for step 2 at position")
 
 
 def test_monte_carlo_program_without_rules():
     # zero steps never ask for a coin; one step asks at the start
-    setup = WalkSetup(CoinProgram(), make_initial("cw", "H", 0), 0)
-    report = monte_carlo_error_bars(setup, n_samples=3)
+    report = monte_carlo_error_bars(CoinProgram(), make_initial("cw", "H", 0), 0, n_samples=3)
     assert not report.sigma_mode.any()
     with pytest.raises(ProgramError, match="no coin rule for step 0 at position 0"):
-        monte_carlo_error_bars(WalkSetup(CoinProgram(), make_initial("cw", "H", 0), 1), n_samples=3)
+        monte_carlo_error_bars(CoinProgram(), make_initial("cw", "H", 0), 1, n_samples=3)

@@ -23,7 +23,7 @@ import loopwalk
 from loopwalk import cli, config
 from loopwalk.config import ConfigError, parse_config, parse_config_dict
 from loopwalk.optics import full_coin
-from loopwalk.walk_engine import CoinProgram, make_initial
+from loopwalk.walk_engine import CoinProgram, RawCoin, make_initial
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "docs", "configs")
@@ -439,6 +439,24 @@ def test_ring_with_inner_coin_ends_leaks_and_exits_3(monkeypatch, capsys, comman
     # the end coins replaced by the inner coin: the walk leaves the graph window
     cfg = parse_config(os.path.join(CONFIG_DIR, "circle8.yaml"))
     cfg.program = CoinProgram(default=cfg.program.default)
+    monkeypatch.setattr(cli, "parse_config", lambda path: cfg)
+    result = main_cli(capsys, command, "--config", "unused.yaml")
+    assert result.returncode == 3
+    assert "walker left the graph" in result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "command, recipe", [("circle", "circle8"), ("revivals", "circle8"), ("errorbars", "errorbars_circle8")]
+)
+def test_ring_walk_with_a_nan_coin_entry_exits_3(monkeypatch, capsys, command, recipe):
+    # one NaN entry in the inner coin makes the leakage NaN, which no
+    # tolerance comparison passes
+    cfg = parse_config(os.path.join(CONFIG_DIR, f"{recipe}.yaml"))
+    walk = cfg.base if command == "errorbars" else cfg
+    inner = walk.program.default.matrix().copy()
+    inner[0, 0] = np.nan
+    walk.program = CoinProgram(default=RawCoin(inner), overrides=walk.program.overrides)
     monkeypatch.setattr(cli, "parse_config", lambda path: cfg)
     result = main_cli(capsys, command, "--config", "unused.yaml")
     assert result.returncode == 3

@@ -626,6 +626,56 @@ def test_near_degenerate_minima_not_above_their_grid_samples():
         assert c.gap <= np.min(enclosing) + 64.0 * np.finfo(float).eps * np.pi, c
 
 
+def test_near_degenerate_ternary_fallback_finds_the_followed_minima(monkeypatch):
+    # the four brackets of this coin whose tracked slopes keep their sign go
+    # to the ternary search; each refined gap must be the minimum of the pair
+    # followed by eigenvector overlap from the bracket's middle sample, found
+    # here by nested scans over oracles.eig_unitary, each 100 times finer (the
+    # followed gap falls with slope about 1.8 into a jump of 8e-3, where one
+    # followed vector switches eigenpair, and the last scan's samples lie
+    # 3e-13 apart)
+    import loopwalk.dispersion as dispersion
+
+    coin = element_coin(NEAR_DEGENERATE)
+    spec = band_structure(coin)
+    h = spec.spacing
+    brackets, ternary_minimum = [], dispersion._ternary_minimum
+
+    def ternary(gap_at, lo, hi, sel):
+        k, gap = ternary_minimum(gap_at, lo, hi, sel)
+        brackets.extend(zip(lo.tolist(), hi.tolist(), k.tolist()))
+        return k, gap
+
+    monkeypatch.setattr(dispersion, "_ternary_minimum", ternary)
+    found = {c.k: c for c in classify_crossings(spec)}
+    assert len(brackets) == 4
+
+    def followed_gaps(ks, refs):
+        gaps = []
+        for k in ks:
+            phases, v = oracles.eig_unitary(shift_bloch(k) @ coin)
+            a, b = (np.argmax(np.abs(ref.conj() @ v)) for ref in refs)
+            gaps.append(abs(wrap_phase(phases[a] - phases[b])))
+        return np.array(gaps)
+
+    refined = []
+    for lo, hi, k in brackets:
+        middle = int(round((lo + h + np.pi) / h)) % spec._n_k
+        c = found[k]
+        phases, v = oracles.eig_unitary(shift_bloch(spec.k_grid[middle]) @ coin)
+        refs = [v[:, np.argmin(np.abs(wrap_phase(phases - spec.omegas[b, middle])))] for b in c.branches]
+        ks = np.linspace(lo, hi, 401)
+        for _ in range(4):
+            best = np.argmin(followed_gaps(ks, refs))
+            ks = np.linspace(ks[max(best - 2, 0)], ks[min(best + 2, len(ks) - 1)], 401)
+        assert abs(c.gap - followed_gaps(ks, refs).min()) <= 1e-12, c
+        assert np.all(c.gap <= followed_gaps([c.k - 1e-7, c.k + 1e-7], refs)), c
+        refined.append((c.branches, c.k, c.gap))
+    assert [r[0] for r in sorted(refined)] == [(0, 2), (0, 2), (1, 3), (1, 3)]
+    assert np.allclose(sorted(r[1] for r in refined), [-2.202991, -0.938601, 0.938601, 2.202991], rtol=0, atol=1e-6)
+    assert np.allclose([r[2] for r in refined], 3.0738156343716, rtol=0, atol=1e-12)
+
+
 # --- the Hermitian eigensolver ----------------------------------------------
 
 RESIDUAL_GATE = 3e-14

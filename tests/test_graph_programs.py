@@ -68,7 +68,6 @@ def test_circle_confinement_all_sizes_and_flavors():
             init = make_initial("ccw", "D", 0)
             rec = evolve(init, program, 25)
             mapped = map_sites(smap, rec)
-            assert not mapped.flagged
             assert mapped.max_leakage <= 1e-12
             for t in range(26):
                 assert abs(rec.total(t) - 1.0) < 1e-10
@@ -160,15 +159,12 @@ def test_map_sites_preserves_totals():
 
 
 def test_map_sites_flags_leakage():
-    # an unconfined line walk pushed through a circle map must flag
+    # an unconfined line walk pushed through a circle map must report leakage
     _, smap = ring_chain((0, 4), "hadamard_like")
     coin = full_coin(MINUS_IX, MINUS_IX, oracles.HADAMARD_2)
     rec = evolve(make_initial("ccw", "H", 0), constant_program(coin), 12)
     mapped = map_sites(smap, rec)
-    assert mapped.flagged
     assert mapped.max_leakage > 1e-3
-    relaxed = map_sites(smap, rec, leak_tol=2.0)
-    assert not relaxed.flagged
 
 
 def test_line_program_uniform():
@@ -296,7 +292,6 @@ def test_window_walk_drains_a_leaking_ring():
     record = evolve(make_initial("ccw", "V", 1), leaky, 24, smap.span)
     mapped = map_sites(smap, record)
     assert mapped.max_leakage > 1e-9
-    assert mapped.flagged
     in_graph = record.intensities.sum(axis=(1, 2))
     assert np.max(np.abs(in_graph + record.drained - 1.0)) <= 1e-12
     assert np.array_equal(mapped.leakage, record.drained)
