@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph_programs import MappedRecord, SiteMap, gather_nodes, map_sites, node_rows
-from .walk_engine import CoinProgram, InitialState, IntensityRecord, draw_jitter, evolve, evolve_states
+from .walk_engine import CoinProgram, InitialState, IntensityRecord, draw_jitter, evolve, evolve_states, mode_sum
 
 
 # Samples times window sites walked at once: bounds the memory of a batch,
@@ -93,7 +93,7 @@ def find_revivals(record: MappedRecord, tol: float = 1e-6) -> list:
     nodes = np.arange(record.num_nodes)
     # rolls[s] is step 0 moved by +s nodes
     rolls = record.distribution_vector(0)[(nodes[None, :] - nodes[:, None]) % record.num_nodes]
-    dists = record.intensities[1:].sum(axis=2)
+    dists = mode_sum(record.intensities[1:])
     amp = np.zeros((len(dists), len(rolls)))  # (step - 1, shift)
     for p, q in zip(dists.T, rolls.T):
         amp += np.sqrt(p[:, None] * q)
@@ -127,7 +127,7 @@ def _detected(intensities: np.ndarray, eff: np.ndarray, renormalize: bool) -> np
     last bits of the printed spreads depend on that order)."""
     detected = intensities * eff
     if renormalize:
-        totals = np.cumsum(detected.sum(axis=-1), axis=-1)[..., -1]
+        totals = np.cumsum(mode_sum(detected), axis=-1)[..., -1]
         detected = detected / np.where(totals > 0.0, totals, 1.0)[..., None, None]
     return detected
 
@@ -191,7 +191,7 @@ def monte_carlo_error_bars(
     )
     if site_map is not None:
         ref = map_sites(site_map, ref)
-    ref_dist = ref.intensities.sum(axis=2)
+    ref_dist = mode_sum(ref.intensities)
     # per sample: one offset per element angle (none without angle error), then four efficiencies
     n_angles = len(program.angles())
     drawn = n_angles if angle_err_deg > 0.0 else 0
@@ -216,7 +216,7 @@ def monte_carlo_error_bars(
             sample = sample if rows is None else gather_nodes(sample, rows)
             dm = sample - ref.intensities[t]
             sq_mode[t] = np.cumsum(np.concatenate([sq_mode[t][None], dm * dm]), axis=0)[-1]
-            sample_dist = sample.sum(axis=2)
+            sample_dist = mode_sum(sample)
             dp = sample_dist - ref_dist[t]
             sq_pos[t] = np.cumsum(np.concatenate([sq_pos[t][None], dp * dp]), axis=0)[-1]
             if support is not None:

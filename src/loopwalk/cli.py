@@ -27,7 +27,7 @@ from .coin_synthesis import factor_universal, one_trip_test, su2_normalize
 from .config import GRAPHS, ConfigError, RunConfig, parse_config
 from .dispersion import band_structure, classify_crossings, group_velocities, wavefront_speeds
 from .graph_programs import map_sites
-from .walk_engine import MODE_NAMES, TRACE_LABELS, evolve, trace_intensities
+from .walk_engine import MODE_NAMES, TRACE_LABELS, evolve, mode_sum, trace_intensities
 
 GRAPH_LEAK_TOL = 1e-9
 
@@ -41,7 +41,10 @@ class CertificationError(RuntimeError):
 # 1e16 and 1e17 unevaluated (1e-06's 9.99999999999999954e15 adds up to 1e16).  A cell
 # whose pair lies within 2**-40 of a half-integer (an exact decimal tie) or whose
 # digits round up to 1e17 goes through "%"; an error across 1e16 leaves the digits 1
-# and zeros, or sends them through "%".
+# and zeros, or sends them through "%".  One uint64 division splits the digits into
+# 32-bit halves of 9 and 8, which give the first digit and four 4-digit groups, each
+# an ASCII word from a table.  A cell's layout key (fixed-notation exponent or width
+# of the scientific one, digit count, sign) picks its gather row and its length.
 _ARRAY_MIN = 256  # a shorter float column goes through "%" alone
 _SLICE = 4096  # floats formatted at a time, bounding the temporaries
 
@@ -55,11 +58,12 @@ def _split(v: np.ndarray) -> tuple:
 
 @functools.cache
 def _tables():
-    """_float_cells' tables: at e + 330, 10**(16 - e) = 2**k (hi + lo), hi in
-    (1/4, 1] and lo correctly rounded, as hi's halves, hi, lo and int32 k; the
-    exponent suffix of e at e + 330, empty last; the ASCII of 0..9999 as
-    4-byte words; at j * 10**4 + g, the digits up to the last nonzero one of
-    g as 4-digit group j after the first digit; each layout's gather index."""
+    """_float_cells' tables.  At e + 330: 10**(16 - e) = 2**k (hi + lo), hi in
+    (1/4, 1] and lo correctly rounded, as hi's halves, hi, lo and int32 k; e's
+    suffix word, empty in fixed notation (-4 <= e <= 16); e's first layout key.
+    The ASCII of 0..9999 as 4-byte words; at j * 10**4 + g, the digits up to
+    the last nonzero one of g as 4-digit group j after the first digit.  Per
+    layout key, a cell's gather row from its source row and its length."""
     pairs = []
     for e in range(-330, 331):
         num, den = 10 ** max(16 - e, 0), 10 ** max(e - 16, 0)
@@ -68,29 +72,38 @@ def _tables():
         hi = num / den  # a quotient of ints rounds correctly
         pairs.append((hi, (num * 2**55 - int(hi * 2**55) * den) / (den * 2**55), k))
     hi, lo, k = map(np.array, zip(*pairs))
-    suffix = np.array([*(f"e{k:+03d}" for k in range(-330, 331)), ""], dtype="S8")
+    e = np.arange(-330, 331, dtype=np.int16)
+    fixed = (e >= -4) & (e <= 16)
+    suffix = np.array(["" if f else f"e{v:+03d}" for v, f in zip(e.tolist(), fixed)], dtype="S8")
+    base = np.where(fixed, e + 4, 21 + (np.abs(e) >= 100)) * 36 + 2  # a key adds 2 * (digits - 1) + sign
     g = np.arange(10_000, dtype=np.int16)  # small integer types keep the build's temporaries small
     quads = ((g[:, None] // np.int16([1000, 100, 10, 1])) % 10 + 48).astype(np.uint8).view(np.uint32).ravel()
     upto = np.where(g == 0, 0, np.int8([[4], [8], [12], [16]]) - (g % 10 == 0) - (g % 100 == 0) - (g % 1000 == 0))
-    # a layout: sign, leading zeros, digits before the point, digits and point
-    neg, start, point, stop = (a.astype(np.int8)[..., None] for a in np.ogrid[:2, :5, :18, :23])
+    # a layout: notation (fixed e + 4, or 21 + wide exponent), digits, sign; the
+    # source row holds "-", ".", NUL, four "0"s, the 17 digits and the suffix
+    notation, digits, neg = (a.astype(np.int8)[..., None] for a in np.ogrid[:23, :18, :2])
+    start = 4 + np.minimum(notation - 4, 0) * (notation < 21)  # leading zeros of fixed e < 0
+    point = np.where((notation >= 4) & (notation < 21), notation - 3, 1)
+    stop = np.maximum(digits, point) + 4 - start
+    stop += stop > point
     q = np.arange(24, dtype=np.int8) - neg  # output byte after the sign
     digit = np.where(q == point, 1, 3 + start + q - (q > point))
     layouts = np.where(q < 0, 0, np.where(q >= stop, 24 + np.minimum(q - stop, 7), digit))
+    lengths = (neg + stop + np.where(notation < 21, 0, notation - 17))[..., 0]
     powers = np.array([*_split(hi), hi, lo]), k.astype(np.int32)
-    return powers, suffix, quads, upto.astype(np.uint8).ravel(), layouts.reshape(-1, 24)
+    return powers, suffix.view(np.uint64), base, quads, upto.astype(np.uint8).ravel(), layouts.reshape(-1, 24), lengths.ravel()
 
 
-def _scaled(m: np.ndarray, q: np.ndarray, e: np.ndarray) -> tuple:
-    """m * 2**q * 10**(16 - e) for frexp's m and q as doubles (p, r), p an
-    integer from 2**53 on, whose sum lies within 2**-47 of it below 2**57:
+def _scaled(m: np.ndarray, q: np.ndarray, i: np.ndarray) -> tuple:
+    """m * 2**q * 10**(16 - e), i = e + 330, for frexp's m and q as doubles (p, r),
+    p an integer from 2**53 on, whose sum lies within 2**-47 of it below 2**57:
     Dekker's exact product m * hi, plus m * lo.  ldexp's fast path is int32."""
     powers, exponents = _tables()[0]
-    hi_1, hi_2, hi, lo = powers.take(e + 330, axis=1)
+    hi_1, hi_2, hi, lo = powers.take(i, axis=1)
     m_1, m_2 = _split(m)
     p = m * hi
     r = ((((m_1 * hi_1 - p) + m_1 * hi_2) + m_2 * hi_1) + m_2 * hi_2) + m * lo
-    k = exponents.take(e + 330) + q
+    k = exponents.take(i) + q
     return np.ldexp(p, k), np.ldexp(r, k)
 
 
@@ -109,37 +122,36 @@ def _float_cells(x: np.ndarray) -> np.ndarray:
         out = np.full(n, b"0", f"S{max(cells.itemsize, 1 + sign.any())}")
         out[sign], out[~zero] = b"-0", cells
         return out
-    _, suffix, quads, upto, layouts = _tables()
+    _, suffix, base, quads, upto, layouts, lengths = _tables()
     ok = np.isfinite(x)
     a = np.where(ok, np.abs(x), 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
+    i = np.floor(np.log10(a)).astype(np.intp) + 330  # e + 330
     m, q = np.frexp(a)
-    p, r = _scaled(m, q, e)
+    p, r = _scaled(m, q, i)
     off = np.flatnonzero(((p - 1e17) + r >= 0) | ((p - 1e16) + r < 0))  # log10 can be one off
-    e[off] += np.where(p[off] >= 1e17, 1, -1)
-    p[off], r[off] = _scaled(m[off], q[off], e[off])
+    i[off] += np.where(p[off] >= 1e17, 1, -1)
+    p[off], r[off] = _scaled(m[off], q[off], i[off])
     d = p.astype(np.int64) + np.rint(r).astype(np.int64)
     safe = ok & (np.abs(r - np.rint(r)) < 0.5 - 2.0**-40) & (d >= 10**16) & (d < 10**17)
-    d = np.where(safe, d, 0).astype(np.uint64)
-    q = np.stack([0 * d, *(d // 10**k for k in range(16, -1, -4))])
-    groups = (q[1:] - 10**4 * q[:-1]).astype(np.intp)  # the first digit, then fours
-    # source row: "-", ".", NUL, four "0"s, the 17 digits, exponent suffix
-    src = np.tile(np.frombuffer(b"-.\0" + b"0" + b"\0" * 28, np.uint8), (n, 1))
-    src.view(np.uint32)[:, 1:6] = quads.take(groups).T  # "000" and the first digit, then fours
-    fixed = (e >= -4) & (e < 17)
-    src.view(np.uint64)[:, 3] = suffix[np.where(fixed, -1, e + 330)].view(np.uint64)
-    digits = 1 + upto.take(groups[1:] + np.arange(0, 40_000, 10_000)[:, None]).max(axis=0)  # %g drops trailing zeros
-    start = 4 + fixed * np.minimum(e, 0)
-    point = np.where(fixed & (e >= 0), e + 1, 1)
-    stop = np.maximum(digits, point) + 4 - start
-    stop += stop > point
-    length = np.where(safe, np.signbit(x) + stop + np.where(fixed, 0, 4 + (np.abs(e) >= 100)), 0)
-    i = np.flatnonzero(~safe)
-    text = _percent(x[i])
+    d = np.where(safe, d, 0)
+    h = d // 10**8
+    halves = np.array([h, d - 10**8 * h], np.uint32)  # the first 9 digits, the last 8
+    fours = halves // 10**4
+    first = fours[0] // 10**4
+    groups = np.array([first, fours[0] - 10**4 * first, halves[0] - 10**4 * fours[0], fours[1], halves[1] - 10**4 * fours[1]])
+    src = np.empty((n, 8), np.uint32)  # "-.", NUL, "0"; "000" and the first digit, then fours; the suffix
+    src[:, 0] = np.frombuffer(b"-.\0" + b"0", np.uint32)
+    src[:, 1:6] = quads.take(groups).T
+    src.view(np.uint64)[:, 3] = suffix.take(i)
+    last = upto.take(groups[1:] + np.arange(0, 40_000, 10_000)[:, None]).max(axis=0)  # %g drops trailing zeros
+    key = base.take(i) + 2 * last + np.signbit(x)
+    length = np.where(safe, lengths.take(key), 0)
+    j = np.flatnonzero(~safe)
+    text = _percent(x[j])
     width = max(1, length.max(), *map(len, text))
-    index = layouts.take(((np.signbit(x) * 5 + start) * 18 + point) * 23 + stop, axis=0)[:, :width]
-    out = np.take(src, index + 32 * np.arange(n)[:, None])
-    out[i] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    index = layouts.take(key, axis=0)[:, :width]
+    out = np.take(src.view(np.uint8), index + 32 * np.arange(n)[:, None])
+    out[j] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return out.view(f"S{width}").ravel()
 
 
@@ -156,9 +168,9 @@ def _column(values) -> np.ndarray:
         lo, hi = (int(a.min()), int(a.max())) if a.size else (0, -1)
         if hi - lo < 4 * a.size:  # a cell per integer of the range
             cells = np.array(list(map(str, range(lo, hi + 1))), dtype="S")
-            return cells[(a - lo).view(f"u{a.itemsize}")]  # a - lo may wrap, but read unsigned it is exact
+            return cells.take((a - lo).view(f"u{a.itemsize}"))  # a - lo may wrap, but read unsigned it is exact
         distinct, inverse = np.unique(a, return_inverse=True)
-        return np.array(list(map(str, distinct.tolist())), dtype="S")[inverse]
+        return np.array(list(map(str, distinct.tolist())), dtype="S").take(inverse)
     if len(a) < _ARRAY_MIN:
         return np.array(_percent(a), dtype="S")
     return np.concatenate([_float_cells(a[i : i + _SLICE]) for i in range(0, len(a), _SLICE)])
@@ -239,7 +251,7 @@ _TRACE_THIRD_COLUMN = {
 def _cmd_simulate(cfg: RunConfig, args) -> str:
     steps = _steps(cfg, args)
     record = evolve(cfg.initial, cfg.program, steps)
-    step_index, site = np.nonzero(record.reached)
+    step_index, site = np.divmod(np.flatnonzero(record.reached), record.reached.shape[1])
     traced = trace_intensities(record.intensities[step_index, site], mode=args.trace).ravel()
     position = record.offset + site
     del record, site  # the light cone is freed before formatting, which then reuses its resident pages
@@ -274,7 +286,7 @@ def _graph_walk(cfg: RunConfig, args):
 def _cmd_graph(cfg: RunConfig, args) -> str:
     mapped = _graph_walk(cfg, args)
     header = ["step", "node", "mode", "intensity"]
-    step_index, node = np.nonzero(mapped.reached)
+    step_index, node = np.divmod(np.flatnonzero(mapped.reached), mapped.num_nodes)
     intensity = _column(mapped.intensities[step_index, node].ravel())
     columns = [*_site_columns(step_index, node, MODE_NAMES), intensity]
     print(f"max off-graph intensity {mapped.max_leakage:.3e}", file=sys.stderr)
@@ -387,10 +399,10 @@ def _cmd_errorbars(cfg: RunConfig, args) -> str:
     header = ["step", site_col, "mode", "reference", "sigma"]
     ref = report.reference
     # per reached site: the four modes, then their "total"
-    step_index, i = np.nonzero(ref.reached)
+    step_index, i = np.divmod(np.flatnonzero(ref.reached), ref.reached.shape[1])
     modes, sigma_modes = ref.intensities[step_index, i], report.sigma_mode[step_index, i]
     sites = dict(zip(header, _site_columns(step_index, ref.offset + i, (*MODE_NAMES, "total"))))
-    sites["reference"] = _column(np.column_stack([modes, modes.sum(axis=1)]).ravel())
+    sites["reference"] = _column(np.column_stack([modes, mode_sum(modes)]).ravel())
     sites["sigma"] = _column(np.column_stack([sigma_modes, report.sigma_position[step_index, i]]).ravel())
     blocks = [sites]
     if report.similarity_ref is not None:

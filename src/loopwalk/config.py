@@ -93,6 +93,8 @@ def parse_matrix(obj, ctx: str, shape: tuple) -> np.ndarray:
         raise ConfigError(
             f"{ctx}: expected re/im arrays of shape {shape}, got {re_arr.shape} and {im_arr.shape}"
         )
+    if not np.all(np.hypot(re_arr, im_arr) <= 1.0 + DEFAULT_UNITARY_TOL):  # checked before any arithmetic; NaN fails too
+        raise ConfigError(f"{ctx}: matrix is not unitary (an entry is not finite or has modulus above 1)")
     m = re_arr + 1j * im_arr
     defect = unitarity_defect(m)
     if not defect <= DEFAULT_UNITARY_TOL:  # a NaN defect fails too
@@ -297,6 +299,8 @@ def _parse_errorbars(d: dict) -> RunConfig:
         raise ConfigError("errorbars: error ranges must be nonnegative")
     if eff_err >= 1.0:  # efficiencies are drawn from [1 - eff_err, 1 + eff_err]
         raise ConfigError(f"errorbars.eff_err: must be below 1, got {eff_err!r}")
+    if angle_err > 180.0:  # a wider jitter only repeats angles, and a huge one overflows the draws' span
+        raise ConfigError(f"errorbars.angle_err_deg: must be at most 180 degrees, got {angle_err!r}")
     if support is not None:
         if not isinstance(support, list) or not support or not all(
             isinstance(s, int) and not isinstance(s, bool) for s in support

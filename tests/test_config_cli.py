@@ -676,7 +676,11 @@ NAN_IDENTITY = {"re": [[NAN if i == j == 0 else float(i == j) for j in range(4)]
             {"kind": "dispersion", "coin": hadamard_coin_with_loop_angle(NAN)},
             "dispersion.coin.elements.loop[0].angle_deg: expected a finite number, got nan",
         ),
-        ("simulate", line_cfg(coin={"matrix": NAN_IDENTITY}), "line.coin.matrix: matrix is not unitary (defect nan)"),
+        (
+            "simulate",
+            line_cfg(coin={"matrix": NAN_IDENTITY}),
+            "line.coin.matrix: matrix is not unitary (an entry is not finite or has modulus above 1)",
+        ),
         ("simulate", line_cfg(initial={"direction": 1}), "line.initial.direction: expected a string, got 1"),
         ("simulate", line_cfg(initial={"polarization": ["H"]}), "line.initial.polarization: expected a string, got ['H']"),
         ("simulate", {**line_cfg(), 1: "a", "foo": "b"}, "line: unknown keys [1, 'foo']"),
@@ -748,6 +752,38 @@ def test_cli_malformed_config_exits_2_without_traceback(tmp_path, command, cfg, 
     assert res.returncode == 2, res.stderr
     assert res.stderr == f"config error: {message}\n"
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("value", [INF, -INF, NAN, 1e308])
+@pytest.mark.parametrize("part", ["re", "im"])
+@pytest.mark.parametrize("command", ["decompose", "simulate"])
+def test_non_finite_or_huge_matrix_entry_exits_2_before_any_arithmetic(tmp_path, capsys, command, part, value):
+    # no unitary has an entry of modulus above 1; the entry is rejected before
+    # the unitarity certificate's product, which would warn (an error here)
+    block = matrix_block(oracles.GROVER_4)
+    block[part][0][0] = value
+    if command == "decompose":
+        ctx, cfg = "decompose.target", {"kind": "decompose", "target": block}
+    else:
+        ctx, cfg = "line.coin.matrix", line_cfg(coin={"matrix": block})
+    result = main_cli(capsys, command, "--config", write_cfg(tmp_path, cfg))
+    assert result.returncode == 2
+    assert result.stderr == f"config error: {ctx}: matrix is not unitary (an entry is not finite or has modulus above 1)\n"
+    assert result.stdout == ""
+
+
+def test_errorbars_angle_err_is_bounded_at_180_degrees(tmp_path, capsys):
+    # a huge jitter overflowed the draws' span and printed nan cells with exit 0
+    with open(os.path.join(CONFIG_DIR, "errorbars_circle8.yaml"), encoding="utf-8") as fh:
+        cfg = yaml.safe_load(fh)
+    for angle in (1e308, 180.5):
+        result = main_cli(capsys, "errorbars", "--config", write_cfg(tmp_path, {**cfg, "angle_err_deg": angle}), "--steps", "4")
+        assert result.returncode == 2
+        assert result.stderr == f"config error: errorbars.angle_err_deg: must be at most 180 degrees, got {angle!r}\n"
+        assert result.stdout == ""
+    result = main_cli(capsys, "errorbars", "--config", write_cfg(tmp_path, {**cfg, "angle_err_deg": 180.0}), "--steps", "4")
+    assert result.returncode == 0
+    assert "nan" not in result.stdout
 
 
 # the config kinds each subcommand takes
@@ -1411,6 +1447,42 @@ def test_float_cells_of_columns_with_zeros(values, extra, zeros, data):
     assert bits(sent) == bits(inputs)
     table = lambda cells: cli._render(["value"], [cells], "table")
     assert table(got) == table(np.array(want, dtype="S"))
+
+
+def test_float_cells_reach_every_layout_a_double_prints():
+    # decimals of 1 to 17 significant digits, both signs, at every decimal
+    # exponent of a double; the layouts of their "%" text (notation, digit
+    # count, sign) reach every fixed-notation exponent (-4 to 16), both
+    # exponent widths of scientific notation, both signs and every digit
+    # count, and a column of one layout's floats is as wide as its cells
+    rng = np.random.default_rng(31)
+    texts = []
+    for exponent in range(-323, 309):
+        for n in range(1, 18):  # a first digit (1 at 1e308, below the largest double), then n - 1 ending in nonzero
+            rest = [*rng.integers(0, 10, max(n - 2, 0)), rng.integers(1, 10)][: n - 1]
+            texts.append(f"{rng.integers(1, 2 if exponent == 308 else 10)}.{''.join(map(str, rest))}e{exponent}")
+    x = np.array([float(t) for t in texts])
+    x = np.concatenate([x, -x])
+    want = ["%.17g" % v for v in x.tolist()]
+    assert cells(x) == want
+    layouts = {}
+    for i, text in enumerate(want):
+        mantissa, _, power = text.lstrip("-").partition("e")
+        if power:  # "e+05" or "e-308": the exponent's width
+            notation = f"e{len(power) - 1}"
+        elif mantissa.startswith("0."):  # "0.000123": exponent -4
+            notation = -(len(mantissa) - len(mantissa[2:].lstrip("0")) - 1)
+        else:
+            notation = len(mantissa.partition(".")[0]) - 1
+        layouts.setdefault((notation, len(mantissa.replace(".", "").strip("0")), text.startswith("-")), []).append(i)
+    notations, counts, signs = map(set, zip(*layouts))
+    assert notations == {*range(-4, 17), "e2", "e3"}
+    assert counts == set(range(1, 18))
+    assert signs == {False, True}
+    for rows in layouts.values():
+        column = cli._column(np.resize(x[rows], max(len(rows), cli._ARRAY_MIN)))
+        assert set(column.tolist()) == {want[i].encode() for i in rows}
+        assert column.itemsize == len(want[rows[0]])
 
 
 def test_float_cells_of_zeros_and_one_short_cell():

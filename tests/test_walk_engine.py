@@ -22,6 +22,7 @@ from loopwalk.walk_engine import (
     evolve,
     evolve_states,
     make_initial,
+    mode_sum,
     trace_intensities,
 )
 
@@ -492,6 +493,47 @@ def test_partial_reversal_sums_to_hadamard_walk():
         eff_pd = {x: float(v.sum()) for x, v in eff[t].items()}
         for x in set(walk_pd) | set(eff_pd):
             assert abs(walk_pd.get(x, 0.0) - eff_pd.get(x, 0.0)) < 1e-10
+
+
+# +-0.0, subnormals, +-inf, NaNs of either sign and two payloads, and normals
+MODE_SUM_SPECIALS = np.array(
+    [0, 1 << 63, 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+     0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001, 0x7FEFFFFFFFFFFFFF, 0x3FF0000000000000],
+    dtype=np.uint64,
+).view(np.float64).tolist()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 9),
+    st.sampled_from(["contiguous", "strided", "gathered", "modes_outer"]),
+    st.data(),
+)
+def test_mode_sum_has_the_bits_of_numpys_sum(samples, sites, layout, data):
+    # mode_sum replaces v.sum(axis=-1) wherever the mode axis alone is summed;
+    # it adds in numpy's order, so a numpy that changes its order fails here
+    n = samples * sites * 4
+    values = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from(MODE_SUM_SPECIALS)), min_size=n, max_size=n))
+    v = np.array(values).reshape(samples, sites, 4)  # a sampler step: (samples, sites, 4)
+    if layout == "strided":  # every second site and mode of a larger array
+        w = np.zeros((samples, 2 * sites, 8))
+        w[:, ::2, ::2] = v
+        v = w[:, ::2, ::2]
+    elif layout == "gathered":  # (samples, nodes, 4), nodes gathered from sites as gather_nodes does
+        v = v[:, data.draw(st.lists(st.integers(0, sites - 1), min_size=1, max_size=12))]
+    elif layout == "modes_outer":  # the mode axis outermost in memory
+        v = np.moveaxis(np.ascontiguousarray(np.moveaxis(v, -1, 0)), 0, -1)
+    for part in (v, v[0], v[0, 0]):  # also a record's (sites, 4) cells, and one site
+        with np.errstate(all="ignore"):
+            got, want = np.asarray(mode_sum(part)), np.asarray(part.sum(axis=-1))
+        # which NaN a sum of two NaNs returns is left to the machine, and every
+        # NaN prints as "nan"; four -0.0s: IEEE addition keeps -0.0, numpy's
+        # sum starts from +0.0, and intensities are never -0.0
+        same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+        negative_zeros = np.all((part == 0) & np.signbit(part), axis=-1)
+        assert np.all(same | negative_zeros)
+        assert np.all(np.signbit(got[negative_zeros])) and not np.any(np.signbit(want[negative_zeros]))
 
 
 def test_trace_intensities_modes():
