@@ -9,6 +9,8 @@ which is 1 exactly when the normalized distributions coincide on their
 common support and both carry all their weight there.  Sums over sites
 (overlaps, renormalization totals, propagated variances) are added in
 index order, left to right, as np.cumsum adds; np.sum pairs terms up.
+A cell light cannot reach holds an exact zero, which adds +0.0 to such a
+sum: the error sampler's per-step passes skip those (walk_engine.reach).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph_programs import MappedRecord, SiteMap, gather_nodes, map_sites, node_rows
-from .walk_engine import CoinProgram, InitialState, IntensityRecord, draw_jitter, evolve, evolve_states, mode_sum
+from .walk_engine import CoinProgram, InitialState, IntensityRecord, draw_jitter, evolve, evolve_states, mode_sum, reach
 
 
 # Samples times window sites walked at once: bounds the memory of a batch,
@@ -51,12 +53,13 @@ def similarity(p, q) -> float:
     return amp * amp
 
 
-def _at_support(values: np.ndarray, offset: int, support) -> np.ndarray:
-    """values[..., m - offset] for each support site m, 0.0 outside the window."""
+def _at_support(values: np.ndarray, offset: int, support, step: int = 1) -> np.ndarray:
+    """values[..., (m - offset) // step] for each support site m of the sites
+    offset + step * i of a window, 0.0 for any other m."""
     if len(support) == 0:
         raise ValueError("support must not be empty")
-    i = np.asarray(support) - offset
-    inside = (i >= 0) & (i < values.shape[-1])
+    i, off = np.divmod(np.asarray(support) - offset, step)
+    inside = (off == 0) & (i >= 0) & (i < values.shape[-1])
     return np.where(inside, values[..., np.where(inside, i, 0)], 0.0)
 
 
@@ -120,14 +123,15 @@ class ErrorBarReport:
     similarity_sigma_sampled: Optional[list] = None
 
 
-def _detected(intensities: np.ndarray, eff: np.ndarray, renormalize: bool) -> np.ndarray:
+def _detected(intensities: np.ndarray, eff: np.ndarray, renormalize: bool, totaled=None) -> np.ndarray:
     """(..., sites, 4) intensities, a walk's steps or one step's samples,
     times the mode efficiencies eff, each step or sample optionally
-    renormalized by its running sum over the sites in position order (the
-    last bits of the printed spreads depend on that order)."""
+    renormalized by the running sum over the sites, in position order, of
+    `totaled` (default: intensities) times eff (the last bits of the printed
+    spreads depend on that order; sites left out of `totaled` hold zeros)."""
     detected = intensities * eff
     if renormalize:
-        totals = np.cumsum(mode_sum(detected), axis=-1)[..., -1]
+        totals = np.cumsum(mode_sum(detected if totaled is None else totaled * eff), axis=-1)[..., -1]
         detected = detected / np.where(totals > 0.0, totals, 1.0)[..., None, None]
     return detected
 
@@ -154,9 +158,11 @@ def monte_carlo_error_bars(
     0), then four multiplicative mode efficiencies.  All draws are taken up
     front, sample by sample, and the samples walk together in batches
     (CoinProgram.sampled) of at most BATCH_SITES // window samples: every
-    step's (samples, sites, 4) intensities go through the distortion
+    step's (samples, cells, 4) intensities go through the distortion
     pipeline at once and are added into the squared deviations in sample
-    order, so the result equals running the samples one at a time.
+    order, so the result equals running the samples one at a time.  Step t
+    touches only the cells light can reach (reach); on a graph, amplitudes
+    are gathered onto its nodes before they are squared.
     Deviations are root-mean-square distances from the unperturbed
     reference, so a zero-error run reports exactly zero.
 
@@ -207,20 +213,26 @@ def monte_carlo_error_bars(
     # one step of a batch at a time, and are added in sample order
     window = base_record.intensities.shape[1]
     rows = node_rows(site_map, base_record.offset, window) if site_map is not None else None
+    lo, hi, step = reach(np.subtract(list(initial), base_record.offset))
     del base_record
     size = max(1, BATCH_SITES // window)
     for first in range(0, n_samples, size):
         batch = slice(first, first + size)
         for t, amp in enumerate(evolve_states(initial, program.sampled(offsets[batch]), steps)):
-            sample = _detected(np.abs(amp) ** 2, eff[batch], renormalize)
-            sample = sample if rows is None else gather_nodes(sample, rows)
-            dm = sample - ref.intensities[t]
-            sq_mode[t] = np.cumsum(np.concatenate([sq_mode[t][None], dm * dm]), axis=0)[-1]
+            cells = slice(lo - t, hi + t, step)
+            if rows is None:
+                sample, at = _detected(np.abs(amp[:, cells]) ** 2, eff[batch], renormalize), cells
+            else:  # squared after the gather, elementwise: the same bits; the cells, which
+                # only total, are freed before the kernel's next step
+                on_nodes = np.abs(gather_nodes(amp, rows)) ** 2
+                sample, at = _detected(on_nodes, eff[batch], renormalize, np.abs(amp[:, cells]) ** 2), slice(0, None, 1)
+            dm = sample - ref.intensities[t, at]
+            sq_mode[t, at] = np.cumsum(np.concatenate([sq_mode[t, at][None], dm * dm]), axis=0)[-1]
             sample_dist = mode_sum(sample)
-            dp = sample_dist - ref_dist[t]
-            sq_pos[t] = np.cumsum(np.concatenate([sq_pos[t][None], dp * dp]), axis=0)[-1]
+            dp = sample_dist - ref_dist[t, at]
+            sq_pos[t, at] = np.cumsum(np.concatenate([sq_pos[t, at][None], dp * dp]), axis=0)[-1]
             if support is not None:
-                sampled[t, batch] = _at_support(sample_dist, ref.offset, support)
+                sampled[t, batch] = _at_support(sample_dist, ref.offset + at.start, support, at.step)
 
     report = ErrorBarReport(
         reference=ref,

@@ -64,7 +64,7 @@ import numpy as np
 
 from .linalg_core import wrap_phase
 from .optics import certified_coin
-from .walk_engine import CH, CV, CCH, CCV, addressable
+from .walk_engine import CH, CV, CCH, CCV, addressable, mode_sum
 
 _PAD = 3  # grid samples kept beyond each end, so searches see across the seam
 _FRONT_WIDTH = 1e-8     # Illinois brackets of an inflection stop this narrow,
@@ -169,7 +169,7 @@ def _derivatives(coin: np.ndarray, vecs: np.ndarray, phases: np.ndarray, redo: n
     diff = phases[:, :, None] - phases[:, None, :]
     partner = np.abs(wrap_phase(diff)) > _DEGENERATE_PHASE
     cot = np.divide(1.0, np.tan(0.5 * diff), out=np.zeros_like(diff), where=partner)
-    return first, np.sum(np.abs(dm) ** 2 * cot, axis=2)
+    return first, mode_sum(np.abs(dm) ** 2 * cot)  # each row holds its +0.0 diagonal term, never four -0.0s
 
 
 class DispersionSpectrum:

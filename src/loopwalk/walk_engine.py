@@ -279,9 +279,9 @@ class CoinProgram:
 
 
 def mode_sum(v: np.ndarray) -> np.ndarray:
-    """(..., n, 4) v summed over its mode axis as ((v0 + v1) + v2) + v3, the
-    order of v.sum(axis=-1)'s short-axis loop (from +0.0), in fewer passes: the
-    same bits but for four -0.0s, which add up to -0.0, and a sum of two NaNs."""
+    """(..., 4) v summed over its mode axis, or any last axis of length 4, as
+    ((v0 + v1) + v2) + v3, v.sum(axis=-1)'s order (from +0.0), in fewer passes:
+    the same bits but for four -0.0s, which add up to -0.0, and a sum of two NaNs."""
     return ((v[..., 0] + v[..., 1]) + v[..., 2]) + v[..., 3]
 
 
@@ -393,6 +393,13 @@ def _start(initial: InitialState, lo: int, hi: int, samples: tuple) -> tuple:
     return amp, np.subtract(list(initial), lo)
 
 
+def reach(listed: np.ndarray) -> tuple:
+    """(lo, hi, step) of a start on the window indices `listed`, the kernel's
+    span and parity rule: after t steps light sits only on slice(lo - t, hi + t,
+    step) of an unclipped window; step is 1 unless the indices share a parity."""
+    return int(listed.min()), int(listed.max()) + 1, 2 if np.ptp(listed % 2) == 0 else 1
+
+
 def _walk(start: np.ndarray, listed: np.ndarray, program: CoinProgram, lo: int, steps: int):
     """The stepping kernel: walk `start`, listing `listed` (see _start), on
     the positions lo, lo + 1, ... whose first and last are drain sites, and
@@ -415,8 +422,7 @@ def _walk(start: np.ndarray, listed: np.ndarray, program: CoinProgram, lo: int, 
     samples, n = program.table.shape[:-3], start.shape[-2]
     rows = max(1, BLOCK_BYTES // start.nbytes)
     block, r = start[None], 0
-    a, b = int(listed.min()), int(listed.max()) + 1
-    step = 2 if np.ptp(listed % 2) == 0 else 1  # the parity the span keeps
+    a, b, step = reach(listed)
     timed = len(program._time_entries)
     interior = np.arange(lo + 1, lo + n - 1)  # the hole check runs only if one of these has no rule
     rules = [program.entries(t, interior) for t in range(min(steps, timed + 1))]  # the last serves every later step
@@ -467,13 +473,13 @@ def evolve(initial: InitialState, program: CoinProgram, steps: int, window=None)
     intensities and the drained totals.  The default window is the light
     cone.  Each block of the kernel fills intensities and reached masks only
     where light can reach by its last step t, [min(listed) - t, max(listed)
-    + t] (the kernel's span rule), reading a site's four bools as a uint32."""
+    + t] (reach's span rule), reading a site's four bools as a uint32."""
     left, right = window or (min(initial, default=0) - steps, max(initial, default=0) + steps)
     if initial and not left <= min(initial) <= max(initial) <= right:
         raise ValueError(f"initial state outside the window [{left}, {right}]")
     start, listed = _start(initial, left - 1, right + 1, program.table.shape[:-3])
     intensities, reached = _zeros((steps + 1, *start.shape), float), _zeros((steps + 1, *start.shape[:-1]), bool)
-    t, a, b = 0, int(listed.min()), int(listed.max()) + 1
+    t, (a, b, _) = 0, reach(listed)
     for block in _walk(start, listed, program, left - 1, steps):
         rows, lo, hi = slice(t, t + len(block)), max(a - t - len(block) + 1, 0), b + t + len(block) - 1
         part, cells = block[..., lo:hi, :], intensities[rows, ..., lo:hi, :]

@@ -366,6 +366,34 @@ def test_monte_carlo_error_bars_equal_sitewise_oracle(seed, distribution, renorm
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=2, max_value=4),
+    st.booleans(),
+    st.booleans(),
+    st.integers(min_value=1, max_value=6),
+)
+def test_monte_carlo_error_bars_from_several_sites_equal_sitewise_oracle(seed, sites, same_parity, renormalize, n_samples):
+    # a start on several sites, of one parity (the sampler's cells are every
+    # second site) or of both (every site), on a line or a ring
+    rng = np.random.default_rng(seed)
+    walk = _random_walk(rng, 3)
+    # a ring's start stays off its ends, where half the modes leave the graph
+    low, high = (-6, 7) if walk.site_map is None else (walk.site_map.span[0] + 1, walk.site_map.span[1])
+    while True:
+        starts = rng.choice(np.arange(low, high, 2 if same_parity else 1), size=min(sites, (high - low) // 2), replace=False)
+        if same_parity or len(starts) == 1 or np.ptp(starts % 2):
+            break
+    initial = {int(x): rng.normal(size=4) + 1j * rng.normal(size=4) for x in starts}
+    args = (walk.program, initial, walk.steps, walk.site_map, walk.support, n_samples, 0.03, 1.5, seed, "uniform", renormalize)
+    want, report = oracles.monte_carlo_error_bars(*args), monte_carlo_error_bars(*args)
+    assert np.array_equal(report.sigma_mode, want["sigma_mode"])
+    assert np.array_equal(report.sigma_position, want["sigma_position"])
+    for field in ("similarity_ref", "similarity_sigma", "similarity_sigma_sampled"):
+        assert getattr(report, field) == want[field], field
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=9), st.booleans())
 def test_equidistribution_similarity_equals_sitewise_oracle(seed, support_size, renormalize):
     rng = np.random.default_rng(seed)

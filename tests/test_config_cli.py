@@ -10,6 +10,7 @@ import os
 import runpy
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import config_fuzz
 import oracles
 import loopwalk
 from loopwalk import cli, config
@@ -1519,3 +1521,20 @@ def test_package_all_lists_every_public_name():
     }
     assert len(loopwalk.__all__) == len(set(loopwalk.__all__))
     assert set(loopwalk.__all__) == public
+
+
+_FUZZ_BASES = config_fuzz.bases()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_one_leaf_config_mutations_end_as_config_runs_should(data):
+    # a sample of config_fuzz's sweep: one leaf of a recipe (or of a raw-matrix
+    # copy of a line or dispersion recipe) changed, deleted or joined by an
+    # unknown key exits 0, 2 or 3 without a warning or a traceback, prints no
+    # nan on success and one stderr line alone on failure
+    name, command, base = data.draw(st.sampled_from(_FUZZ_BASES))
+    path, change = data.draw(st.sampled_from(config_fuzz.cases(base)))
+    with tempfile.TemporaryDirectory() as workdir:
+        outcome = config_fuzz.run(command, config_fuzz.mutate(base, path, change), workdir)
+    assert config_fuzz.problems(change, *outcome) == [], (name, path, change)

@@ -22,6 +22,7 @@ from loopwalk.dispersion import (
 )
 from loopwalk.linalg_core import unitarity_defect, wrap_phase
 from loopwalk.optics import full_coin, hwp_matrix, qwp_matrix
+from loopwalk.walk_engine import mode_sum
 
 import oracles
 from oracles import random_su2, random_unitary
@@ -823,6 +824,29 @@ def test_grid_derivatives_equal_derivatives_on_every_sample(kind, seed, n_k):
     got = spec._grid_derivatives()
     assert np.array_equal(got[0], first.T)
     assert np.array_equal(got[1], second.T)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(["haar", "element"]), st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([64, 65, 257, 1024]))
+@example("balanced", 0, 64).via("the balanced coin's pairwise degenerate bands")
+@example("balanced", 0, 257).via("the balanced coin on an odd grid")
+def test_curvature_has_the_bits_of_numpys_sum(kind, seed, n_k):
+    # omega'' sums each row's four terms with mode_sum; numpy's sum differs
+    # only on a row of four -0.0s, and each row holds its own diagonal term,
+    # +0.0 since cot is zero there
+    import loopwalk.dispersion as dispersion
+
+    rng = np.random.default_rng(seed)
+    coin = {"haar": lambda: random_unitary(4, rng), "element": lambda: random_element_coin(rng),
+            "balanced": lambda: full_coin(MINUS_IX, MINUS_IX, hwp_matrix(22.5))}[kind]()
+    spec = band_structure(coin, n_k=n_k)
+    terms = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dispersion, "mode_sum", lambda v: terms.append(v) or mode_sum(v))
+        _, got = _derivatives(spec._coin, spec._vec_pad.transpose(1, 2, 0), spec._omega_pad.T, spec._redo)
+    (terms,) = terms
+    assert got.tobytes() == np.sum(terms, axis=-1).tobytes()
 
 
 @pytest.mark.parametrize("n_k, solved", [(64, 38), (65, 71), (1024, 518), (1025, 1031)])

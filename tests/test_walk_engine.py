@@ -23,6 +23,7 @@ from loopwalk.walk_engine import (
     evolve_states,
     make_initial,
     mode_sum,
+    reach,
     trace_intensities,
 )
 
@@ -569,6 +570,37 @@ def test_parity_of_occupied_sites():
         for x, v in step_table(rec, t).items():
             if (x + t) % 2 == 1:
                 assert float(np.max(v)) <= 1e-14
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4, unique=True),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=12),
+    st.sampled_from([None, 2, 3]),
+)
+def test_light_sits_only_on_the_cells_reach_names(seed, starts, overridden, timed, steps, samples):
+    # the sampler skips every light-cone cell outside slice(lo - t, hi + t,
+    # step) at step t: each holds an exact zero, under overrides, a time
+    # table and a sampled table alike, and each nonzero amplitude lies inside
+    rng = np.random.default_rng(seed)
+    program = CoinProgram(
+        default=_element_coin(rng),
+        overrides={int(x): _element_coin(rng) for x in rng.integers(-9, 10, overridden)},
+        time_table=[_element_coin(rng) for _ in range(timed)],
+    )
+    if samples is not None:
+        program = program.sampled(draw_jitter(rng, samples, len(program.angles()), 2.0, "uniform"))
+    init = {x: rng.normal(size=4) + 1j * rng.normal(size=4) for x in starts}
+    lo, hi, step = reach(np.subtract(starts, min(starts) - steps))
+    assert step == (2 if len({x % 2 for x in starts}) == 1 else 1)
+    for t, amp in enumerate(evolve_states(init, program, steps)):
+        cells = np.zeros(amp.shape[-2], dtype=bool)
+        cells[lo - t : hi + t : step] = True
+        assert not amp[..., ~cells, :].any()
+        assert cells[np.nonzero(amp.any(axis=-1))[-1]].all()
 
 
 def test_final_state_consistent_with_record():
