@@ -53,14 +53,19 @@ def similarity(p, q) -> float:
     return amp * amp
 
 
-def _at_support(values: np.ndarray, offset: int, support, step: int = 1) -> np.ndarray:
-    """values[..., (m - offset) // step] for each support site m of the sites
-    offset + step * i of a window, 0.0 for any other m."""
+def _support_index(support, offset: int, n: int, step: int = 1) -> tuple:
+    """(i, inside) of each support site m: i = (m - offset) // step, and
+    whether m is one of the n sites offset + step * i of a window."""
     if len(support) == 0:
         raise ValueError("support must not be empty")
     i, off = np.divmod(np.asarray(support) - offset, step)
-    inside = (off == 0) & (i >= 0) & (i < values.shape[-1])
-    return np.where(inside, values[..., np.where(inside, i, 0)], 0.0)
+    inside = (off == 0) & (i >= 0) & (i < n)
+    return np.where(inside, i, 0), inside
+
+
+def _at_support(values: np.ndarray, index: tuple) -> np.ndarray:
+    """values[..., i] at each support site inside the window of index (see _support_index), 0.0 at any other."""
+    return np.where(index[1], values[..., index[0]], 0.0)
 
 
 def equidistribution_similarity(
@@ -74,7 +79,8 @@ def equidistribution_similarity(
     to the support to one first.
     """
     support = list(support)
-    weights = _at_support(record.distribution_vector(step), record.offset, support)
+    index = _support_index(support, record.offset, record.reached.shape[1])
+    weights = _at_support(record.distribution_vector(step), index)
     if renormalize:
         total = np.cumsum(weights)[-1]
         weights = weights * (1.0 / total if total > 0.0 else 1.0)
@@ -159,10 +165,11 @@ def monte_carlo_error_bars(
     front, sample by sample, and the samples walk together in batches
     (CoinProgram.sampled) of at most BATCH_SITES // window samples: every
     step's (samples, cells, 4) intensities go through the distortion
-    pipeline at once and are added into the squared deviations in sample
-    order, so the result equals running the samples one at a time.  Step t
-    touches only the cells light can reach (reach); on a graph, amplitudes
-    are gathered onto its nodes before they are squared.
+    pipeline at once, and the squared deviations of the four modes and of
+    their mode_sum are added in one fold (a cumsum over the sample axis),
+    in sample order, so the result equals running the samples one at a
+    time.  Step t touches only the cells light can reach (reach); on a
+    graph, amplitudes are gathered onto its nodes before they are squared.
     Deviations are root-mean-square distances from the unperturbed
     reference, so a zero-error run reports exactly zero.
 
@@ -197,17 +204,18 @@ def monte_carlo_error_bars(
     )
     if site_map is not None:
         ref = map_sites(site_map, ref)
-    ref_dist = mode_sum(ref.intensities)
+    # per step and site, the four modes and their mode_sum, and their squared deviations
+    ref_all = np.concatenate([ref.intensities, mode_sum(ref.intensities)[..., None]], axis=-1)
+    ref_dist, sq = ref_all[..., 4], np.zeros_like(ref_all)
     # per sample: one offset per element angle (none without angle error), then four efficiencies
     n_angles = len(program.angles())
     drawn = n_angles if angle_err_deg > 0.0 else 0
     draws = draw_jitter(rng, n_samples, drawn, angle_err_deg, distribution, eff_err)
     offsets = draws[:, :drawn] if drawn else np.zeros((n_samples, n_angles))
     eff = draws[:, None, drawn:]
-    sq_mode = np.zeros_like(ref.intensities)
-    sq_pos = np.zeros_like(ref_dist)
     if support is not None:
-        weights = _at_support(ref_dist, ref.offset, support)
+        on_ref = _support_index(support, ref.offset, ref_dist.shape[1])  # a graph's samples' sites too
+        weights = _at_support(ref_dist, on_ref)
         sampled = np.zeros((len(ref), n_samples, len(support)))  # per step, the samples' weights
     # the samples walk in batches of at most BATCH_SITES // window of them,
     # one step of a batch at a time, and are added in sample order
@@ -220,24 +228,27 @@ def monte_carlo_error_bars(
         batch = slice(first, first + size)
         for t, amp in enumerate(evolve_states(initial, program.sampled(offsets[batch]), steps)):
             cells = slice(lo - t, hi + t, step)
+            at = cells if rows is None else slice(0, None, 1)
             if rows is None:
-                sample, at = _detected(np.abs(amp[:, cells]) ** 2, eff[batch], renormalize), cells
-            else:  # squared after the gather, elementwise: the same bits; the cells, which
-                # only total, are freed before the kernel's next step
-                on_nodes = np.abs(gather_nodes(amp, rows)) ** 2
-                sample, at = _detected(on_nodes, eff[batch], renormalize, np.abs(amp[:, cells]) ** 2), slice(0, None, 1)
-            dm = sample - ref.intensities[t, at]
-            sq_mode[t, at] = np.cumsum(np.concatenate([sq_mode[t, at][None], dm * dm]), axis=0)[-1]
-            sample_dist = mode_sum(sample)
-            dp = sample_dist - ref_dist[t, at]
-            sq_pos[t, at] = np.cumsum(np.concatenate([sq_pos[t, at][None], dp * dp]), axis=0)[-1]
+                sample = _detected(np.abs(amp[:, cells]) ** 2, eff[batch], renormalize)
+            else:  # squared after the gather, elementwise: the same bits; the cells only total
+                sample = _detected(np.abs(gather_nodes(amp, rows)) ** 2, eff[batch], renormalize, np.abs(amp[:, cells]) ** 2)
+            # row 0 the sums so far, then per sample its modes and mode_sum, then their squared deviations
+            fold = np.empty((len(sample) + 1, sample.shape[1], 5))
+            fold[0], fold[1:, :, :4] = sq[t, at], sample
+            fold[1:, :, 4] = mode_sum(sample)
             if support is not None:
-                sampled[t, batch] = _at_support(sample_dist, ref.offset + at.start, support, at.step)
+                index = on_ref if rows is not None else _support_index(support, ref.offset + at.start, fold.shape[1], at.step)
+                sampled[t, batch] = _at_support(fold[1:, :, 4], index)
+            fold[1:] -= ref_all[t, at]
+            np.square(fold[1:], out=fold[1:])
+            sq[t, at] = np.cumsum(fold, axis=0)[-1]
+            del sample, fold  # nothing of step t stays alive while the kernel computes step t + 1
 
     report = ErrorBarReport(
         reference=ref,
-        sigma_mode=np.sqrt(sq_mode / n_samples),
-        sigma_position=np.sqrt(sq_pos / n_samples),
+        sigma_mode=np.sqrt(sq[..., :4] / n_samples),
+        sigma_position=np.sqrt(sq[..., 4] / n_samples),
         n_samples=n_samples,
     )
     if support is not None:
@@ -247,7 +258,7 @@ def monte_carlo_error_bars(
         # amp * sqrt(q / p_m); squared with pow (x * x can differ in the last bit)
         held = weights > DUST_FLOOR * np.cumsum(ref_dist, axis=1)[:, -1:]
         dsdp = amp[:, None] * np.sqrt(q / np.where(held, weights, 1.0))
-        sigma_at = _at_support(report.sigma_position, ref.offset, support)
+        sigma_at = _at_support(report.sigma_position, on_ref)
         terms = np.where(held, np.float_power(dsdp * sigma_at, 2), 0.0)
         sampled_amp = _overlap(sampled, q)  # one contiguous row of samples per step
         devs = sampled_amp * sampled_amp - (amp * amp)[:, None]

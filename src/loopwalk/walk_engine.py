@@ -71,9 +71,11 @@ def draw_jitter(
     eff_err, four detection efficiencies uniform on [1 - eff_err, 1 + eff_err].
 
     Uniform draws are low + (high - low) * U over one rng.random block, as
-    Generator.uniform computes them.  truncated_normal offsets are drawn
-    from N(0, (angle_err_deg / 2)^2) one at a time, each redrawn until it
-    lies inside the window.
+    Generator.uniform computes them.  truncated_normal offsets are draws
+    from N(0, (angle_err_deg / 2)^2) inside the window, a row at a time as
+    vectors: as many as the row misses, those inside filling it in order,
+    until it is full.  The stream is that of one offset at a time, each
+    redrawn until it lies inside, and ends where that one does.
     """
     bounds = [(-angle_err_deg, angle_err_deg)] * n_angles
     if eff_err is not None:
@@ -87,10 +89,12 @@ def draw_jitter(
         raise ValueError(f"unknown perturbation distribution {distribution!r}")
     out = np.empty(shape)
     for row in out:
-        for i in range(n_angles):
-            while abs(d := rng.normal(0.0, angle_err_deg / 2.0)) > angle_err_deg:
-                pass
-            row[i] = d
+        got = 0
+        while got < n_angles:
+            d = rng.normal(0.0, angle_err_deg / 2.0, n_angles - got)
+            d = d[~(np.abs(d) > angle_err_deg)]
+            row[got : got + len(d)] = d
+            got += len(d)
         row[n_angles:] = low[n_angles:] + span[n_angles:] * rng.random(len(bounds) - n_angles)
     return out
 

@@ -442,7 +442,8 @@ def test_errorbars_recipe_samples_walk_on_the_light_cone():
 def test_monte_carlo_batch_size_does_not_change_the_result(monkeypatch):
     # samples walk in batches of BATCH_SITES // window of them; smaller
     # batches give the same bits, and the same error when a sample leaves
-    # the covered positions
+    # the covered positions; the ring's support is looked up once per run
+    # and serves every batch
     import loopwalk.analysis as analysis
 
     def run(walk):
@@ -450,10 +451,13 @@ def test_monte_carlo_batch_size_does_not_change_the_result(monkeypatch):
             report = monte_carlo_error_bars(*walk, 7, 0.02, 1.5, seed=11, distribution="truncated_normal")
         except ProgramError as err:
             return str(err)
-        return report.sigma_mode.tolist(), report.sigma_position.tolist(), report.similarity_sigma_sampled
+        fields = report.sigma_mode, report.sigma_position, report.similarity_sigma_sampled
+        return [np.asarray(values, dtype=float).view(np.int64).tolist() for values in fields]
 
     rng = np.random.default_rng(12)
-    walks = [_random_walk(rng, 3) for _ in range(4)] + [_uncovered_walk(rng, 3)._replace(steps=5)]
+    program, smap = ring_chain((0, 4), "hadamard_like")
+    ring = Walk(program, make_initial("ccw", "V", 1), 10, smap, [1, 3, 5, 7])
+    walks = [_random_walk(rng, 3) for _ in range(4)] + [ring, _uncovered_walk(rng, 3)._replace(steps=5)]
     whole = [run(walk) for walk in walks]
     for sites in (1, 20, 50):  # windows of 1 to 25 sites
         monkeypatch.setattr(analysis, "BATCH_SITES", sites)

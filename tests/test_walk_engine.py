@@ -698,6 +698,16 @@ def test_draw_jitter_matches_scalar_draws(distribution):
                     want = oracles.scalar_jitter(ref, 5, n_angles, err, distribution, eff_err)
                     assert np.array_equal(rows.view(np.int64), want.view(np.int64))
                     assert rng.random() == ref.random()
+    # rows of 40 offsets, most of which need several redraws, at the
+    # window's edges: no width, a tiny one and the config's bound
+    for seed in range(20):
+        for err in (0.0, 1e-300, 0.5, 180.0):
+            for eff_err in (None, 0.025):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                rows = draw_jitter(rng, 50, 40, err, distribution, eff_err)
+                want = oracles.scalar_jitter(ref, 50, 40, err, distribution, eff_err)
+                assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+                assert rng.random() == ref.random()
 
 
 def test_coin_program_time_table_precedence():
